@@ -21,7 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.hpp"
+
 namespace mb::bench {
+
+using analysis::jsonEscape;
 
 struct PresetPerf {
   std::string preset;
@@ -78,15 +82,6 @@ inline long currentPeakRssKiB() {
 #else
   return ru.ru_maxrss;
 #endif
-}
-
-inline std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 /// %.6g rendering of a double. A 64-byte buffer cannot truncate this format;

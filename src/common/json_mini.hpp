@@ -1,8 +1,8 @@
 // Minimal JSON value + recursive-descent parser.
 //
 // Parses the subset the repo's own tools emit (objects, arrays, strings,
-// numbers, booleans, null) — journal files from mbsim and the --json output
-// of mblint/mbdetcheck/mbsnapcheck. Tolerant of unknown keys so formats can
+// numbers, booleans, null) — RunResult reports (sim/journal.hpp, the
+// mbserve result cache) and the --json output of mblint/mbdetcheck/mbsnapcheck. Tolerant of unknown keys so formats can
 // grow fields without breaking old readers. Factored out of sim/journal.cpp
 // so tests can round-trip every tool's diagnostic JSON through one reader
 // (tests/analysis/diag_json_schema_test.cpp pins the shared schema).
@@ -54,7 +54,7 @@ struct JVal {
 };
 
 /// Opt-in strictness for hostile input. Defaults preserve the tolerant
-/// behavior every existing caller (journal replay, diag-JSON tests) relies
+/// behavior every existing caller (RunResult decoding, diag-JSON tests) relies
 /// on: unlimited depth, last-key-wins duplicates.
 struct JParseOptions {
   /// Maximum object/array nesting depth; 0 = unlimited.

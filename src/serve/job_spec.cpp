@@ -7,7 +7,6 @@
 #include "common/json_mini.hpp"
 #include "common/string_util.hpp"
 #include "sim/experiment.hpp"
-#include "trace/profiles.hpp"
 
 namespace mb::serve {
 
@@ -28,49 +27,6 @@ bool reject(DiagnosticEngine& diags, const char* code, std::string message) {
 bool isKnownVerb(const std::string& verb) {
   return verb == "submit" || verb == "status" || verb == "cancel" ||
          verb == "flush-cache" || verb == "shutdown";
-}
-
-/// True when `name` resolves to a runnable workload; fills *out. trace:
-/// prefixes are accepted without file checks (existence is a run-time
-/// property, reported per point like any other run failure).
-bool resolveWorkload(const std::string& name, sim::WorkloadSpec* out) {
-  if (startsWith(name, "trace:")) {
-    *out = sim::WorkloadSpec::traceFiles(name.substr(6));
-    return true;
-  }
-  if (name == "mix-high" || name == "mix-blend") {
-    *out = sim::WorkloadSpec::mix(name);
-    return true;
-  }
-  for (auto kind : {trace::MtKind::Radix, trace::MtKind::Fft, trace::MtKind::Canneal,
-                    trace::MtKind::TpcC, trace::MtKind::TpcH}) {
-    if (name == trace::mtKindName(kind)) {
-      *out = sim::WorkloadSpec::mt(kind);
-      return true;
-    }
-  }
-  for (auto group : {trace::SpecGroup::High, trace::SpecGroup::Med,
-                     trace::SpecGroup::Low}) {
-    for (const auto& app : trace::specGroupMembers(group)) {
-      if (name == app) {
-        *out = sim::WorkloadSpec::spec(name);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-/// Multicore workloads populate the full cluster topology and the PHY's
-/// channel count (mirrors the mbsim CLI so a served run matches it).
-void applyWorkloadShape(sim::SystemConfig& cfg, const sim::WorkloadSpec& spec) {
-  if (spec.kind != sim::WorkloadSpec::Kind::SingleSpec &&
-      spec.kind != sim::WorkloadSpec::Kind::TraceFile) {
-    const auto phy = interface::PhyModel::make(cfg.phy);
-    cfg.hier.numCores = 64;
-    cfg.hier.coresPerCluster = 4;
-    if (cfg.channels < 0) cfg.channels = phy.channels;
-  }
 }
 
 bool asString(const json::JVal& v, const std::string& key, std::string* out,
@@ -248,9 +204,11 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
   JobPlan plan;
   plan.workloadName = spec.workload;
   plan.nocache = spec.nocache;
-  if (!resolveWorkload(spec.workload, &plan.workload))
+  const auto workload = sim::workloadByName(spec.workload);
+  if (!workload)
     return reject(diags, "MB-SRV-006",
                   "unknown workload \"" + spec.workload + "\"");
+  plan.workload = *workload;
 
   std::vector<sim::NamedConfig> bases;
   if (spec.sweep) {
@@ -285,10 +243,10 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
         }
         if (spec.instrs > 0) point.cfg.core.maxInstrs = spec.instrs;
         if (spec.hasSeed) point.cfg.seed = spec.seed;
-        applyWorkloadShape(point.cfg, plan.workload);
+        sim::applyWorkloadShape(point.cfg, plan.workload);
         // Fold reseed into the effective per-point seed NOW, keyed by the
         // point's position in this expansion — downstream (SweepRunner, the
-        // memo key, the journal) never needs to know reseed existed.
+        // memo key) never needs to know reseed existed.
         if (spec.reseed)
           point.cfg.seed = sim::foldPointSeed(point.cfg.seed, plan.points.size());
         point.opts.warmupRecords = spec.warmup;

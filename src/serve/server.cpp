@@ -13,7 +13,7 @@
 #include "analysis/diagnostic.hpp"
 #include "common/json_mini.hpp"
 #include "common/version.hpp"
-#include "sim/journal.hpp"
+#include "serve/run_plan.hpp"
 
 namespace mb::serve {
 
@@ -392,124 +392,33 @@ void Server::workerLoop() {
 }
 
 void Server::executeJob(const std::shared_ptr<Job>& job) {
-  const std::string version = versionString();
   const JobPlan& plan = job->plan;
   const std::size_t total = plan.points.size();
   const std::string jid = jsonEscape(job->id);
 
-  struct PointOut {
-    bool cached = false;
-    bool ok = false;
-    bool canceled = false;
-    std::string json;   // runResultToJson bytes (ok)
-    std::string error;  // failure text (!ok)
-  };
-  std::vector<PointOut> outs(total);
-  std::vector<std::uint64_t> keys(total);
-  std::vector<std::size_t> missIdx;
-
-  for (std::size_t i = 0; i < total; ++i) {
-    const sim::SweepPoint& pt = plan.points[i];
-    keys[i] = ResultCache::resultKey(sim::systemConfigHash(pt.cfg, pt.workload),
-                                     plan.workloadName, pt.cfg.seed,
-                                     pt.opts.warmupRecords, version);
-    if (!plan.nocache) {
-      if (auto hit = cache_.lookup(keys[i])) {
-        outs[i].cached = true;
-        outs[i].ok = true;
-        outs[i].json = std::move(*hit);
-        continue;
-      }
-    }
-    missIdx.push_back(i);
-  }
-  const std::size_t cachedCount = total - missIdx.size();
-  if (cachedCount > 0) {
+  sim::SweepOptions sopts;
+  sopts.jobs = opts_.jobsPerSweep;
+  sopts.cancel = &job->cancel;
+  sopts.onProgress = [&](const sim::SweepProgress& p) {
     send(job->conn, "{\"event\":\"progress\",\"id\":\"" + jid +
-                        "\",\"done\":" + std::to_string(cachedCount) +
-                        ",\"total\":" + std::to_string(total) + ",\"failed\":0}");
-  }
-
-  // Build the miss sweep. Warmup snapshots are shared per warmupKeyHash via
-  // the LRU: the first acquire generates (outside the LRU lock), siblings
-  // and sibling jobs pin the same bytes. Leases are held until the sweep
-  // finishes — warmupRestoreBuf points straight into the LRU entry.
-  std::vector<sim::SweepPoint> missPoints;
-  std::vector<SnapshotLru::Lease> leases;
-  missPoints.reserve(missIdx.size());
-  leases.reserve(missIdx.size());
-  bool warmupFailed = false;
-  for (const std::size_t idx : missIdx) {
-    sim::SweepPoint p = plan.points[idx];
-    p.seedIndex = static_cast<std::int64_t>(idx);
-    // Applied after the cache key is computed: shards cannot change results,
-    // so cached entries stay valid across every --shards setting.
-    p.opts.shards = opts_.shards;
-    if (p.opts.warmupRecords > 0) {
-      const std::uint64_t wkey =
-          sim::warmupKeyHash(p.cfg, p.workload, p.opts.warmupRecords);
-      try {
-        leases.push_back(lru_.acquire(wkey, [&p] {
-          return sim::captureWarmupSnapshot(p.cfg, p.workload,
-                                            p.opts.warmupRecords);
-        }));
-        p.opts.warmupRestoreBuf = &leases.back().bytes();
-      } catch (const std::exception& e) {
-        outs[idx].ok = false;
-        outs[idx].error = std::string("warmup snapshot failed: ") + e.what();
-        warmupFailed = true;
-        continue;
-      }
-    }
-    missPoints.push_back(std::move(p));
-  }
-  if (warmupFailed) {
-    // Rebuild the index map to the points that actually run.
-    std::vector<std::size_t> runnable;
-    for (const std::size_t idx : missIdx)
-      if (outs[idx].error.empty()) runnable.push_back(idx);
-    missIdx = std::move(runnable);
-  }
-
-  if (!missPoints.empty()) {
-    sim::SweepOptions sopts;
-    sopts.jobs = opts_.jobsPerSweep;
-    sopts.reseedPoints = false;  // reseed folded into cfg.seed at plan time
-    sopts.cancel = &job->cancel;
-    sopts.onPointDone = [&](const sim::SweepOutcome& o) {
-      const std::size_t orig = missIdx[o.index];
-      PointOut& out = outs[orig];
-      out.ok = o.ok;
-      out.canceled = o.canceled;
-      if (o.ok) {
-        out.json = sim::runResultToJson(o.result);
-        if (!cache_.store(keys[orig], out.json)) {
-          std::fprintf(stderr, "mbserve: warning: cache store failed for %s\n",
-                       plan.points[orig].label.c_str());
-        }
-      } else {
-        out.error = o.error;
-      }
-    };
-    sopts.onProgress = [&](const sim::SweepProgress& p) {
-      send(job->conn, "{\"event\":\"progress\",\"id\":\"" + jid +
-                          "\",\"done\":" + std::to_string(cachedCount + p.done) +
-                          ",\"total\":" + std::to_string(total) +
-                          ",\"failed\":" + std::to_string(p.failed) + "}");
-    };
-    sim::SweepRunner(sopts).run(missPoints);
-  }
-  leases.clear();  // unpin before reporting: the LRU can evict again
+                        "\",\"done\":" + std::to_string(p.done) +
+                        ",\"total\":" + std::to_string(total) +
+                        ",\"failed\":" + std::to_string(p.failed) + "}");
+  };
+  const std::vector<PointResult> outs = runPlan(plan, &cache_, lru_, sopts, opts_.shards);
 
   // Emit point events in point order — buffered, so one job's stream is
   // identical no matter how the sweep interleaved.
-  std::size_t okCount = 0, failCount = 0, canceledCount = 0, simulated = 0;
+  std::size_t okCount = 0, failCount = 0, canceledCount = 0, simulated = 0,
+              cachedCount = 0;
   for (std::size_t i = 0; i < total; ++i) {
-    const PointOut& out = outs[i];
+    const PointResult& out = outs[i];
     if (out.ok) ++okCount;
     if (out.canceled)
       ++canceledCount;
-    else if (!out.cached)
+    else if (out.cached)
+      ++cachedCount;
+    else
       ++simulated;
     if (!out.ok && !out.canceled) ++failCount;
     std::string line = "{\"event\":\"point\",\"id\":\"" + jid +

@@ -10,7 +10,8 @@
 //   - a ResultCache: every finished point's canonical JSON report is stored
 //     content-addressed, and a submit first partitions its points into
 //     cache hits (served from disk, byte-identical to a cold run) and
-//     misses (simulated, then stored);
+//     misses (simulated, then stored) — serve::runPlan, the same path
+//     `mbsim --sweep --cache-dir` resumes through;
 //   - a SnapshotLru serving functional-warmup snapshots: miss points that
 //     request warmup share one snapshot per warmupKeyHash, generated at
 //     most once and pinned for the duration of the job;

@@ -1,31 +1,12 @@
 #include "sim/journal.hpp"
 
-#include <cctype>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <cstdio>
 
 #include "analysis/diagnostic.hpp"  // jsonEscape
-#include "ckpt/serialize.hpp"       // fnv1a64, Writer
 #include "common/json_mini.hpp"
-#include "common/version.hpp"
 
 namespace mb::sim {
-
-std::uint64_t sweepIdentityHash(const std::string& workload,
-                                const std::vector<SweepPoint>& points,
-                                bool reseed) {
-  ckpt::Writer w;
-  w.str(workload);
-  w.b(reseed);
-  w.u64(points.size());
-  for (const auto& p : points) {
-    w.str(p.label);
-    w.u64(p.cfg.seed);
-  }
-  return ckpt::fnv1a64(w.str());
-}
 
 namespace {
 
@@ -52,17 +33,10 @@ void jdbl(std::string& out, const char* key, double v) {
   out += buf;
 }
 
-void jbool(std::string& out, const char* key, bool v) {
-  out += '"';
-  out += key;
-  out += v ? "\":true" : "\":false";
-}
-
-// ---- Minimal JSON parser --------------------------------------------------
+// ---- JSON parsing ---------------------------------------------------------
 //
 // The value type and recursive-descent parser live in common/json_mini.hpp
-// (shared with the diagnostic-JSON schema tests); this module only aliases
-// them into its parsing helpers below.
+// (shared with the diagnostic-JSON schema tests).
 
 using json::JParser;
 using json::JVal;
@@ -88,7 +62,7 @@ bool getStr(const JVal& o, const char* key, std::string* out) {
   return true;
 }
 
-bool runResultFromJson(const JVal& o, RunResult* r) {
+bool decodeRunResult(const JVal& o, RunResult* r) {
   bool ok = getStr(o, "workload", &r->workload);
   ok = ok && getDbl(o, "systemIpc", &r->systemIpc);
   std::int64_t elapsed = 0;
@@ -138,24 +112,6 @@ bool runResultFromJson(const JVal& o, RunResult* r) {
     }
   }
   return ok;
-}
-
-std::string outcomeToJson(const SweepOutcome& o) {
-  std::string out = "{";
-  jint(out, "point", static_cast<std::int64_t>(o.index));
-  out += ',';
-  jstr(out, "label", o.label);
-  out += ',';
-  jbool(out, "ok", o.ok);
-  out += ',';
-  if (o.ok) {
-    out += "\"result\":";
-    out += runResultToJson(o.result);
-  } else {
-    jstr(out, "error", o.error);
-  }
-  out += "}\n";
-  return out;
 }
 
 }  // namespace
@@ -229,213 +185,9 @@ std::string runResultToJson(const RunResult& r) {
   return out;
 }
 
-JournalWriter::JournalWriter(const std::string& path, const JournalHeader& header) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) return;
-  std::string line = "{\"mbsweep\":1,";
-  jstr(line, "tool", header.tool);
-  line += ',';
-  jstr(line, "workload", header.workload);
-  line += ',';
-  jint(line, "points", static_cast<std::int64_t>(header.points));
-  line += ',';
-  jbool(line, "reseed", header.reseed);
-  line += ',';
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "\"sweepHash\":\"0x%016" PRIx64 "\"", header.sweepHash);
-  line += buf;
-  line += "}\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-}
-
-JournalWriter::JournalWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "ab");
-}
-
-JournalWriter::~JournalWriter() { close(); }
-
-void JournalWriter::append(const SweepOutcome& outcome) {
-  if (file_ == nullptr) return;
-  const std::string line = outcomeToJson(outcome);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);  // crash-safe: every completed point survives
-}
-
-void JournalWriter::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-std::optional<JournalData> readJournal(const std::string& path, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open journal: " + path;
-    return std::nullopt;
-  }
-  std::string content;
-  char buf[65536];
-  for (;;) {
-    const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-    content.append(buf, n);
-    if (n < sizeof buf) break;
-  }
-  std::fclose(f);
-
-  JournalData data;
-  std::size_t lineNo = 0;
-  std::size_t pos = 0;
-  while (pos < content.size()) {
-    std::size_t nl = content.find('\n', pos);
-    const bool torn = nl == std::string::npos;  // no terminating newline
-    if (torn) nl = content.size();
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    ++lineNo;
-
-    JVal v;
-    const bool parsed = JParser(line).parse(&v) && v.t == JVal::T::Obj;
-    if (lineNo == 1) {
-      std::int64_t fmt = 0;
-      if (!parsed || !getInt(v, "mbsweep", &fmt) || fmt != 1) {
-        if (error != nullptr)
-          *error = path + ": not a sweep journal (bad or missing header)";
-        return std::nullopt;
-      }
-      getStr(v, "tool", &data.header.tool);
-      std::int64_t pts = 0;
-      if (!getStr(v, "workload", &data.header.workload) ||
-          !getInt(v, "points", &pts) || pts < 0) {
-        if (error != nullptr) *error = path + ": malformed journal header";
-        return std::nullopt;
-      }
-      data.header.points = static_cast<std::size_t>(pts);
-      const JVal* rs = v.get("reseed");
-      data.header.reseed = rs != nullptr && rs->t == JVal::T::Bool && rs->b;
-      std::string hash;
-      if (!getStr(v, "sweepHash", &hash)) {
-        if (error != nullptr) *error = path + ": journal header lacks sweepHash";
-        return std::nullopt;
-      }
-      data.header.sweepHash = std::strtoull(hash.c_str(), nullptr, 16);
-      continue;
-    }
-
-    // A torn or unparseable final line is the expected artifact of an
-    // interrupted write: drop it and resume from the last complete point.
-    if (!parsed || torn) {
-      if (parsed && !torn && error != nullptr) {
-        *error = path + ": malformed journal line";
-        return std::nullopt;
-      }
-      continue;
-    }
-
-    SweepOutcome o;
-    std::int64_t idx = -1;
-    if (!getInt(v, "point", &idx) || idx < 0 ||
-        static_cast<std::size_t>(idx) >= data.header.points ||
-        !getStr(v, "label", &o.label)) {
-      continue;  // treat like a torn line: skip, the point just re-runs
-    }
-    o.index = static_cast<std::size_t>(idx);
-    const JVal* okv = v.get("ok");
-    o.ok = okv != nullptr && okv->t == JVal::T::Bool && okv->b;
-    if (o.ok) {
-      const JVal* res = v.get("result");
-      if (res == nullptr || res->t != JVal::T::Obj ||
-          !runResultFromJson(*res, &o.result)) {
-        continue;  // incomplete result: re-run the point
-      }
-    } else {
-      getStr(v, "error", &o.error);
-    }
-    data.outcomes.push_back(std::move(o));
-  }
-  if (lineNo == 0) {
-    if (error != nullptr) *error = path + ": empty journal";
-    return std::nullopt;
-  }
-  return data;
-}
-
-std::optional<std::vector<SweepOutcome>> runSweepJournaled(
-    const std::string& workload, const std::vector<SweepPoint>& points,
-    const SweepOptions& opts, const std::string& journalPath, bool resume,
-    std::string* error) {
-  const std::uint64_t identity = sweepIdentityHash(workload, points, opts.reseedPoints);
-
-  // Outcomes replayed from the journal, keyed by original index (the last
-  // entry wins if a journal was appended to more than once).
-  std::vector<const SweepOutcome*> replayed(points.size(), nullptr);
-  std::optional<JournalData> journal;
-  if (resume) {
-    journal = readJournal(journalPath, error);
-    if (!journal) return std::nullopt;
-    if (journal->header.sweepHash != identity ||
-        journal->header.points != points.size() ||
-        journal->header.reseed != opts.reseedPoints) {
-      if (error != nullptr)
-        *error = journalPath +
-                 ": journal belongs to a different sweep (workload, point "
-                 "list, seed or --reseed changed); refusing to mix results";
-      return std::nullopt;
-    }
-    for (const auto& o : journal->outcomes)
-      if (o.ok) replayed[o.index] = &o;  // failed entries re-run
-  }
-
-  // The still-to-run points keep their ORIGINAL index for seed folding.
-  std::vector<SweepPoint> remaining;
-  std::vector<std::size_t> originalIndex;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (replayed[i] != nullptr) continue;
-    SweepPoint p = points[i];
-    p.seedIndex = static_cast<std::int64_t>(i);
-    remaining.push_back(std::move(p));
-    originalIndex.push_back(i);
-  }
-
-  JournalHeader header;
-  header.tool = versionString();
-  header.workload = workload;
-  header.points = points.size();
-  header.reseed = opts.reseedPoints;
-  header.sweepHash = identity;
-  auto writer = resume ? std::make_unique<JournalWriter>(journalPath)
-                       : std::make_unique<JournalWriter>(journalPath, header);
-  if (!writer->ok()) {
-    if (error != nullptr) *error = "cannot write journal: " + journalPath;
-    return std::nullopt;
-  }
-
-  SweepOptions inner = opts;
-  const auto userDone = opts.onPointDone;
-  inner.onPointDone = [&](const SweepOutcome& o) {
-    // Journal lines carry the point's position in the FULL sweep, not in
-    // the filtered remainder. onPointDone is serialized by the runner.
-    SweepOutcome original = o;
-    original.index = originalIndex[o.index];
-    writer->append(original);
-    if (userDone) userDone(original);
-  };
-  const auto ran = SweepRunner(inner).run(remaining);
-  writer->close();
-
-  std::vector<SweepOutcome> merged(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (replayed[i] != nullptr) {
-      merged[i] = *replayed[i];
-    }
-  }
-  for (std::size_t j = 0; j < ran.size(); ++j) {
-    merged[originalIndex[j]] = ran[j];
-    merged[originalIndex[j]].index = originalIndex[j];
-  }
-  return merged;
+bool runResultFromJson(const std::string& json, RunResult* out) {
+  JVal v;
+  return JParser(json).parse(&v) && v.t == JVal::T::Obj && decodeRunResult(v, out);
 }
 
 }  // namespace mb::sim

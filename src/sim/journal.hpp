@@ -1,101 +1,27 @@
-// Resumable sweep journal (JSONL).
+// Canonical RunResult JSON codec.
 //
-// A sweep streams one JSON object per line into a journal file:
-//
-//   line 1 (header):
-//     {"mbsweep":1,"tool":"microbank x.y.z (...)","workload":"429.mcf",
-//      "points":13,"reseed":false,"sweepHash":"0x..."}
-//   then one line per COMPLETED point, in completion order:
-//     {"point":3,"label":"hmc","ok":true,"result":{...}}
-//     {"point":5,"label":"...","ok":false,"error":"..."}
-//
-// Every line is flushed as it is written, so an interrupted sweep (ctrl-C,
-// OOM kill, machine reboot) leaves a valid journal behind. `--resume` reads
-// it back, replays the completed points verbatim, and runs only the rest —
-// with their ORIGINAL point indices, so per-point seed folding
-// (foldPointSeed) and output ordering are unchanged and a resumed sweep is
-// bit-identical to an uninterrupted one.
-//
-// `sweepHash` folds each point's label, its effective seed, the reseed mode
-// and the workload, so a journal cannot silently resume a *different*
-// sweep: a changed preset list, seed or flag set is rejected (the caller
-// reports the mismatch and exits non-zero rather than mixing results).
+// runResultToJson is the one byte format of a finished run: the mbserve
+// result cache stores exactly these bytes (serve/result_cache.hpp), the
+// serve protocol's point events carry them, and `mbsim --sweep --cache-dir`
+// reads cached points back through runResultFromJson to print its table.
 //
 // Doubles are written with %.17g and parsed with strtod — an exact
-// round-trip for every finite IEEE-754 double — so a replayed result is
-// bitwise-identical to the run that produced it.
+// round-trip for every finite IEEE-754 double — so a decoded result is
+// bitwise-identical to the run that produced it, and equal JSON means
+// bitwise-equal results.
 #pragma once
 
-#include <cstdint>
-#include <cstdio>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "sim/sweep.hpp"
+#include "sim/system.hpp"
 
 namespace mb::sim {
-
-/// Identity of a sweep for resume-compatibility checks: FNV-1a over the
-/// workload name, reseed mode, and every point's (label, seed).
-std::uint64_t sweepIdentityHash(const std::string& workload,
-                                const std::vector<SweepPoint>& points,
-                                bool reseed);
-
-struct JournalHeader {
-  std::string tool;      // producing tool + version (informational)
-  std::string workload;
-  std::size_t points = 0;
-  bool reseed = false;
-  std::uint64_t sweepHash = 0;
-};
 
 /// One RunResult as a JSON object (all fields, exact double round-trip).
 std::string runResultToJson(const RunResult& r);
 
-/// Streams a header + per-point outcome lines, flushing each line.
-class JournalWriter {
- public:
-  /// Truncates `path` and writes the header. Check ok() before use.
-  JournalWriter(const std::string& path, const JournalHeader& header);
-  /// Re-opens `path` for append (resume); writes nothing. Check ok().
-  explicit JournalWriter(const std::string& path);
-  ~JournalWriter();
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
-  bool ok() const { return file_ != nullptr; }
-  /// Append one completed point; thread-safe per call only if externally
-  /// serialized (SweepOptions::onPointDone already is).
-  void append(const SweepOutcome& outcome);
-  void close();
-
- private:
-  std::FILE* file_ = nullptr;
-};
-
-struct JournalData {
-  JournalHeader header;
-  /// Completed points in journal order; `index` is the original sweep
-  /// index. A malformed trailing line (torn write at interruption) is
-  /// skipped, not an error.
-  std::vector<SweepOutcome> outcomes;
-};
-
-/// Parse a journal file. On failure returns nullopt and sets `*error`.
-std::optional<JournalData> readJournal(const std::string& path, std::string* error);
-
-/// Run `points`, streaming every completed point to `journalPath`. With
-/// `resume`, the journal must already exist and match this sweep (same
-/// workload, reseed mode, and point list — enforced via sweepIdentityHash);
-/// its successfully completed points are replayed verbatim and only the
-/// rest run, with their original indices (seed folding and output order
-/// unchanged — a resumed sweep is bit-identical to an uninterrupted one).
-/// Failed journal entries re-run. Returns outcomes in point order, or
-/// nullopt with `*error` set on a journal open/identity mismatch.
-std::optional<std::vector<SweepOutcome>> runSweepJournaled(
-    const std::string& workload, const std::vector<SweepPoint>& points,
-    const SweepOptions& opts, const std::string& journalPath, bool resume,
-    std::string* error);
+/// Parse runResultToJson output back into *out. False when `json` is not
+/// such an object (a field missing or of the wrong type).
+bool runResultFromJson(const std::string& json, RunResult* out);
 
 }  // namespace mb::sim

@@ -51,7 +51,7 @@ using Clock = std::chrono::steady_clock;
 /// chatter is a human affordance, so it only prints when stderr is a
 /// terminal — machine consumers get SweepOptions::onProgress instead, and a
 /// CI log is not littered with interleaved ETA lines. Failure lines print
-/// regardless: they carry real information a journal-less caller needs.
+/// regardless: they carry real information every caller needs.
 class ProgressReporter {
  public:
   ProgressReporter(std::size_t total, int jobs, bool enabled)
@@ -99,20 +99,16 @@ class ProgressReporter {
   Clock::time_point lastPrint_{};
 };
 
-SweepOutcome runPoint(const SweepPoint& point, std::size_t index, bool reseed) {
+SweepOutcome runPoint(const SweepPoint& point, std::size_t index) {
   SweepOutcome out;
   out.index = index;
   out.label = point.label;
-  SystemConfig cfg = point.cfg;
-  const std::size_t seedIndex =
-      point.seedIndex >= 0 ? static_cast<std::size_t>(point.seedIndex) : index;
-  if (reseed) cfg.seed = foldPointSeed(cfg.seed, seedIndex);
   // Trap MB_CHECK failures on this thread for the duration of the run: a
   // point that trips an internal invariant becomes a recorded error, not a
   // process abort, and the other points still produce results.
   const ScopedCheckTrap trap;
   try {
-    out.result = runSimulation(cfg, point.workload, point.opts);
+    out.result = runSimulation(point.cfg, point.workload, point.opts);
     out.ok = true;
   } catch (const CheckFailure& f) {
     out.error = f.message;
@@ -129,7 +125,7 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepPoint>& points
   std::vector<SweepOutcome> outcomes(points.size());
   ProgressReporter progress(points.size(), jobs, opts_.progress);
 
-  // Serializes SweepOptions::onPointDone and onProgress (journal appends,
+  // Serializes SweepOptions::onPointDone and onProgress (cache stores,
   // response streams) across workers; also guards the progress counters.
   std::mutex doneMu;
   std::size_t doneCount = 0;
@@ -162,7 +158,7 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepPoint>& points
       o.error = "sweep point canceled before it started";
       return o;
     }
-    return runPoint(points[i], i, opts_.reseedPoints);
+    return runPoint(points[i], i);
   };
 
   if (jobs == 1 || points.size() <= 1) {

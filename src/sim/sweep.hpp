@@ -10,9 +10,10 @@
 //
 // Guarantees:
 //   - Determinism: outcomes depend only on the point list, never on worker
-//     count or completion order. Per-point seeds (when `reseedPoints` is set)
-//     are a pure function of (point seed, point index) via SplitMix64, so
-//     `jobs=N` is bit-identical to `jobs=1`.
+//     count or completion order, so `jobs=N` is bit-identical to `jobs=1`.
+//     Every point runs with its own cfg.seed; statistical replicates fold
+//     foldPointSeed(seed, index) into that seed when the points are planned
+//     (serve::planJob), never at run time.
 //   - Ordered collection: outcome[i] always corresponds to points[i].
 //   - Failure isolation: an MB_CHECK that trips inside one point (or any
 //     exception it throws) is recorded as that point's error string; the
@@ -48,11 +49,6 @@ struct SweepPoint {
   std::string label;  // "(4,4)/429.mcf" — used in progress and error reports
   SystemConfig cfg;
   WorkloadSpec workload;
-  /// Seed-fold index when `reseedPoints` is on: -1 uses the point's position
-  /// in the submitted list (the default). A resumed sweep sets this to the
-  /// point's ORIGINAL index so filtering completed points out of the list
-  /// never changes any seed.
-  std::int64_t seedIndex = -1;
   /// Per-point run options (warmup snapshot reuse, checkpointing). The
   /// warmupRestoreBuf target must outlive run().
   RunOptions opts{};
@@ -66,9 +62,9 @@ struct SweepOutcome {
   RunResult result;   // valid only when ok
   std::string error;  // MB_CHECK / exception text when !ok
   /// The point never ran because the sweep's cancel token tripped first.
-  /// Canceled points are recorded with ok=false so journal replay re-runs
-  /// them on resume; this flag lets live consumers (mbserve) tell a
-  /// canceled point from a genuinely failed one.
+  /// Canceled points are recorded with ok=false (no result, nothing cached);
+  /// this flag lets live consumers (mbserve) tell a canceled point from a
+  /// genuinely failed one.
   bool canceled = false;
 };
 
@@ -87,18 +83,13 @@ struct SweepOptions {
   /// hardware concurrency). 1 runs the points serially on the calling
   /// thread — today's behavior, same outcomes.
   int jobs = 0;
-  /// Re-seed each point as foldPointSeed(cfg.seed, index). Off by default:
-  /// the figure benches deliberately run every grid point with the *same*
-  /// seed so that ratios against the baseline are paired. Turn on for
-  /// statistical replicates of one configuration.
-  bool reseedPoints = false;
   /// Print completed/total + ETA to stderr while running. The periodic ETA
   /// line only appears when stderr is a terminal — a piped or CI run gets
   /// no progress chatter (use onProgress for machine consumption); per-point
   /// FAILURE lines still print unconditionally.
   bool progress = false;
   /// Invoked once per completed point, serialized under one mutex (safe to
-  /// write a journal from). Called in completion order, not index order.
+  /// store results from). Called in completion order, not index order.
   std::function<void(const SweepOutcome&)> onPointDone;
   /// Machine-readable progress: invoked after each finished point, under
   /// the same mutex as onPointDone (and after it, so a consumer that

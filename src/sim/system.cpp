@@ -6,6 +6,7 @@
 #include "ckpt/serialize.hpp"
 #include "common/check.hpp"
 #include "common/event_queue.hpp"
+#include "common/string_util.hpp"
 #include "common/version.hpp"
 #include "core/address_map.hpp"
 #include "sim/shard.hpp"
@@ -26,6 +27,27 @@ dram::Geometry geometryFor(const SystemConfig& cfg, int channels) {
                "derived geometry invalid (run mblint): ch=%d rk=%d nW=%d nB=%d",
                g.channels, g.ranksPerChannel, g.ubank.nW, g.ubank.nB);
   return g;
+}
+
+std::optional<WorkloadSpec> workloadByName(const std::string& name) {
+  if (startsWith(name, "trace:")) return WorkloadSpec::traceFiles(name.substr(6));
+  if (name == "mix-high" || name == "mix-blend") return WorkloadSpec::mix(name);
+  for (auto kind : {trace::MtKind::Radix, trace::MtKind::Fft, trace::MtKind::Canneal,
+                    trace::MtKind::TpcC, trace::MtKind::TpcH}) {
+    if (name == trace::mtKindName(kind)) return WorkloadSpec::mt(kind);
+  }
+  for (const auto& app : trace::specProfiles())
+    if (app.name == name) return WorkloadSpec::spec(name);
+  return std::nullopt;
+}
+
+void applyWorkloadShape(SystemConfig& cfg, const WorkloadSpec& workload) {
+  if (workload.kind == WorkloadSpec::Kind::SingleSpec ||
+      workload.kind == WorkloadSpec::Kind::TraceFile)
+    return;
+  cfg.hier.numCores = 64;
+  cfg.hier.coresPerCluster = 4;
+  if (cfg.channels < 0) cfg.channels = interface::PhyModel::make(cfg.phy).channels;
 }
 
 int resolvedChannels(const SystemConfig& cfg, const WorkloadSpec& workload) {
@@ -233,6 +255,17 @@ void runFunctionalWarmup(BuiltSystem& sys, std::int64_t records) {
   // abort with the rendered diagnostic by default, catchable CheckFailure
   // under ScopedCheckTrap so tests and the sweep runner can observe it.
   mb::detail::raiseCheckFailure(d.text());
+}
+
+/// Decode the snapshot in `*buf`, or read it from `path` when `buf` is
+/// null; a snapshot that fails to decode rejects the run with its MB-CKP
+/// diagnostic.
+ckpt::Snapshot loadSnapshot(const std::string* buf, const std::string& path) {
+  analysis::DiagnosticEngine diags;
+  auto snap = buf != nullptr ? ckpt::decodeSnapshot(*buf, diags)
+                             : ckpt::readSnapshotFile(path, diags);
+  if (!snap) rejectSnapshot(diags.diagnostics().back());
+  return std::move(*snap);
 }
 
 /// Fetch a named section and drive `loadFn` over it; MB-CKP-010 when the
@@ -549,24 +582,15 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   }
 
   if (restoring) {
-    analysis::DiagnosticEngine diags;
-    auto snap = ckpt::readSnapshotFile(opts.restorePath, diags);
-    if (!snap) rejectSnapshot(diags.diagnostics().back());
-    restoreFullRun(*sys, engine, cfg, workload, *snap, opts.restorePath);
+    restoreFullRun(*sys, engine, cfg, workload, loadSnapshot(nullptr, opts.restorePath),
+                   opts.restorePath);
   } else {
     if (opts.warmupRestoreBuf != nullptr || !opts.warmupRestorePath.empty()) {
       const std::uint64_t key = warmupKeyHash(cfg, workload, opts.warmupRecords);
-      if (opts.warmupRestoreBuf != nullptr) {
-        analysis::DiagnosticEngine diags;
-        auto snap = ckpt::decodeSnapshot(*opts.warmupRestoreBuf, diags);
-        if (!snap) rejectSnapshot(diags.diagnostics().back());
-        restoreWarmup(*sys, key, *snap, "<memory>");
-      } else {
-        analysis::DiagnosticEngine diags;
-        auto snap = ckpt::readSnapshotFile(opts.warmupRestorePath, diags);
-        if (!snap) rejectSnapshot(diags.diagnostics().back());
-        restoreWarmup(*sys, key, *snap, opts.warmupRestorePath);
-      }
+      const std::string label =
+          opts.warmupRestoreBuf != nullptr ? "<memory>" : opts.warmupRestorePath;
+      restoreWarmup(*sys, key, loadSnapshot(opts.warmupRestoreBuf, opts.warmupRestorePath),
+                    label);
     } else if (opts.warmupRecords > 0) {
       runFunctionalWarmup(*sys, opts.warmupRecords);
     }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,17 @@ struct WorkloadSpec {
     return WorkloadSpec{Kind::TraceFile, prefix, trace::MtKind::Radix};
   }
 };
+
+/// Resolve a workload name: a SPEC app ("429.mcf"), a mix ("mix-high" /
+/// "mix-blend"), a kernel ("RADIX"/"FFT"/"canneal"/"TPC-C"/"TPC-H"), or
+/// recorded traces ("trace:PREFIX", accepted without file checks — a
+/// missing file is a run-time failure). nullopt for any other name.
+std::optional<WorkloadSpec> workloadByName(const std::string& name);
+
+/// Multicore workloads run on the full cluster topology (64 cores in
+/// clusters of 4) and populate the PHY's channel count unless cfg.channels
+/// overrides; single-core workloads leave cfg untouched.
+void applyWorkloadShape(SystemConfig& cfg, const WorkloadSpec& workload);
 
 struct RunResult {
   std::string workload;

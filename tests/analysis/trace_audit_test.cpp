@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "mc/command_log.hpp"
@@ -13,13 +16,18 @@
 namespace mb::analysis {
 namespace {
 
+// Unique per process: ctest runs every test of this file in its own
+// process, so two tests recording the same tag at once must not share (and
+// delete) one file.
 std::string tmpTracePath(const std::string& tag) {
-  return std::string(::testing::TempDir()) + "mbaudit_test_" + tag + ".mbc";
+  return std::string(::testing::TempDir()) + "mbaudit_test_" + tag + "." +
+         std::to_string(::getpid()) + ".mbc";
 }
 
-// Record a short run of `cfg` and load the resulting command trace.
-mc::CmdTrace recordTrace(sim::SystemConfig cfg, const std::string& tag,
-                         std::int64_t instrs) {
+// Record a short run of `cfg` and load the resulting command trace; nullopt
+// (reported as a test failure) when the trace cannot be read back.
+std::optional<mc::CmdTrace> recordTrace(sim::SystemConfig cfg, const std::string& tag,
+                                        std::int64_t instrs) {
   const auto path = tmpTracePath(tag);
   cfg.core.maxInstrs = instrs;
   cfg.recordCmdsPath = path;
@@ -29,7 +37,7 @@ mc::CmdTrace recordTrace(sim::SystemConfig cfg, const std::string& tag,
   auto trace = mc::readCmdTrace(path, diags);
   EXPECT_TRUE(trace.has_value()) << diags.renderText();
   std::remove(path.c_str());
-  return *trace;
+  return trace;
 }
 
 // ---- Clean traces ---------------------------------------------------------
@@ -40,22 +48,23 @@ mc::CmdTrace recordTrace(sim::SystemConfig cfg, const std::string& tag,
 // acceptance gate for the recorder and auditor agreeing on the protocol.
 TEST(TraceAudit, AllShippedPresetsAuditClean) {
   for (const auto& p : sim::shippedPresets()) {
-    auto trace = recordTrace(p.cfg, p.name, 6000);
+    const auto trace = recordTrace(p.cfg, p.name, 6000);
+    ASSERT_TRUE(trace.has_value()) << "preset " << p.name;
     mc::CmdTraceConfig expect =
         sim::cmdTraceConfigFor(p.cfg, sim::WorkloadSpec::spec(""));
     TraceAuditOptions opts;
     opts.expectConfig = &expect;
     DiagnosticEngine diags;
-    const auto res = auditCmdTrace(trace, diags, opts);
+    const auto res = auditCmdTrace(*trace, diags, opts);
     EXPECT_FALSE(diags.hasErrors())
         << "preset " << p.name << ":\n" << diags.renderText();
     EXPECT_EQ(res.commandsRejected, 0) << "preset " << p.name;
     EXPECT_GT(res.eventsAudited, 0) << "preset " << p.name;
     EXPECT_GT(res.activations, 0) << "preset " << p.name;
     // The recomputed total agrees with the live meter totals in the trailer.
-    ASSERT_TRUE(trace.trailer.present);
-    const double live = trace.trailer.actPre + trace.trailer.rdwr +
-                        trace.trailer.io + trace.trailer.staticEnergy;
+    ASSERT_TRUE(trace->trailer.present);
+    const double live = trace->trailer.actPre + trace->trailer.rdwr +
+                        trace->trailer.io + trace->trailer.staticEnergy;
     EXPECT_LE(std::abs(res.recomputedTotal() - live),
               1e-3 * std::max(std::abs(live), 1.0))
         << "preset " << p.name;
@@ -78,22 +87,24 @@ TEST(TraceAudit, RecordingDoesNotPerturbTheSimulation) {
 }
 
 TEST(TraceAudit, ConfigMismatchIsAud021) {
-  auto trace = recordTrace(sim::SystemConfig{}, "cfgmismatch", 4000);
-  mc::CmdTraceConfig expect = trace.config;
+  const auto trace = recordTrace(sim::SystemConfig{}, "cfgmismatch", 4000);
+  ASSERT_TRUE(trace.has_value());
+  mc::CmdTraceConfig expect = trace->config;
   expect.geom.banksPerRank *= 2;  // deliberately wrong expectation
   TraceAuditOptions opts;
   opts.expectConfig = &expect;
   DiagnosticEngine diags;
-  auditCmdTrace(trace, diags, opts);
+  auditCmdTrace(*trace, diags, opts);
   ASSERT_FALSE(diags.diagnostics().empty());
   EXPECT_EQ(diags.diagnostics().front().code, "MB-AUD-021");
 }
 
 TEST(TraceAudit, MissingTrailerIsAud022Warning) {
   auto trace = recordTrace(sim::SystemConfig{}, "notrailer", 4000);
-  trace.trailer = mc::CmdTraceTrailer{};  // as if the run never finalized
+  ASSERT_TRUE(trace.has_value());
+  trace->trailer = mc::CmdTraceTrailer{};  // as if the run never finalized
   DiagnosticEngine diags;
-  auditCmdTrace(trace, diags);
+  auditCmdTrace(*trace, diags);
   EXPECT_FALSE(diags.hasErrors()) << diags.renderText();
   EXPECT_EQ(diags.count(Severity::Warning), 1);
   ASSERT_FALSE(diags.diagnostics().empty());
@@ -108,17 +119,16 @@ TEST(TraceAudit, MissingTrailerIsAud022Warning) {
 class TraceAuditMutation : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    baseline_ = new mc::CmdTrace(
-        recordTrace(sim::SystemConfig{}, "mutation_base", 20000));
+    baseline_ = recordTrace(sim::SystemConfig{}, "mutation_base", 20000);
   }
-  static void TearDownTestSuite() {
-    delete baseline_;
-    baseline_ = nullptr;
+  static void TearDownTestSuite() { baseline_.reset(); }
+  void SetUp() override {
+    ASSERT_TRUE(baseline_.has_value()) << "baseline trace failed to record";
   }
-  static mc::CmdTrace* baseline_;
+  static std::optional<mc::CmdTrace> baseline_;
 };
 
-mc::CmdTrace* TraceAuditMutation::baseline_ = nullptr;
+std::optional<mc::CmdTrace> TraceAuditMutation::baseline_;
 
 TEST_F(TraceAuditMutation, EveryMutationTripsItsExpectedCodeFirst) {
   for (int k = 0; k < kTraceMutationCount; ++k) {

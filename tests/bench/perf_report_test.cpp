@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_mini.hpp"
 #include "sim/experiment.hpp"
 
 namespace mb::bench {
@@ -70,6 +71,30 @@ TEST(PerfReportTest, EscapesQuotesAndBackslashes) {
                                     {"worklo\"ad", 1, 1}, 0);
   EXPECT_TRUE(structurallyValidJson(json)) << json;
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
+}
+
+TEST(PerfReportTest, ControlAndNonAsciiNamesStayValidJson) {
+  // JSON forbids raw control bytes inside strings. The writer escapes them,
+  // and every non-ASCII sequence, as \uXXXX: the record is printable ASCII
+  // and each name decodes back exactly.
+  const std::string name = "odd\npreset\x01\xce\xbc";
+  const std::string json = perfJson({samplePerf(name)}, {"work\tload", 1, 1}, 0);
+  ASSERT_FALSE(json.empty());
+  for (std::size_t i = 0; i + 1 < json.size(); ++i) {  // the record ends in '\n'
+    const auto c = static_cast<unsigned char>(json[i]);
+    EXPECT_TRUE(c >= 0x20 && c < 0x7f) << "raw byte " << int{c} << " at " << i;
+  }
+  json::JVal v;
+  ASSERT_TRUE(json::JParser(json).parse(&v)) << json;
+  const json::JVal* presets = v.get("presets");
+  ASSERT_TRUE(presets != nullptr && presets->t == json::JVal::T::Arr);
+  ASSERT_EQ(presets->arr.size(), 1u);
+  const json::JVal* preset = presets->arr[0].get("preset");
+  ASSERT_TRUE(preset != nullptr);
+  EXPECT_EQ(preset->s, name);
+  const json::JVal* workload = v.get("workload");
+  ASSERT_TRUE(workload != nullptr);
+  EXPECT_EQ(workload->s, "work\tload");
 }
 
 TEST(PerfReportTest, RecordShapeCarriesAllFields) {

@@ -146,9 +146,9 @@ TEST(ZipfSampler, IsSkewedTowardLowRanks) {
 }
 
 TEST(SeedFolding, SweepGridStreamsAreIndependent) {
-  // A 5x5 sweep grid re-seeds each point as foldPointSeed(base, index) and a
-  // resumed sweep may fold the same base twice (MBSWP journal replay): no
-  // two folds across the grid — for either of two nearby base seeds — may
+  // A reseeded 5x5 sweep grid seeds each point as foldPointSeed(base, index)
+  // at plan time, and sweeps over nearby base seeds share one result cache:
+  // no two folds across the grid — for either of two nearby base seeds — may
   // collide, or two sweep points would replay identical workload noise.
   constexpr std::uint64_t kBases[2] = {0x9a3ec94bcull, 0x9a3ec94bdull};
   std::set<std::uint64_t> seen;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "serve/job_spec.hpp"
 #include "sim/experiment.hpp"
 
 namespace mb::sim {
@@ -136,19 +137,33 @@ TEST(SweepRunner, ParallelIsBitIdenticalToSerial) {
   }
 }
 
+/// Three replicates of ONE configuration (the nW axis repeated), planned
+/// the way mbserve and `mbsim --sweep` plan them.
+std::vector<SweepPoint> plannedReplicates(bool reseed) {
+  serve::JobSpec spec;
+  spec.workload = "429.mcf";
+  spec.instrs = 2000;
+  spec.seed = 0xfeedULL;
+  spec.hasSeed = true;
+  spec.nw = {1, 1, 1};
+  spec.reseed = reseed;
+  serve::JobPlan plan;
+  analysis::DiagnosticEngine diags;
+  EXPECT_TRUE(serve::planJob(spec, &plan, diags)) << diags.renderText();
+  return plan.points;
+}
+
 TEST(SweepRunner, ReseededParallelIsBitIdenticalToSerial) {
-  // The seed fold is a pure function of (seed, index), so reseeded sweeps
-  // must also be order-independent — and must actually change the runs.
-  // Use two replicates of the SAME configuration: with reseedPoints their
-  // folded seeds differ, without it they are the same run twice.
-  const auto grid = seededGrid(0xfeedULL);
-  const std::vector<SweepPoint> points{grid[0], grid[0], grid[0]};
+  // Reseeding happens at plan time: planJob folds foldPointSeed(seed,
+  // index) into each point's cfg.seed, so the runner only ever sees
+  // effective seeds and worker count cannot change any run.
+  const auto points = plannedReplicates(true);
+  ASSERT_EQ(points.size(), 3u);
+  EXPECT_NE(points[0].cfg.seed, points[1].cfg.seed);
   SweepOptions serial;
   serial.jobs = 1;
-  serial.reseedPoints = true;
   SweepOptions parallel;
   parallel.jobs = 8;
-  parallel.reseedPoints = true;
   const auto a = SweepRunner(serial).run(points);
   const auto b = SweepRunner(parallel).run(points);
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -158,9 +173,7 @@ TEST(SweepRunner, ReseededParallelIsBitIdenticalToSerial) {
   // Distinct folded seeds => the replicates are genuinely independent runs.
   EXPECT_NE(a[0].result.elapsed, a[1].result.elapsed);
   // And without reseeding, replicates of one point are the identical run.
-  SweepOptions keep;
-  keep.jobs = 8;
-  const auto same = SweepRunner(keep).run(points);
+  const auto same = SweepRunner(parallel).run(plannedReplicates(false));
   ASSERT_TRUE(same[0].ok && same[1].ok);
   expectIdentical(same[0].result, same[1].result);
 }

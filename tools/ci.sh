@@ -155,24 +155,60 @@ while read -r preset; do
   echo "checkpoint/restore ok: $preset"
 done < <("$build/tools/mblint" --list-presets)
 
-echo "== resumable sweep journal =="
-# A sweep interrupted after its first completed point and resumed must print
-# the same table as an uninterrupted one (seed folding keyed to original
-# point indices), and a journal from a different sweep must be refused.
-"$build/tools/mbsim" --sweep --workload=429.mcf --instrs=10000 --jobs=1 \
-  --journal="$ckpt_dir/full.jsonl" > "$ckpt_dir/sweep-full.txt"
-head -n 2 "$ckpt_dir/full.jsonl" > "$ckpt_dir/partial.jsonl"
-"$build/tools/mbsim" --sweep --workload=429.mcf --instrs=10000 --jobs=1 \
-  --resume="$ckpt_dir/partial.jsonl" > "$ckpt_dir/sweep-resumed.txt"
-cmp "$ckpt_dir/sweep-full.txt" "$ckpt_dir/sweep-resumed.txt" || {
-  echo "FAIL: resumed sweep diverged from the uninterrupted run" >&2; exit 1; }
-if "$build/tools/mbsim" --sweep --workload=429.mcf --instrs=10000 --seed=999 \
-     --resume="$ckpt_dir/partial.jsonl" >/dev/null 2>&1; then
-  echo "FAIL: --resume accepted a journal from a different sweep" >&2
-  exit 1
-fi
-echo "sweep journal resume ok"
 rm -rf "$ckpt_dir"
+
+echo "== resumable sweep through the result cache =="
+# mbsim --sweep --cache-dir memoizes every finished point in mbserve's
+# content-addressed result cache (serve::runPlan, the path mbserve uses),
+# so re-running the same command resumes an interrupted sweep. Stage an
+# interruption by deleting all but two entries: the re-run must print the
+# identical table and put every entry back. The cache key folds each
+# point's effective seed, so a reseeded sweep resumes the same way and a
+# different seed adds entries instead of replaying old ones.
+sweep_dir="$build/ci-sweep"
+rm -rf "$sweep_dir"
+mkdir -p "$sweep_dir"
+mbr_count() { { ls "$1" | grep -c '\.mbr$'; } || true; }
+keep_two_entries() {
+  ls "$1" | grep '\.mbr$' | tail -n +3 | while read -r f; do rm "$1/$f"; done
+}
+sweep=("$build/tools/mbsim" --sweep --workload=429.mcf --instrs=10000 --jobs=2)
+for mode in plain reseed; do
+  flags=()
+  [ "$mode" = reseed ] && flags=(--reseed)
+  cache="$sweep_dir/cache-$mode"
+  "${sweep[@]}" "${flags[@]}" > "$sweep_dir/$mode-ref.txt"
+  "${sweep[@]}" "${flags[@]}" --cache-dir="$cache" > "$sweep_dir/$mode-cold.txt"
+  full=$(mbr_count "$cache")
+  keep_two_entries "$cache"
+  [ "$(mbr_count "$cache")" = 2 ] || {
+    echo "FAIL: could not stage a partial $mode sweep cache" >&2; exit 1; }
+  "${sweep[@]}" "${flags[@]}" --cache-dir="$cache" > "$sweep_dir/$mode-resumed.txt"
+  cmp "$sweep_dir/$mode-ref.txt" "$sweep_dir/$mode-cold.txt" || {
+    echo "FAIL: $mode sweep with a cold cache diverged from the uncached run" >&2
+    exit 1; }
+  cmp "$sweep_dir/$mode-ref.txt" "$sweep_dir/$mode-resumed.txt" || {
+    echo "FAIL: resumed $mode sweep diverged from the uninterrupted run" >&2
+    exit 1; }
+  [ "$(mbr_count "$cache")" = "$full" ] || {
+    echo "FAIL: resumed $mode sweep did not restore all $full cache entries" >&2
+    exit 1; }
+done
+before=$(mbr_count "$sweep_dir/cache-plain")
+"${sweep[@]}" --seed=999 --cache-dir="$sweep_dir/cache-plain" > /dev/null
+[ "$(mbr_count "$sweep_dir/cache-plain")" = $((before * 2)) ] || {
+  echo "FAIL: a different seed replayed cached points instead of simulating" >&2
+  exit 1; }
+for bad in --record-cmds="$sweep_dir/c.mbc" --audit; do
+  rc=0
+  "${sweep[@]}" --cache-dir="$sweep_dir/cache-plain" "$bad" \
+    > /dev/null 2>&1 || rc=$?
+  [ "$rc" = 2 ] || {
+    echo "FAIL: --cache-dir with $bad exited $rc (want 2: cached points record no trace)" >&2
+    exit 1; }
+done
+rm -rf "$sweep_dir"
+echo "sweep cache resume ok"
 
 echo "== mbserve serving layer =="
 # Three live checks of the daemon, all on the ASan+UBSan binaries (both the

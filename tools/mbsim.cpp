@@ -64,37 +64,40 @@
 //   mbsim --sweep --workload=429.mcf --jobs=8
 //
 //   --sweep           run all shipped presets (tools/mblint --all-presets
-//                     lints the same list) through sim::SweepRunner
+//                     lints the same list), planned and run exactly as an
+//                     mbserve sweep submit (serve::planJob + serve::runPlan)
 //   --jobs=N          worker threads (default: MB_JOBS, then hardware
 //                     concurrency; 1 = serial, identical output)
 //   --reseed          derive each point's seed as foldPointSeed(seed, index)
 //                     instead of running every preset with the same seed
 //                     (same-seed runs are paired and directly comparable;
 //                     reseeded runs are statistically independent)
-//   --journal=PATH    stream each completed point to a JSONL journal as it
-//                     finishes (crash-safe: every line is flushed)
-//   --resume=PATH     re-run an interrupted journaled sweep: completed
-//                     points are replayed from the journal, only the rest
-//                     run (bit-identical to an uninterrupted sweep); the
-//                     journal must match this sweep's preset list, seed
-//                     and flags (exit 2 otherwise)
+//   --cache-dir=DIR   memoize every finished point in DIR (mbserve's
+//                     content-addressed MBRES1 result cache, see
+//                     src/serve/run_plan.hpp). Re-running the same command
+//                     over the same DIR replays the finished points and
+//                     simulates only the rest — the resume path for an
+//                     interrupted sweep, byte-identical to an uninterrupted
+//                     one. A different seed, workload or --reseed misses
+//                     instead of mixing results. Not combinable with
+//                     --record-cmds/--audit: a cached point records no trace
 //
 // A preset that fails mid-simulation is reported as an ERROR row (exit 1)
 // after the rest of the sweep completes — not a process abort.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "analysis/config_lint.hpp"
 #include "analysis/trace_audit.hpp"
 #include "common/check.hpp"
 #include "common/string_util.hpp"
 #include "common/version.hpp"
+#include "serve/run_plan.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
-#include "sim/sweep.hpp"
 
 namespace {
 
@@ -111,29 +114,6 @@ bool matchFlag(const std::string& arg, const std::string& name, std::string* val
   if (!startsWith(arg, prefix)) return false;
   *value = arg.substr(prefix.size());
   return true;
-}
-
-sim::WorkloadSpec workloadByName(const std::string& name) {
-  if (startsWith(name, "trace:"))
-    return sim::WorkloadSpec::traceFiles(name.substr(6));
-  if (name == "mix-high" || name == "mix-blend") return sim::WorkloadSpec::mix(name);
-  for (auto kind : {trace::MtKind::Radix, trace::MtKind::Fft, trace::MtKind::Canneal,
-                    trace::MtKind::TpcC, trace::MtKind::TpcH}) {
-    if (name == trace::mtKindName(kind)) return sim::WorkloadSpec::mt(kind);
-  }
-  return sim::WorkloadSpec::spec(name);  // validated by the profile lookup
-}
-
-/// Populate cores/channels for a multicore workload (the single main() path
-/// below does the same inline for its one config).
-void applyWorkloadShape(sim::SystemConfig& cfg, const sim::WorkloadSpec& spec) {
-  if (spec.kind != sim::WorkloadSpec::Kind::SingleSpec &&
-      spec.kind != sim::WorkloadSpec::Kind::TraceFile) {
-    const auto phy = interface::PhyModel::make(cfg.phy);
-    cfg.hier.numCores = 64;
-    cfg.hier.coresPerCluster = 4;
-    if (cfg.channels < 0) cfg.channels = phy.channels;
-  }
 }
 
 /// "tsi-ubank(4,4)" -> "tsi-ubank-4-4-": a preset label safe inside a file
@@ -182,62 +162,69 @@ bool auditRecordedTrace(const std::string& path) {
 }
 
 int runPresetSweep(const sim::SystemConfig& userCfg, const std::string& workload,
-                   int jobs, bool reseed, const std::string& recordCmds,
-                   bool audit, const std::string& journalPath, bool resume) {
-  const auto spec = workloadByName(workload);
-  std::vector<sim::SweepPoint> points;
-  for (const auto& preset : sim::shippedPresets()) {
-    sim::SystemConfig cfg = preset.cfg;
-    // Carry the user's run-shaping flags into every preset; the preset owns
-    // the architecture (phy/ubank/policy/...), the user owns the run.
-    cfg.core.maxInstrs = userCfg.core.maxInstrs;
-    cfg.seed = userCfg.seed;
-    if (!recordCmds.empty())
-      cfg.recordCmdsPath = perPointTracePath(recordCmds, preset.name);
-    applyWorkloadShape(cfg, spec);
-    points.push_back({preset.name, cfg, spec});
+                   int jobs, int shards, bool reseed, const std::string& recordCmds,
+                   bool audit, const std::string& cacheDir) {
+  // Plan exactly as mbserve plans a sweep submit: every shipped preset,
+  // with the user's run-shaping flags carried in (the preset owns the
+  // architecture, the user owns the run) and --reseed folded into each
+  // point's seed.
+  serve::JobSpec spec;
+  spec.workload = workload;
+  spec.sweep = true;
+  spec.instrs = userCfg.core.maxInstrs;
+  spec.seed = userCfg.seed;
+  spec.hasSeed = true;
+  spec.reseed = reseed;
+  serve::JobPlan plan;
+  analysis::DiagnosticEngine diags;
+  if (!serve::planJob(spec, &plan, diags)) {
+    std::fprintf(stderr, "mbsim: sweep rejected:\n%s", diags.renderText().c_str());
+    return 2;
+  }
+  if (!recordCmds.empty()) {
+    for (auto& point : plan.points)
+      point.cfg.recordCmdsPath = perPointTracePath(recordCmds, point.label);
   }
 
-  sim::SweepOptions opts;
-  opts.jobs = jobs;
-  opts.reseedPoints = reseed;
-  opts.progress = true;
-  std::vector<sim::SweepOutcome> outcomes;
-  if (!journalPath.empty()) {
-    std::string err;
-    auto merged = sim::runSweepJournaled(workload, points, opts, journalPath,
-                                         resume, &err);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "mbsim: %s\n", err.c_str());
+  std::optional<serve::ResultCache> cache;
+  if (!cacheDir.empty()) {
+    cache.emplace(cacheDir);
+    if (!cache->ok()) {
+      std::fprintf(stderr, "mbsim: cannot create cache dir %s\n", cacheDir.c_str());
       return 2;
     }
-    outcomes = std::move(*merged);
-  } else {
-    outcomes = sim::SweepRunner(opts).run(points);
   }
+  serve::SnapshotLru lru(0);  // sweep points carry no warmup
+  sim::SweepOptions opts;
+  opts.jobs = jobs;
+  opts.progress = true;
+  const auto outs =
+      serve::runPlan(plan, cache ? &*cache : nullptr, lru, opts, shards);
 
   std::printf("preset sweep: workload=%s jobs=%d%s\n\n", workload.c_str(),
               sim::resolveJobs(jobs), reseed ? " (reseeded per point)" : "");
   std::printf("%-32s %10s %12s %9s %7s\n", "preset", "IPC", "1/EDP", "row-hit",
               "MAPKI");
   int failures = 0;
-  for (const auto& o : outcomes) {
-    if (!o.ok) {
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    const std::string& label = plan.points[i].label;
+    sim::RunResult r;
+    if (!outs[i].ok || !sim::runResultFromJson(outs[i].json, &r)) {
       ++failures;
-      std::printf("%-32s ERROR: %s\n", o.label.c_str(), o.error.c_str());
+      std::printf("%-32s ERROR: %s\n", label.c_str(),
+                  outs[i].ok ? "unreadable cached result" : outs[i].error.c_str());
       continue;
     }
-    std::printf("%-32s %10.3f %12.4g %9.3f %7.1f\n", o.label.c_str(),
-                o.result.systemIpc, o.result.invEdp, o.result.rowHitRate,
-                o.result.mapki);
+    std::printf("%-32s %10.3f %12.4g %9.3f %7.1f\n", label.c_str(), r.systemIpc,
+                r.invEdp, r.rowHitRate, r.mapki);
   }
   if (failures > 0)
     std::printf("\n%d of %zu presets failed (see rows above)\n", failures,
-                outcomes.size());
+                outs.size());
 
   if (audit && !recordCmds.empty()) {
     std::printf("\n");
-    for (const auto& point : points) {
+    for (const auto& point : plan.points) {
       if (!auditRecordedTrace(point.cfg.recordCmdsPath)) ++failures;
     }
   }
@@ -257,8 +244,7 @@ int main(int argc, char** argv) {
   int jobs = 0;
   sim::RunOptions runOpts;
   std::string warmupSave;
-  std::string journalPath;
-  bool resume = false;
+  std::string cacheDir;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -355,13 +341,9 @@ int main(int argc, char** argv) {
     } else if (matchFlag(arg, "warmup-load", &value)) {
       if (value.empty()) usage("--warmup-load expects a file path");
       runOpts.warmupRestorePath = value;
-    } else if (matchFlag(arg, "journal", &value)) {
-      if (value.empty()) usage("--journal expects a file path");
-      journalPath = value;
-    } else if (matchFlag(arg, "resume", &value)) {
-      if (value.empty()) usage("--resume expects a journal path");
-      journalPath = value;
-      resume = true;
+    } else if (matchFlag(arg, "cache-dir", &value)) {
+      if (value.empty()) usage("--cache-dir expects a directory");
+      cacheDir = value;
     } else {
       usage(("unrecognized argument: " + arg).c_str());
     }
@@ -383,16 +365,19 @@ int main(int argc, char** argv) {
   if (audit && recordCmds.empty()) recordCmds = "mbsim-cmds.mbc";
   if ((runOpts.checkpointAt >= 0) != !runOpts.checkpointPath.empty())
     usage("--checkpoint-at and --checkpoint must be given together");
-  if (!journalPath.empty() && !sweep)
-    usage("--journal/--resume only apply to --sweep mode");
+  if (!cacheDir.empty() && !sweep) usage("--cache-dir only applies to --sweep mode");
+  if (!cacheDir.empty() && !recordCmds.empty())
+    usage("--cache-dir cannot be combined with --record-cmds/--audit (a cached "
+          "point records no command trace)");
+  const auto spec = sim::workloadByName(workload);
+  if (!spec) usage(("unknown workload: " + workload).c_str());
 
   if (sweep)
-    return runPresetSweep(cfg, workload, jobs, reseed, recordCmds, audit,
-                          journalPath, resume);
+    return runPresetSweep(cfg, workload, jobs, runOpts.shards, reseed, recordCmds,
+                          audit, cacheDir);
 
   cfg.recordCmdsPath = recordCmds;
-  auto spec = workloadByName(workload);
-  applyWorkloadShape(cfg, spec);
+  sim::applyWorkloadShape(cfg, *spec);
 
   // A rejected snapshot (or any other MB_CHECK failure) becomes a printed
   // diagnostic and exit 2 — same contract as mblint/mbaudit, no SIGABRT.
@@ -405,7 +390,7 @@ int main(int argc, char** argv) {
       usage("--warmup-save requires --warmup=N (the warmup length)");
     std::string buf;
     try {
-      buf = sim::captureWarmupSnapshot(cfg, spec, runOpts.warmupRecords);
+      buf = sim::captureWarmupSnapshot(cfg, *spec, runOpts.warmupRecords);
     } catch (const CheckFailure& f) {
       std::fprintf(stderr, "mbsim: %s\n", f.message.c_str());
       return 2;
@@ -425,7 +410,7 @@ int main(int argc, char** argv) {
 
   sim::RunResult r;
   try {
-    r = sim::runSimulation(cfg, spec, runOpts);
+    r = sim::runSimulation(cfg, *spec, runOpts);
   } catch (const CheckFailure& f) {
     std::fprintf(stderr, "mbsim: %s\n", f.message.c_str());
     return 2;
