@@ -25,8 +25,8 @@
 namespace mb::bench {
 
 /// Parse `--jobs=N` / `--jobs N` out of argv (consuming nothing else) and
-/// resolve the default through sim::resolveJobs (MB_JOBS, then hardware
-/// concurrency). Any unrecognized argument is rejected with exit 2.
+/// resolve the default through sim::resolveJobs (MB_JOBS, then the host
+/// CPU count). Any unrecognized argument is rejected with exit 2.
 int jobsFromArgs(int argc, char** argv);
 
 /// Common bench arguments for grid benches that support cache warmup:

@@ -30,7 +30,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/perf_report.hpp"
@@ -39,6 +38,7 @@
 #include "serve/snapshot_lru.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "sim/sweep.hpp"
 
 namespace {
 
@@ -211,7 +211,7 @@ ServePerf measureServe(const Options& o) {
 /// ShardDifferential tests gate that), so the two runs do exactly the same
 /// simulation work and the wall ratio isolates the engine. The ratio only
 /// means something relative to the host's hardware thread count, which is
-/// recorded alongside: with fewer free cores than workers the barrier
+/// recorded alongside: with fewer free cores than threads the barrier
 /// crossings are pure overhead and a ratio below 1 is expected, not a
 /// regression — hence warn-only, like every other mbperf comparison.
 ShardPerf measureShard(const Options& o) {
@@ -224,7 +224,7 @@ ShardPerf measureShard(const Options& o) {
   ShardPerf s;
   s.shards = o.shardBench;
   s.channels = sim::resolvedChannels(cfg, wl);
-  s.hardwareThreads = std::thread::hardware_concurrency();
+  s.hardwareThreads = static_cast<unsigned>(sim::hostCpuCount());
   for (int pass = 0; pass < 2; ++pass) {
     sim::RunOptions ro;
     ro.shards = pass == 0 ? 1 : o.shardBench;
@@ -355,9 +355,9 @@ int main(int argc, char** argv) {
         shardPerf.serialSeconds, shardPerf.shards, shardPerf.shardedSeconds,
         speedup, shardPerf.channels, shardPerf.hardwareThreads);
     if (speedup < 1.0 &&
-        shardPerf.hardwareThreads <= static_cast<unsigned>(shardPerf.shards))
+        shardPerf.hardwareThreads < static_cast<unsigned>(shardPerf.shards))
       std::printf(
-          "shard: NOTE only %u hardware threads for %d workers — parallel "
+          "shard: NOTE only %u hardware threads for %d threads — parallel "
           "speedup needs free cores; ratio reflects the host, not the engine\n",
           shardPerf.hardwareThreads, shardPerf.shards);
   }

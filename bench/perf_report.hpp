@@ -58,10 +58,10 @@ struct ServePerf {
 /// simulation at --shards=1 vs --shards=N (DESIGN.md §14). The outputs are
 /// byte-identical by construction, so `events` is a single number and the
 /// ratio is pure engine overhead/speedup. `hardwareThreads` records
-/// std::thread::hardware_concurrency() — without it the ratio is
-/// uninterpretable: a 1-core CI box CANNOT show a speedup (the workers and
-/// the main thread time-slice one CPU and the barrier crossings are pure
-/// overhead), which is a property of the host, not a regression.
+/// sim::hostCpuCount(), the CPUs this process may use — without it the
+/// ratio is uninterpretable: a 1-core CI box CANNOT show a speedup (the
+/// pool and the main thread time-slice one CPU and the barrier crossings
+/// are pure overhead), which is a property of the host, not a regression.
 struct ShardPerf {
   int shards = 0;
   int channels = 0;

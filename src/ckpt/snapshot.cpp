@@ -44,7 +44,7 @@ std::string Snapshot::encode() const {
     w.u32(crc32(s.payload));
     w.bytes(s.payload.data(), s.payload.size());
   }
-  std::string out = w.str();
+  std::string out = w.take();
   Writer trailer;
   trailer.u32(crc32(out));
   out += trailer.str();
@@ -74,7 +74,7 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
   const std::uint32_t actualFileCrc = crc32(body);
 
   Reader r(body);
-  for (std::size_t i = 0; i < sizeof(kSnapshotMagic); ++i) r.u8();
+  r.view(sizeof(kSnapshotMagic));
   const std::uint32_t version = r.u32();
   if (version != kSnapshotVersion) {
     diags.report(ckptDiag("MB-CKP-003", "unsupported snapshot version", label)
@@ -117,14 +117,13 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
                        .with("section", s.name));
       return std::nullopt;
     }
-    s.payload.resize(len);
-    for (std::uint64_t j = 0; j < len; ++j)
-      s.payload[j] = static_cast<char>(r.u8());
-    if (crc32(s.payload) != storedCrc) {
+    const std::string_view payload = r.view(static_cast<std::size_t>(len));
+    if (crc32(payload) != storedCrc) {
       diags.report(ckptDiag("MB-CKP-007", "snapshot section CRC mismatch", label)
                        .with("section", s.name));
       return std::nullopt;
     }
+    s.payload.assign(payload);
     snap.sections.push_back(std::move(s));
   }
   if (!r.atEnd()) {

@@ -612,6 +612,7 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
 
   directory_.clear();
   const std::uint64_t nDir = r.count(16);
+  directory_.reserve(static_cast<std::size_t>(nDir));
   for (std::uint64_t i = 0; i < nDir && r.ok(); ++i) {
     const auto key = static_cast<std::uint64_t>(r.i64());
     DirEntry e;

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "ckpt/restore.hpp"
@@ -228,10 +229,12 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
 
   std::vector<std::unique_ptr<Cache>> l1s_;  // per core
   std::vector<std::unique_ptr<Cache>> l2s_;  // per cluster
-  // Ordered (not hashed) like transits_ below: the directory can grow to
-  // one entry per resident line, and a hash walk anywhere near it must
-  // never be able to leak into reports or serialization (MB-DET-001).
-  std::map<std::uint64_t, DirEntry> directory_;
+  // One entry per line resident in some L2, so it is the largest and
+  // hottest map in the hierarchy: hashed, and touched only through find /
+  // count / operator[] / erase (never walked, so MB-DET-001 has nothing to
+  // see, and no iterator is held across an insert). save() writes it
+  // through ckpt::saveMapSorted, so the snapshot bytes are key-ordered.
+  std::unordered_map<std::uint64_t, DirEntry> directory_;
   // Pending DRAM fills keyed by (cluster, lineAddr); bounded by the
   // outstanding-miss window, so sorted flat storage is cheap.
   FlatMap<std::uint64_t, PendingFill> pending_;

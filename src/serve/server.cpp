@@ -478,8 +478,9 @@ int Server::run() {
   const int inflight = opts_.inflight > 0 ? opts_.inflight : 1;
   if (opts_.shards < 1) opts_.shards = 1;
   if (opts_.jobsPerSweep <= 0) {
-    // Each concurrently running point may spin up `shards` channel workers;
-    // budget the sweep slots so inflight * jobsPerSweep * shards ~ cores.
+    // Each concurrently running point uses `shards` threads (its own plus a
+    // pool of shards - 1); budget the sweep slots so
+    // inflight * jobsPerSweep * shards ~ cores.
     const int budget = sim::resolveJobs(0) / (inflight * opts_.shards);
     opts_.jobsPerSweep = budget > 0 ? budget : 1;
   }

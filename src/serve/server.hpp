@@ -68,7 +68,7 @@ struct ServerOptions {
   /// resolveJobs(0) / (inflight * shards) (at least 1) so the slots share
   /// the machine instead of oversubscribing.
   int jobsPerSweep = 0;
-  /// Channel-shard worker threads inside each simulation (RunOptions::
+  /// Threads inside each simulation, its own included (RunOptions::
   /// shards). Results are byte-identical at any value, so the result cache
   /// deliberately ignores this knob; it only multiplies the thread budget a
   /// job consumes (hence the jobsPerSweep derivation above).

@@ -1,8 +1,12 @@
 #include "sim/shard.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <utility>
 
 #include "ckpt/restore.hpp"
+#include "sim/sweep.hpp"
 
 namespace mb::sim {
 
@@ -69,9 +73,7 @@ ShardedEngine::ShardedEngine(EventQueue& cpuQueue,
   MB_CHECK_MSG(opts_.lookahead > 0, "lookahead=%lld",
                static_cast<long long>(opts_.lookahead));
   MB_CHECK(!chQs_.empty());
-  toChannel_.resize(chQs_.size());
-  toCpu_.resize(chQs_.size());
-  minToCpuDue_.resize(chQs_.size(), kTickNever);
+  lanes_.resize(chQs_.size());
   startWorkers();
 }
 
@@ -98,37 +100,34 @@ void ShardedEngine::postCompletion(ChannelId fromChannel, Tick due,
                "%lldps) — lookahead exceeds the channel->CPU latency",
                static_cast<long long>(due),
                static_cast<long long>(windowEnd_.load(std::memory_order_relaxed)));
-  const std::size_t ch = static_cast<std::size_t>(fromChannel);
-  if (due < minToCpuDue_[ch]) minToCpuDue_[ch] = due;
-  toCpu_[ch].push_back(CpuMsg{due, st, std::move(cb)});
+  Lane& lane = lanes_[static_cast<std::size_t>(fromChannel)];
+  if (due < lane.outboxMinDue) lane.outboxMinDue = due;
+  lane.outbox.push_back(CpuMsg{due, st, std::move(cb)});
 }
 
 void ShardedEngine::postEnqueue(ChannelId toChannel, Tick due,
                                 const EventStamp& st, std::uint64_t lineAddr,
                                 CoreId core, bool isWrite) {
   MB_CHECK(toChannel >= 0 && static_cast<std::size_t>(toChannel) < chQs_.size());
-  if (due < minToChannelDue_) minToChannelDue_ = due;
-  toChannel_[static_cast<std::size_t>(toChannel)].push_back(
-      ChannelMsg{due, st, lineAddr, core, isWrite});
+  Lane& lane = lanes_[static_cast<std::size_t>(toChannel)];
+  if (due < lane.inboxMinDue) lane.inboxMinDue = due;
+  lane.inbox.push_back(ChannelMsg{due, st, lineAddr, core, isWrite});
 }
 
 Tick ShardedEngine::minNextTime() const {
   Tick t = cpuQ_.nextEventTime();
-  for (const EventQueue* q : chQs_) {
-    const Tick n = q->nextEventTime();
-    if (n < t) t = n;
+  for (std::size_t ch = 0; ch < chQs_.size(); ++ch) {
+    const Lane& lane = lanes_[ch];
+    t = std::min({t, chQs_[ch]->nextEventTime(), lane.inboxMinDue, lane.outboxMinDue});
   }
-  if (minToChannelDue_ < t) t = minToChannelDue_;
-  for (const Tick d : minToCpuDue_)
-    if (d < t) t = d;
   return t;
 }
 
 void ShardedEngine::deliverToCpu(Tick t1) {
   cpuArena_.clear();
-  for (std::size_t ch = 0; ch < toCpu_.size(); ++ch) {
-    if (minToCpuDue_[ch] >= t1) continue;  // nothing deliverable this window
-    auto& buf = toCpu_[ch];
+  for (Lane& lane : lanes_) {
+    if (lane.outboxMinDue >= t1) continue;  // nothing deliverable this window
+    auto& buf = lane.outbox;
     Tick keptMin = kTickNever;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < buf.size(); ++i) {
@@ -145,43 +144,45 @@ void ShardedEngine::deliverToCpu(Tick t1) {
       }
     }
     buf.resize(kept);
-    minToCpuDue_[ch] = keptMin;
+    lane.outboxMinDue = keptMin;
   }
 }
 
-void ShardedEngine::deliverToChannels(Tick t1) {
-  if (minToChannelDue_ >= t1) return;  // nothing deliverable this window
+void ShardedEngine::deliverToChannel(std::size_t ch, Tick t1) {
+  Lane& lane = lanes_[ch];
+  if (lane.inboxMinDue >= t1) return;  // nothing deliverable this window
+  auto& buf = lane.inbox;
   Tick keptMin = kTickNever;
-  for (std::size_t ch = 0; ch < toChannel_.size(); ++ch) {
-    auto& buf = toChannel_[ch];
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      if (buf[i].due < t1) {
-        // Capture scalars, not the message struct: the closure must fit the
-        // queue's inline callback buffer (admissions are the hot path).
-        const Tick due = buf[i].due;
-        const std::uint64_t lineAddr = buf[i].lineAddr;
-        const CoreId core = buf[i].core;
-        const bool write = buf[i].write;
-        chQs_[ch]->scheduleStamped(
-            due, buf[i].stamp, [this, ch, due, lineAddr, core, write] {
-              deliverEnqueue_(static_cast<ChannelId>(ch), due, lineAddr, core,
-                              write);
-            });
-      } else {
-        if (buf[i].due < keptMin) keptMin = buf[i].due;
-        if (kept != i) buf[kept] = buf[i];
-        ++kept;
-      }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    if (buf[i].due < t1) {
+      // Capture scalars, not the message struct: the closure must fit the
+      // queue's inline callback buffer (admissions are the hot path).
+      const Tick due = buf[i].due;
+      const std::uint64_t lineAddr = buf[i].lineAddr;
+      const CoreId core = buf[i].core;
+      const bool write = buf[i].write;
+      chQs_[ch]->scheduleStamped(
+          due, buf[i].stamp, [this, ch, due, lineAddr, core, write] {
+            deliverEnqueue_(static_cast<ChannelId>(ch), due, lineAddr, core,
+                            write);
+          });
+    } else {
+      if (buf[i].due < keptMin) keptMin = buf[i].due;
+      if (kept != i) buf[kept] = buf[i];
+      ++kept;
     }
-    buf.resize(kept);
   }
-  minToChannelDue_ = keptMin;
+  buf.resize(kept);
+  lane.inboxMinDue = keptMin;
 }
 
 void ShardedEngine::runChannelWindow(std::size_t ch, std::uint64_t* events) {
   EventQueue& q = *chQs_[ch];
   const Tick t1 = phaseT1_;
+  // Admissions due in this window land on the queue here, on the thread
+  // that runs it, so the queue never changes hands within a window.
+  deliverToChannel(ch, t1);
   for (;;) {
     const Tick next = q.nextEventTime();
     if (next >= t1) break;  // kTickNever when empty
@@ -196,14 +197,63 @@ void ShardedEngine::runChannelWindow(std::size_t ch, std::uint64_t* events) {
   }
 }
 
-void ShardedEngine::runChannelPhase(int worker) {
-  const int stride = static_cast<int>(threads_.size());
-  for (std::size_t ch = static_cast<std::size_t>(worker); ch < chQs_.size();
-       ch += static_cast<std::size_t>(stride))
-    runChannelWindow(ch, &workerEvents_[static_cast<std::size_t>(worker)]);
+void ShardedEngine::runChannelPhase(int share) {
+  // Count locally and publish once: the per-share slots sit side by side,
+  // and a write per event would bounce their cache line between shares.
+  std::uint64_t events = 0;
+  for (std::size_t ch = static_cast<std::size_t>(share); ch < chQs_.size();
+       ch += static_cast<std::size_t>(participants_))
+    runChannelWindow(ch, &events);
+  shareEvents_[static_cast<std::size_t>(share)] = events;
 }
 
-void ShardedEngine::workerMain(int worker) {
+namespace {
+
+/// One busy-wait step: a CPU-relax hint, and every 256th step a yield, so a
+/// spinning thread hands its core over if the host is busier than assumed.
+void relax(unsigned spins) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+  if (spins % 256 == 0) std::this_thread::yield();
+}
+
+/// Move the calling pool thread off `callerCpu` (the CPU the engine's caller
+/// runs on), to the share-th other CPU it may use, so the pool lands apart.
+/// A woken thread otherwise tends to stay stacked on the caller's CPU: the
+/// wake-up avoids vCPUs the hypervisor descheduled while idle, and the load
+/// balancer takes about a second to spread threads that never sleep, during
+/// which the spinners only yield to each other. Pinning for a moment and
+/// then restoring the mask migrates the thread now and leaves the scheduler
+/// free to move it later.
+void leaveCpu(int callerCpu, int share) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (callerCpu < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int others = CPU_COUNT(&allowed) - (CPU_ISSET(callerCpu, &allowed) ? 1 : 0);
+  if (others <= 0) return;
+  int skip = (share - 1) % others;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || cpu == callerCpu || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0)
+      sched_setaffinity(0, sizeof(allowed), &allowed);
+    return;
+  }
+#else
+  (void)callerCpu;
+  (void)share;
+#endif
+}
+
+}  // namespace
+
+void ShardedEngine::workerMain(int share) {
   // Failures inside a worker must not abort from a detached stack frame with
   // the pool barrier still armed: trap them, ferry the exception to the
   // calling thread, and re-dispatch there (restoring abort semantics when no
@@ -211,29 +261,33 @@ void ShardedEngine::workerMain(int worker) {
   ScopedCheckTrap trap;
   std::uint64_t seen = 0;
   for (;;) {
-    // Spin briefly, then park. The seq_cst ordering of parked_ against the
+    // Spin while a run is in progress on a host with a core per participant
+    // (awake_), park otherwise. The seq_cst ordering of parked_ against the
     // publisher's phaseGen_ bump + parked_ check closes the missed-wakeup
     // window: if the publisher reads parked_ == 0, this thread's predicate
     // check (after its parked_ increment) must observe the new generation.
     std::uint64_t gen = phaseGen_.load(std::memory_order_acquire);
-    for (int spins = 0; gen == seen;
+    for (unsigned spins = 0; gen == seen;
          gen = phaseGen_.load(std::memory_order_acquire)) {
-      if (++spins <= spinBeforePark_) continue;
+      if (awake_.load(std::memory_order_relaxed)) {
+        relax(++spins);
+        continue;
+      }
       parked_.fetch_add(1);
       {
         std::unique_lock<std::mutex> l(phaseMu_);
         phaseCv_.wait(l, [&] { return phaseGen_.load() != seen; });
       }
       parked_.fetch_sub(1);
-      gen = phaseGen_.load(std::memory_order_acquire);
-      break;
+      if (awake_.load(std::memory_order_relaxed))
+        leaveCpu(callerCpu_.load(std::memory_order_relaxed), share);
     }
     seen = gen;
     if (shutdown_.load(std::memory_order_relaxed)) return;
     try {
-      runChannelPhase(worker);
+      runChannelPhase(share);
     } catch (...) {
-      workerErr_[static_cast<std::size_t>(worker)] = std::current_exception();
+      shareErr_[static_cast<std::size_t>(share)] = std::current_exception();
     }
     phaseDone_.fetch_add(1);
     if (mainParked_.load()) {
@@ -244,22 +298,17 @@ void ShardedEngine::workerMain(int worker) {
 }
 
 void ShardedEngine::startWorkers() {
-  const int n = opts_.workers;
-  if (n <= 1 || chQs_.size() <= 1) return;  // fully inline
-  const int workers = n > static_cast<int>(chQs_.size())
-                          ? static_cast<int>(chQs_.size())
-                          : n;
-  workerErr_.resize(static_cast<std::size_t>(workers));
-  workerEvents_.resize(static_cast<std::size_t>(workers), 0);
-  // Spinning is only worth it when the pool + main can actually run
-  // simultaneously; on an oversubscribed machine a spinning waiter steals
-  // the quantum from whoever holds the work it is waiting for, so park
-  // immediately there.
-  const unsigned hw = std::thread::hardware_concurrency();
-  spinBeforePark_ = hw > static_cast<unsigned>(workers) ? 4096 : 0;
-  threads_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    threads_.emplace_back([this, w] { workerMain(w); });
+  participants_ = std::min(std::max(opts_.workers, 1), static_cast<int>(chQs_.size()));
+  if (participants_ <= 1) return;  // fully inline
+  shareErr_.resize(static_cast<std::size_t>(participants_));
+  shareEvents_.resize(static_cast<std::size_t>(participants_), 0);
+  // Spinning is only worth it when every participant has a core of its own;
+  // on an oversubscribed host a spinning waiter steals the quantum from
+  // whoever holds the work it is waiting for, so everyone parks there.
+  spin_ = hostCpuCount() >= participants_;
+  threads_.reserve(static_cast<std::size_t>(participants_ - 1));
+  for (int share = 1; share < participants_; ++share)
+    threads_.emplace_back([this, share] { workerMain(share); });
 }
 
 void ShardedEngine::publishPhase() {
@@ -287,7 +336,7 @@ void ShardedEngine::runPhaseB(Tick t1) {
   int busy = 0;
   std::size_t lastBusy = 0;
   for (std::size_t ch = 0; ch < chQs_.size(); ++ch) {
-    if (chQs_[ch]->nextEventTime() < t1) {
+    if (chQs_[ch]->nextEventTime() < t1 || lanes_[ch].inboxMinDue < t1) {
       ++busy;
       lastBusy = ch;
     }
@@ -304,22 +353,32 @@ void ShardedEngine::runPhaseB(Tick t1) {
     return;
   }
   eventsBase_ = events_;
-  for (auto& c : workerEvents_) c = 0;
+  for (auto& c : shareEvents_) c = 0;
   const int n = static_cast<int>(threads_.size());
   phaseDone_.store(0, std::memory_order_relaxed);
   publishPhase();
-  for (int spins = 0; phaseDone_.load(std::memory_order_acquire) != n;) {
-    if (++spins <= spinBeforePark_) continue;
+  // Main runs share 0 itself. A failure there is caught like a worker's:
+  // the workers are mid-phase, so the barrier must complete before the
+  // failure is re-raised below.
+  try {
+    runChannelPhase(0);
+  } catch (...) {
+    shareErr_[0] = std::current_exception();
+  }
+  for (unsigned spins = 0; phaseDone_.load(std::memory_order_acquire) != n;) {
+    if (spin_) {
+      relax(++spins);
+      continue;
+    }
     mainParked_.store(true);
     {
       std::unique_lock<std::mutex> l(doneMu_);
       doneCv_.wait(l, [&] { return phaseDone_.load() == n; });
     }
     mainParked_.store(false);
-    break;
   }
-  for (const std::uint64_t c : workerEvents_) events_ += c;
-  for (auto& err : workerErr_) {
+  for (const std::uint64_t c : shareEvents_) events_ += c;
+  for (auto& err : shareErr_) {
     if (!err) continue;
     const std::exception_ptr ep = err;
     err = nullptr;
@@ -369,6 +428,16 @@ void ShardedEngine::drainCommands() {
 void ShardedEngine::run(Tick checkpointAt,
                         const std::function<void()>& onCheckpoint,
                         const std::function<bool()>& stopFn) {
+  // With spin_, pool threads stay awake (spinning between windows) for the
+  // whole run, and park again when it returns or throws.
+  struct AwakeForRun {
+    std::atomic<bool>& awake;
+    ~AwakeForRun() { awake.store(false, std::memory_order_relaxed); }
+  } awakeForRun{awake_};
+#if defined(__linux__)
+  callerCpu_.store(sched_getcpu(), std::memory_order_relaxed);
+#endif
+  awake_.store(spin_, std::memory_order_relaxed);
   bool ckptPending = checkpointAt >= 0;
   for (;;) {
     if (stopFn()) break;  // restore-into-finished, or stop in last window
@@ -408,7 +477,6 @@ void ShardedEngine::run(Tick checkpointAt,
     // Phase B: channels, in parallel. windowEnd_ arms the lookahead guard in
     // postCompletion before any channel event can run.
     windowEnd_.store(t1, std::memory_order_relaxed);
-    deliverToChannels(t1);
     runPhaseB(t1);
     drainCommands();
     if (stopped) break;
@@ -437,9 +505,9 @@ void ShardedEngine::save(ckpt::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(chQs_.size()));
   w.u64(cpuQ_.nextCounter());
   for (const EventQueue* q : chQs_) w.u64(q->nextCounter());
-  for (const auto& buf : toChannel_) {
-    w.u64(buf.size());
-    for (const ChannelMsg& m : buf) {
+  for (const Lane& lane : lanes_) {
+    w.u64(lane.inbox.size());
+    for (const ChannelMsg& m : lane.inbox) {
       w.i64(m.due);
       ckpt::saveStamp(w, m.stamp);
       w.u64(m.lineAddr);
@@ -447,8 +515,9 @@ void ShardedEngine::save(ckpt::Writer& w) const {
       w.b(m.write);
     }
   }
-  // toCpu_ is intentionally absent: every buffered completion corresponds to
-  // a live slot in some controller's MC section, which re-posts it on replay.
+  // Outboxes are intentionally absent: every buffered completion corresponds
+  // to a live slot in some controller's MC section, which re-posts it on
+  // replay.
 }
 
 void ShardedEngine::load(ckpt::Reader& r) {
@@ -458,11 +527,12 @@ void ShardedEngine::load(ckpt::Reader& r) {
   }
   cpuQ_.restoreNextCounter(r.u64());
   for (EventQueue* q : chQs_) q->restoreNextCounter(r.u64());
-  minToChannelDue_ = kTickNever;
-  for (auto& buf : toChannel_) {
+  for (Lane& lane : lanes_) {
     const std::uint64_t n = r.count(8 + 40 + 8 + 4 + 1);
+    auto& buf = lane.inbox;
     buf.clear();
     buf.reserve(n);
+    lane.inboxMinDue = kTickNever;
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
       ChannelMsg m{};
       m.due = r.i64();
@@ -470,7 +540,7 @@ void ShardedEngine::load(ckpt::Reader& r) {
       m.lineAddr = r.u64();
       m.core = r.i32();
       m.write = r.b();
-      if (m.due < minToChannelDue_) minToChannelDue_ = m.due;
+      if (m.due < lane.inboxMinDue) lane.inboxMinDue = m.due;
       buf.push_back(m);
     }
   }

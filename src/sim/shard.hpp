@@ -22,11 +22,16 @@
 // --shards value (the golden corpus and the differential property test pin
 // this).
 //
-// Phase B distributes channels over a persistent worker pool
-// (channel -> worker = ch % workers) behind a generation barrier; with one
-// worker, one channel, or a window where fewer than two channels have work,
-// it runs inline on the calling thread — same per-channel order either way,
-// so the adaptive choice cannot affect results.
+// Phase B splits channels into `participants` shares (channel -> share =
+// ch % participants). The calling thread runs share 0 itself; a persistent
+// pool of participants - 1 threads runs the rest behind a generation
+// barrier. While a run is in progress on a host with a CPU per participant,
+// the pool threads spin between windows (a CPU phase lasts microseconds,
+// less than a futex wake-up); they park when the run returns, and always
+// on an oversubscribed host. With one participant, one channel, or a window
+// where fewer than two channels have work, Phase B runs inline on the
+// calling thread — same per-channel order either way, so neither the
+// adaptive choice nor the barrier policy can affect results.
 #pragma once
 
 #include <atomic>
@@ -99,7 +104,9 @@ struct ShardEngineOptions {
   /// Conservative window span; must be positive and no larger than the
   /// minimum channel → CPU latency (tCMD for this system).
   Tick lookahead = 1;
-  /// Worker threads for the channel phase. 1 = fully inline (no pool).
+  /// Threads sharing the channel phase, the calling thread included
+  /// (clamped to the channel count): N starts a pool of N - 1 threads.
+  /// 1 = fully inline (no pool).
   int workers = 1;
   /// Global event budget; exceeding it is an MB_CHECK failure (runaway
   /// configuration guard, mirrors the legacy run loop's cap).
@@ -111,11 +118,12 @@ struct ShardEngineOptions {
 /// Thread model: run() executes on the calling thread ("main" below — in a
 /// sweep this is a SweepRunner worker). Phase A (CPU queue) and all mailbox
 /// bookkeeping run on main; Phase B runs each channel queue on exactly one
-/// thread per window. postEnqueue is main-only (Phase A / restore);
+/// thread per window (share 0 on main, the other shares on the pool).
+/// postEnqueue is main-only (Phase A / restore);
 /// postCompletion is called from whichever thread is executing that channel's
-/// window — each channel appends to its own toCpu_ slot, so no two threads
-/// ever touch the same buffer, and the phase barrier orders the main-side
-/// reads after all worker-side writes.
+/// window — each channel appends to its own lane, so no two threads ever
+/// touch the same buffer, and the phase barrier orders the main-side reads
+/// after all worker-side writes.
 class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
  public:
   /// Admission delivery: build the MemRequest for a buffered CPU → channel
@@ -191,12 +199,12 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
 
   Tick minNextTime() const;
   void deliverToCpu(Tick t1);
-  void deliverToChannels(Tick t1);
+  void deliverToChannel(std::size_t ch, Tick t1);
   void runChannelWindow(std::size_t ch, std::uint64_t* events);
-  void runChannelPhase(int worker);
+  void runChannelPhase(int share);
   void runPhaseB(Tick t1);
   void drainCommands();
-  void workerMain(int worker);
+  void workerMain(int share);
   void startWorkers();
   void publishPhase();
   void stopWorkers();
@@ -215,19 +223,21 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   mc::CommandLog* cmdSink_ = nullptr;
   MB_SNAP_TRANSIENT(cmdSink_, "command recording is rejected on checkpointing runs");
 
-  std::vector<std::vector<ChannelMsg>> toChannel_;  // [ch], main-thread only
-  std::vector<std::vector<CpuMsg>> toCpu_;          // [ch], owner-thread writes
-  MB_SNAP_TRANSIENT(toCpu_, "every buffered completion mirrors a live MC slot; the MC section re-posts it on replay");
-  /// Cached minimum due across all toChannel_ buffers, and per-channel minima
-  /// for toCpu_ (one slot per channel so worker-side posts stay race-free;
-  /// the phase barrier orders main's reads after them). They keep
-  /// minNextTime() from rescanning every buffered message each window — on
-  /// a loaded 16-channel system that scan was the second-largest per-window
-  /// cost after the barrier itself. kTickNever = buffer empty.
-  Tick minToChannelDue_ = kTickNever;
-  MB_SNAP_TRANSIENT(minToChannelDue_, "cache over toChannel_; rebuilt by load() from the deserialized buffers");
-  std::vector<Tick> minToCpuDue_;
-  MB_SNAP_TRANSIENT(minToCpuDue_, "cache over toCpu_, which is itself transient (re-posted from MC slots on replay)");
+  /// One channel's mailbox, in one cache line. Main appends to `inbox` in
+  /// Phase A and drains `outbox` before it; the thread running the channel
+  /// in Phase B materializes the due part of `inbox` on the channel queue
+  /// and appends to `outbox`. The phase barrier orders the two sides, and
+  /// no two channels share a line, so shares running in parallel never
+  /// write a common line, and during a run only the thread running a
+  /// channel writes its queue. The cached minima keep minNextTime() from
+  /// rescanning every buffered message each window; kTickNever = empty.
+  struct alignas(64) Lane {
+    std::vector<ChannelMsg> inbox;  // CPU -> channel (serialized by save())
+    Tick inboxMinDue = kTickNever;
+    std::vector<CpuMsg> outbox;     // channel -> CPU (never serialized, see save())
+    Tick outboxMinDue = kTickNever;
+  };
+  std::vector<Lane> lanes_;  // [ch]
   /// Completion callbacks being delivered in the current window. Parked here
   /// so the CPU-queue delivery closure captures only {this, index, due} and
   /// stays within InlineFunction's inline buffer (a full CompletionFn nested
@@ -240,32 +250,37 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   MB_SNAP_TRANSIENT(events_, "runaway guard only; per-queue processed counts feed mbperf and restart at zero");
   std::uint64_t eventsBase_ = 0;     // events_ at the current window's start
   MB_SNAP_TRANSIENT(eventsBase_, "per-window scratch for the event-cap guard");
-  std::vector<std::uint64_t> workerEvents_;  // per worker, current window
-  MB_SNAP_TRANSIENT(workerEvents_, "per-window scratch, zeroed before every parallel phase");
+  std::vector<std::uint64_t> shareEvents_;  // per share, current window
+  MB_SNAP_TRANSIENT(shareEvents_, "per-window scratch, zeroed before every parallel phase");
 
-  // Worker pool: spin-then-park generation barrier. Main publishes the
-  // window (phaseT1_, stop key, windowEnd_, eventsBase_) then bumps
-  // phaseGen_; workers spin on it briefly, park on phaseCv_ when the machine
-  // is oversubscribed (spinBeforePark_ = 0 when hardware threads <= pool
-  // size — spinning there only steals the quantum from whoever holds the
-  // work), run their channels, count up phaseDone_; main symmetrically
-  // spins-then-parks on doneCv_. The parked_/mainParked_ flags let the
-  // signaling side skip the mutex when nobody sleeps, so on a machine with
-  // spare cores the fast path is two atomic ops per phase and no syscalls.
-  // All of it is handshake state: never read by simulation logic, only
-  // orders it, hence transient below.
+  // Worker pool: generation barrier that stays awake for a run. Main
+  // publishes the window (phaseT1_, stop key, windowEnd_, eventsBase_),
+  // bumps phaseGen_, runs share 0, then waits for phaseDone_ to count the
+  // pool in. While awake_ (run() in progress and spin_), pool threads spin
+  // on phaseGen_ and main spins on phaseDone_, with a CPU-relax hint and a
+  // periodic yield; otherwise the pool parks on phaseCv_ and main on
+  // doneCv_. The parked_/mainParked_ flags let the signaling side skip the
+  // mutex when nobody sleeps, so on a host with a core per participant a
+  // window costs two atomic ops and no syscalls. All of it is handshake
+  // state: never read by simulation logic, only orders it, hence transient.
   std::vector<std::thread> threads_;
   MB_SNAP_TRANSIENT(threads_, "worker pool; execution machinery, not simulated state");
+  int participants_ = 1;
+  MB_SNAP_TRANSIENT(participants_, "pool shape derived from the worker count at construction");
+  bool spin_ = false;
+  MB_SNAP_TRANSIENT(spin_, "barrier policy derived from the host CPU count at pool start");
+  std::atomic<bool> awake_{false};
+  MB_SNAP_TRANSIENT(awake_, "barrier policy: true only while run() is in progress");
+  std::atomic<int> callerCpu_{-1};
+  MB_SNAP_TRANSIENT(callerCpu_, "host CPU of run()'s caller, read once by each pool thread waking into the run");
   std::atomic<std::uint64_t> phaseGen_{0};
   MB_SNAP_TRANSIENT(phaseGen_, "phase-barrier handshake; quiescent between windows");
   std::atomic<int> phaseDone_{0};
   MB_SNAP_TRANSIENT(phaseDone_, "phase-barrier handshake; quiescent between windows");
   std::atomic<bool> shutdown_{false};
   MB_SNAP_TRANSIENT(shutdown_, "worker-pool teardown flag");
-  std::vector<std::exception_ptr> workerErr_;
-  MB_SNAP_TRANSIENT(workerErr_, "ferried worker exceptions; always empty between windows (rethrown after the barrier)");
-  int spinBeforePark_ = 0;
-  MB_SNAP_TRANSIENT(spinBeforePark_, "barrier tuning derived from hardware_concurrency at pool start");
+  std::vector<std::exception_ptr> shareErr_;
+  MB_SNAP_TRANSIENT(shareErr_, "ferried per-share exceptions; always empty between windows (rethrown after the barrier)");
   std::atomic<int> parked_{0};
   MB_SNAP_TRANSIENT(parked_, "count of workers sleeping on phaseCv_; barrier handshake only");
   std::atomic<bool> mainParked_{false};

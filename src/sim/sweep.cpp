@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +39,18 @@ int resolveJobs(int requested) {
     }
     return static_cast<int>(v);
   }
+  return hostCpuCount();
+}
+
+int hostCpuCount() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -39,10 +39,15 @@ namespace mb::sim {
 std::uint64_t foldPointSeed(std::uint64_t baseSeed, std::size_t index);
 
 /// Resolve a worker count: `requested` > 0 wins; otherwise the MB_JOBS
-/// environment variable; otherwise std::thread::hardware_concurrency().
+/// environment variable; otherwise hostCpuCount().
 /// An unparseable or non-positive MB_JOBS is rejected with a clear error
 /// (exit 2) — a typo must not silently change how the suite runs.
 int resolveJobs(int requested = 0);
+
+/// CPUs this thread may run on: the affinity mask's size (so a run under
+/// taskset or a cpuset cgroup sees its share, not the whole host), falling
+/// back to std::thread::hardware_concurrency(); always >= 1.
+int hostCpuCount();
 
 /// One unit of work: a fully specified simulation.
 struct SweepPoint {

@@ -174,10 +174,10 @@ struct RunOptions {
   /// Resume from a full-run checkpoint file and run to completion (the
   /// warmup options above are ignored: the snapshot carries all state).
   std::string restorePath;
-  /// Worker threads for the channel-sharded engine (DESIGN.md §14), clamped
-  /// to [1, nChannels]. Results — report, command trace, snapshots — are
-  /// byte-identical at every value; this knob trades threads for wall-clock
-  /// only. 1 = serial (no worker pool).
+  /// Threads for the channel-sharded engine (DESIGN.md §14), the calling
+  /// thread included, clamped to [1, nChannels]. Results — report, command
+  /// trace, snapshots — are byte-identical at every value; this knob trades
+  /// threads for wall-clock only. 1 = serial (no worker pool).
   int shards = 1;
 };
 

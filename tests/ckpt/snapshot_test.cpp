@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "ckpt/serialize.hpp"
 
@@ -85,6 +86,69 @@ TEST(Serialize, Crc32KnownVector) {
   // The canonical IEEE 802.3 check value.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+/// The bytewise table CRC-32 crc32() computed before it folded eight bytes
+/// per step; its table comes from the bit-at-a-time definition.
+std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t n) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> pseudoRandomBytes(std::size_t n) {
+  std::vector<unsigned char> out(n);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return out;
+}
+
+// Slicing-by-8 folds eight bytes per step and finishes bytewise, so every
+// length around the 8-byte step and every alignment of the start must agree
+// with the bytewise CRC — and so must a CRC continued through `seed`.
+TEST(Serialize, Crc32SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = pseudoRandomBytes(64 + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = crc32Bytewise(p, len);
+      EXPECT_EQ(crc32(p, len), want) << "offset " << off << " length " << len;
+      const std::size_t cut = len / 3;
+      EXPECT_EQ(crc32(p + cut, len - cut, crc32(p, cut)), want)
+          << "offset " << off << " length " << len << " split at " << cut;
+    }
+  }
+}
+
+TEST(Serialize, Crc32SlicedMatchesBytewiseOnASnapshotSizedBuffer) {
+  const std::vector<unsigned char> buf = pseudoRandomBytes(15u << 20);  // 15 MiB
+  EXPECT_EQ(crc32(buf.data(), buf.size()), crc32Bytewise(buf.data(), buf.size()));
+}
+
+TEST(Serialize, ReaderViewIsOneBoundsCheckedSlice) {
+  const std::string data = "abcdefgh";
+  Reader r(data);
+  EXPECT_EQ(r.view(3), "abc");
+  EXPECT_EQ(r.view(0), "");
+  EXPECT_EQ(r.view(5), "defgh");
+  EXPECT_TRUE(r.atEnd());
+  EXPECT_EQ(r.view(1), "");  // past the end: empty, and the failure sticks
+  EXPECT_FALSE(r.ok());
+
+  Reader over(data);
+  EXPECT_EQ(over.view(9), "");  // longer than the input: nothing consumed
+  EXPECT_FALSE(over.ok());
 }
 
 TEST(Serialize, Fnv1a64IsStable) {

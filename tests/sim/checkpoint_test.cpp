@@ -294,6 +294,21 @@ TEST(Warmup, SnapshotIsReusableAcrossMemoryConfigs) {
   expectBitIdentical(coldRun, restoredRun);
 }
 
+// The warm-up snapshot of a small 64-core TPC-H point, pinned byte for byte
+// (FNV-1a64 over the encoded MBCKPT1 file). Its largest section is the
+// coherence directory, a hash table saved through saveMapSorted: a change
+// that lets table order, or anything else, reach the bytes fails here, in
+// one fast test, before the golden corpus or a restore comparison notices.
+TEST(Warmup, TpchSnapshotBytesArePinned) {
+  const auto workload = workloadByName("TPC-H");
+  ASSERT_TRUE(workload.has_value());
+  SystemConfig cfg = shippedPresets().front().cfg;  // tsi-baseline
+  applyWorkloadShape(cfg, *workload);
+  ASSERT_EQ(cfg.hier.numCores, 64);
+  const std::string snap = captureWarmupSnapshot(cfg, *workload, 1000);
+  EXPECT_EQ(ckpt::fnv1a64(snap), 0x899f2e9bbb3649aeull);
+}
+
 TEST(Warmup, RejectsKeyMismatch) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());

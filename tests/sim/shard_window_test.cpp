@@ -5,8 +5,10 @@
 //    buffered and merged into the CPU queue in stamp order, never reordered
 //    by which worker ran which channel or by the pool size;
 //  * a completion one tick BEFORE the horizon — i.e. a lookahead larger than
-//    the real channel → CPU latency — is an MB_CHECK failure, on both the
-//    inline path and through a worker thread (the ferried-exception path);
+//    the real channel → CPU latency — is an MB_CHECK failure, on the inline
+//    path, through a pool thread (the ferried-exception path), and on the
+//    calling thread's own share while the pool is mid-phase (the barrier
+//    completes before the re-raise);
 //  * a window where channels have zero events (pure CPU work) drains
 //    cleanly, as does an entirely empty channel side.
 //
@@ -16,8 +18,10 @@
 // merge order — is exactly what cpuLog records.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -133,6 +137,33 @@ TEST(ShardWindow, CompletionOneTickInsideHorizonIsCaughtThroughWorkers) {
   } catch (const CheckFailure& e) {
     EXPECT_NE(e.message.find("lookahead"), std::string::npos) << e.message;
   }
+}
+
+// The calling thread runs share 0 (channel 0 here) itself, so a failure can
+// start on main while a pool thread is still inside its own share. The
+// engine must complete the barrier — the pool's window runs to its end —
+// and only then re-raise on main.
+TEST(ShardWindow, FailureOnMainsShareWaitsForThePoolThenReraises) {
+  ScopedCheckTrap trap;
+  Fixture f(2);
+  // Channel 1 (the pool thread's share) is slow: four events in the first
+  // window, each holding the thread for a few milliseconds.
+  for (const Tick t : {Tick{0}, Tick{1}, Tick{2}, Tick{3}})
+    f.ch[1]->scheduleAt(t, [&f, t] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      f.chLog[1].push_back("slow@" + std::to_string(t));
+    });
+  // Channel 0 (main's share) violates the lookahead in its first event.
+  f.channelPostsCompletion(0, 0, kLookahead - 1, "bad");
+  try {
+    f.run();
+    FAIL() << "lookahead violation on main's share not detected";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(e.message.find("lookahead"), std::string::npos) << e.message;
+  }
+  const std::vector<std::string> expect = {"slow@0", "slow@1", "slow@2", "slow@3"};
+  EXPECT_EQ(f.chLog[1], expect) << "re-raised before the pool finished its share";
+  EXPECT_EQ(f.chLog[0], (std::vector<std::string>{"post.bad@0"}));
 }
 
 TEST(ShardWindow, PureCpuWindowsDrainWithIdleChannels) {

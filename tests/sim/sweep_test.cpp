@@ -1,6 +1,7 @@
 #include "sim/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstdlib>
 #include <set>
@@ -89,6 +90,29 @@ TEST(ResolveJobs, ReadsEnvWhenUnspecified) {
   EXPECT_EQ(resolveJobs(0), 5);
   unsetenv("MB_JOBS");
   EXPECT_GE(resolveJobs(0), 1);
+}
+
+// A process limited by taskset (or a cpuset cgroup) must count the CPUs it
+// may run on, not every CPU of the host: the default job count and the shard
+// pool's spin-or-park decision both rest on it.
+TEST(ResolveJobs, DefaultFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(hostCpuCount(), CPU_COUNT(&saved));
+
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  unsetenv("MB_JOBS");
+  const int cpus = hostCpuCount();
+  const int jobs = resolveJobs(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(cpus, 1);
+  EXPECT_EQ(jobs, 1);
 }
 
 TEST(ResolveJobsDeath, RejectsMalformedEnv) {

@@ -61,16 +61,17 @@ echo "== parallel-sweep and shard tests under TSan =="
 # The SweepRunner worker pool, the parallel runSpecGroup overload, and the
 # channel-sharded engine (ShardedEngine worker pool, DESIGN.md §14) are the
 # only intentionally multithreaded code paths; any report here is a real
-# race. ShardWindow drives the engine's barrier directly with a two-worker
-# pool; ShardDifferential runs whole sharded simulations against serial
-# ones.
+# race. ShardWindow drives the engine's barrier directly with two threads
+# (the caller plus one pool thread); ShardDifferential runs whole sharded
+# simulations against serial ones.
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$build_tsan" --output-on-failure \
     -R 'SweepRunner|RunSpecGroupParallel|ShardWindow|ShardDifferential'
 
 echo "== one preset at --shards=4 under TSan =="
 # End-to-end sharded run through the real mbsim binary: 16 channels over 4
-# worker threads, long enough to cross thousands of window barriers.
+# threads (the caller plus 3 pool threads), long enough to cross thousands
+# of window barriers.
 cmake --build "$build_tsan" -j"$(nproc)" --target mbsim
 TSAN_OPTIONS=halt_on_error=1 \
   "$build_tsan/tools/mbsim" --preset=tsi-baseline --workload=RADIX \

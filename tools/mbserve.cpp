@@ -22,11 +22,12 @@
 //   --journal=PATH          accept journal; existing file auto-resumes
 //   --inflight=N            concurrent jobs (default 2)
 //   --sweep-jobs=N          SweepRunner workers per job (default: share
-//                           MB_JOBS / hardware threads across the slots
+//                           MB_JOBS / host CPUs across the slots
 //                           and the per-simulation shard workers)
-//   --shards=N              channel-shard workers inside each simulation
-//                           (default 1). Results are byte-identical at any
-//                           value, so the result cache ignores this knob
+//   --shards=N              threads inside each simulation, its own
+//                           included (default 1). Results are
+//                           byte-identical at any value, so the result
+//                           cache ignores this knob
 //   --snapshot-budget-mb=N  warmup-snapshot LRU budget (default 256)
 //   --version               print tool + format versions
 //

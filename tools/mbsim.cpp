@@ -33,9 +33,10 @@
 //                     through the offline auditor and fail (exit 1) on any
 //                     MB-AUD violation; implies --record-cmds (default
 //                     "mbsim-cmds.mbc" when not given)
-//   --shards=N        worker threads inside ONE simulation: the channel-
-//                     sharded engine (DESIGN.md §14) distributes memory
-//                     channels over N threads. Reports, command traces and
+//   --shards=N        threads inside ONE simulation, the calling thread
+//                     included: the channel-sharded engine (DESIGN.md §14)
+//                     distributes memory channels over N threads (a pool of
+//                     N - 1 plus the caller). Reports, command traces and
 //                     snapshots are byte-identical for every N; the knob
 //                     trades threads for wall-clock only
 //   --version         print tool + MBTRACE1/MBCMDT1/MBCKPT1 format versions
