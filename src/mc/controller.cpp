@@ -21,6 +21,8 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
       scheduler_(makeScheduler(config.scheduler)),
       policy_(core::makePagePolicy(config.pagePolicy)) {
   speculations_.resize(static_cast<std::size_t>(channel_.ubankCount()));
+  rowUsers_.resize(static_cast<std::size_t>(channel_.ubankCount()));
+  queuedPerUbank_.resize(static_cast<std::size_t>(channel_.ubankCount()));
   channel_.refreshEnabled = cfg_.refreshEnabled;
   channel_.perBankRefresh = cfg_.perBankRefresh;
   if (cfg_.enableTimingCheck) {
@@ -38,15 +40,6 @@ void MemoryController::enqueue(MemRequest req) {
   MB_DCHECK(req.da.channel == id_);
 
   const std::int64_t flat = req.da.flatUbank(geom_);
-  const bool isWrite = req.write;
-
-  // Admission-side state changes below invalidate the wake computed by an
-  // earlier kick at this tick; the batched-admission fast path at the end
-  // of this function is only taken when none occurred.
-  bool wasReads = false, wasWrites = false;
-  serveFlags(wasReads, wasWrites);
-  bool mutated = false;
-
   const int ub = channel_.ubankIndex(req.da);
   // Resolve any outstanding speculative page decision for this μbank now
   // that the next access is known (§V: the predictor trains on whether the
@@ -55,21 +48,14 @@ void MemoryController::enqueue(MemRequest req) {
   // A policy-requested idle precharge is cancelled if the incoming request
   // wants exactly the still-open row.
   auto pc = pendingCloses_.find(flat);
-  if (pc != pendingCloses_.end()) {
-    if (channel_.openRow(ub) == req.da.row) {
-      pendingCloses_.erase(pc);
-      mutated = true;
-    }
-  }
+  if (pc != pendingCloses_.end() && channel_.openRow(ub) == req.da.row)
+    pendingCloses_.erase(pc);
   // Oracle resolution: charge the retrospectively-best decision (§V).
   if (channel_.resolveLazy(req.da, ub) == ChannelState::LazyOutcome::Closed) {
     if (checker_) checker_->onOraclePre(req.da);
     if (cfg_.commandLog) cfg_.commandLog->onOraclePre(req.da, eq_.now());
-    mutated = true;
   }
 
-  ReqHandle admitted{};
-  bool inWindow = false;  // landed in a scheduler-visible queue
   if (req.write) {
     writes_.inc();
     // Coalesce with an already-buffered write to the same line.
@@ -80,11 +66,10 @@ void MemoryController::enqueue(MemRequest req) {
     p.req = std::move(req);
     p.flat = flat;
     p.ub = ub;
-    admitted = pool_.alloc(std::move(p));
-    writeQ_.push_back(admitted);
-    inWindow = true;
+    writeQ_.push_back(pool_.alloc(std::move(p)));
+    ++queuedPerUbank_[static_cast<std::size_t>(ub)];
     if (static_cast<int>(writeQ_.size()) >= cfg_.writeHighWatermark)
-      drainingWrites_ = true;  // serve-flag flip: caught by the compare below
+      drainingWrites_ = true;
   } else {
     reads_.inc();
     // Forward from a buffered write to the same line: the data is newer
@@ -103,43 +88,16 @@ void MemoryController::enqueue(MemRequest req) {
     p.req = std::move(req);
     p.flat = flat;
     p.ub = ub;
-    admitted = pool_.alloc(std::move(p));
+    const ReqHandle admitted = pool_.alloc(std::move(p));
+    ++queuedPerUbank_[static_cast<std::size_t>(ub)];
     if (static_cast<int>(readQ_.size()) < cfg_.queueDepth) {
       scheduler_->onEnqueue(pool_.get(admitted).req);
       readQ_.push_back(admitted);
-      inWindow = true;
     } else {
       overflowQ_.push_back(admitted);
     }
     queueOcc_.update(eq_.now(),
                      static_cast<double>(readQ_.size() + overflowQ_.size()));
-  }
-
-  bool nowReads = false, nowWrites = false;
-  serveFlags(nowReads, nowWrites);
-  if (nowReads != wasReads || nowWrites != wasWrites) mutated = true;
-
-  // Batched admission: when a full kick already ran at this tick, nothing
-  // above changed device or scheduler state, and arbitrating now could not
-  // form a new priority batch, a second full pass over the queue would
-  // reach the exact same conclusions as the previous one — except for the
-  // one new candidate. Its earliest issue tick is the only new information,
-  // so fold it into the armed wake-up and skip the O(queue) rescan. With
-  // the command bus busy (every earliest* is lower-bounded by the bus-free
-  // tick) the new candidate cannot issue now, so deferring it to the woken
-  // kick is behaviour-identical to the full pass.
-  if (!mutated && lastKickTick_ == eq_.now() && !scheduler_->wouldFormBatch()) {
-    const bool candidate = isWrite ? nowWrites : (inWindow && nowReads);
-    if (!candidate) return;  // invisible to arbitration: the armed wake stands
-    if (channel_.cmdBusFreeAt() > eq_.now()) {
-      DramCommand cmd{};
-      const Tick e = earliestFor(pool_.get(admitted), eq_.now(), cmd);
-      if (e != kTickNever) {
-        MB_DCHECK(e > eq_.now());  // bus busy lower-bounds every earliest*
-        scheduleKick(e);
-      }
-      return;
-    }
   }
   kick();
 }
@@ -157,37 +115,71 @@ void MemoryController::resolveSpeculation(std::int64_t flat, int ub,
   --liveSpeculations_;
 }
 
-bool MemoryController::preBlockedByOlderRowUser(const Pending& p, bool servingReads,
-                                                bool servingWrites) const {
+template <typename Fn>
+bool MemoryController::anyServed(Fn&& fn) const {
+  bool serveReads = false, serveWrites = false;
+  serveFlags(serveReads, serveWrites);
+  if (serveReads) {
+    for (const ReqHandle h : readQ_)
+      if (fn(h)) return true;
+  }
+  if (serveWrites) {
+    for (const ReqHandle h : writeQ_)
+      if (fn(h)) return true;
+  }
+  return false;
+}
+
+bool MemoryController::preBlocked(const Pending& p) {
   // Do not steal an open row from an older request that still wants it —
   // but only if that request is itself schedulable right now (it then
   // outranks this precharge in every scheduler, so deferring cannot
   // livelock). An older row-user that is not currently a candidate (write
-  // outside a drain burst) must not block progress indefinitely.
+  // outside a drain burst) must not block progress indefinitely. A
+  // batch-marked precharge is blocked only by marked row users (PAR-BS
+  // fairness: the batch boundary must bound a row hog's damage).
+  if (!rowUsersCurrent_) collectRowUsers();
+  const RowUsers& u = rowUsers_[static_cast<std::size_t>(p.ub)];
+  bool blocked = false;
+  if (u.epoch == rowUserEpoch_ && u.oldestAny < p.req.arrival) {
+    const bool pMarked = scheduler_->requestMarked(p.req.id);
+    blocked = (pMarked ? u.oldestMarked : u.oldestAny) < p.req.arrival;
+  }
+  MB_DCHECK(blocked == preBlockedByOlderRowUser(p));
+  return blocked;
+}
+
+void MemoryController::collectRowUsers() {
+  // One walk over the served queues per pass. It reads the batch marking as
+  // it stands before the pass's pick can form a new batch, as every guard
+  // evaluated in this pass does.
+  ++rowUserEpoch_;
+  rowUsersCurrent_ = true;
+  anyServed([&](ReqHandle h) {
+    const Pending& q = pool_.ref(h);
+    if (q.req.da.row != channel_.openRow(q.ub)) return false;
+    RowUsers& u = rowUsers_[static_cast<std::size_t>(q.ub)];
+    if (u.epoch != rowUserEpoch_) u = RowUsers{rowUserEpoch_, kTickNever, kTickNever};
+    const Tick arrival = q.req.arrival;
+    u.oldestAny = std::min(u.oldestAny, arrival);
+    if (arrival < u.oldestMarked && scheduler_->requestMarked(q.req.id))
+      u.oldestMarked = arrival;
+    return false;
+  });
+}
+
+bool MemoryController::preBlockedByOlderRowUser(const Pending& p) const {
   const int ub = p.ub;
   if (!channel_.rowOpen(ub)) return false;
   const std::int64_t openRow = channel_.openRow(ub);
-  const std::int64_t pFlat = p.flat;
   const bool pMarked = scheduler_->requestMarked(p.req.id);
-  auto wantsOpenRow = [&](const Pending& q) {
-    // Cheap same-μbank/row/age rejections first; the scheduler's marked
-    // lookup only runs for an actual older row user.
-    if (q.flat != pFlat || q.req.da.row != openRow ||
+  return anyServed([&](ReqHandle h) {
+    const Pending& q = pool_.ref(h);
+    if (q.flat != p.flat || q.req.da.row != openRow ||
         q.req.arrival >= p.req.arrival)
       return false;
-    // A batch-marked request outranks unmarked row users regardless of age
-    // (PAR-BS fairness: the batch boundary must bound a row hog's damage).
     return !pMarked || scheduler_->requestMarked(q.req.id);
-  };
-  if (servingReads) {
-    for (const ReqHandle h : readQ_)
-      if (wantsOpenRow(pool_.ref(h))) return true;
-  }
-  if (servingWrites) {
-    for (const ReqHandle h : writeQ_)
-      if (wantsOpenRow(pool_.ref(h))) return true;
-  }
-  return false;
+  });
 }
 
 void MemoryController::serveFlags(bool& reads, bool& writes) const {
@@ -207,9 +199,6 @@ Tick MemoryController::earliestFor(const Pending& p, Tick now, DramCommand& cmdO
     return channel_.earliestAct(p.req.da, ub, now);
   }
   cmdOut = DramCommand::Pre;
-  bool servingReads = false, servingWrites = false;
-  serveFlags(servingReads, servingWrites);
-  if (preBlockedByOlderRowUser(p, servingReads, servingWrites)) return kTickNever;
   return channel_.earliestPre(p.req.da, ub, now);
 }
 
@@ -218,11 +207,12 @@ void MemoryController::buildCandidates(Tick now, std::vector<Candidate>& cands,
                                        Tick& minFuture) {
   cands.clear();
   byCandidate.clear();
-  auto add = [&](ReqHandle h) {
+  rowUsersCurrent_ = false;
+  anyServed([&](ReqHandle h) {
     const Pending& p = pool_.ref(h);
     DramCommand cmd{};
     const Tick earliest = earliestFor(p, now, cmd);
-    if (earliest == kTickNever) return;
+    if (cmd == DramCommand::Pre && preBlocked(p)) return false;
     Candidate c;
     c.queueIndex = static_cast<int>(cands.size());
     c.id = p.req.id;
@@ -233,22 +223,47 @@ void MemoryController::buildCandidates(Tick now, std::vector<Candidate>& cands,
     cands.push_back(c);
     byCandidate.push_back(h);
     if (earliest > now) minFuture = std::min(minFuture, earliest);
-  };
+    return false;
+  });
+}
 
-  bool serveReads = false, serveWrites = false;
-  serveFlags(serveReads, serveWrites);
-  if (serveReads) {
-    for (const ReqHandle h : readQ_) add(h);
-  }
-  if (serveWrites) {
-    for (const ReqHandle h : writeQ_) add(h);
-  }
+Tick MemoryController::earliestWake(Tick now) {
+  // Every earliest* starts at max(now, cmdBusFreeAt), so the bus-free tick
+  // bounds each request from below: the scan stops at the first request
+  // that reaches it. A precharge's guard only matters if it would lower the
+  // minimum, so it is checked only then.
+  const Tick floor = channel_.cmdBusFreeAt();
+  MB_DCHECK(floor > now);
+  rowUsersCurrent_ = false;
+  Tick wake = kTickNever;
+  anyServed([&](ReqHandle h) {  // true once `wake` reached the floor
+    const Pending& p = pool_.ref(h);
+    DramCommand cmd{};
+    const Tick earliest = earliestFor(p, now, cmd);
+    MB_DCHECK(earliest >= floor);
+    if (earliest >= wake || (cmd == DramCommand::Pre && preBlocked(p))) return false;
+    wake = earliest;
+    return wake == floor;
+  });
+  return wake;
+}
+
+Tick MemoryController::fullPassMinFuture(Tick now) {
+  std::vector<Candidate> cands;
+  std::vector<ReqHandle> byCandidate;
+  Tick minFuture = kTickNever;
+  buildCandidates(now, cands, byCandidate, minFuture);
+  return minFuture;
 }
 
 void MemoryController::issueFor(ReqHandle h, Tick now) {
   Pending& p = pool_.get(h);
   DramCommand cmd{};
   const Tick earliest = earliestFor(p, now, cmd);
+  // The pick may have formed a batch since the guard ran; that can only
+  // unblock a precharge (forming needs an empty marking, under which any
+  // older row user blocks), so the guard is not re-applied here.
+  MB_DCHECK(cmd != DramCommand::Pre || !preBlockedByOlderRowUser(p));
   MB_CHECK_MSG(earliest <= now,
                "scheduler committed %s for %s before it is legal: earliest=%lldps "
                "now=%lldps",
@@ -339,14 +354,8 @@ void MemoryController::onRequestServiced(ReqHandle h, Tick dataEnd) {
   // Page management: if no queued work remains for this μbank, make a
   // speculative decision; otherwise the queue itself dictates the action
   // (the conventional controllers of §V inspect pending requests).
-  auto anySameUbank = [&](const auto& q) {
-    for (const ReqHandle h : q)
-      if (pool_.ref(h).flat == flat) return true;
-    return false;
-  };
-  const bool pendingSameUbank =
-      anySameUbank(readQ_) || anySameUbank(overflowQ_) || anySameUbank(writeQ_);
-  if (!pendingSameUbank) maybeSpeculate(da, flat, ub, thread);
+  if (--queuedPerUbank_[static_cast<std::size_t>(ub)] == 0)
+    maybeSpeculate(da, flat, ub, thread);
 }
 
 void MemoryController::maybeSpeculate(const core::DramAddress& da,
@@ -488,33 +497,41 @@ void MemoryController::kick() {
 
   for (;;) {
     Tick minFuture = kTickNever;
-    buildCandidates(eq_.now(), candBuf_, byCandidateBuf_, minFuture);
+    if (channel_.cmdBusFreeAt() > eq_.now()) {
+      // Wake-only pass: nothing can issue while the command bus is busy, so
+      // only the wake tick and the batch upkeep of a pick remain.
+      minFuture = earliestWake(eq_.now());
+      MB_DCHECK(minFuture == fullPassMinFuture(eq_.now()));
+      scheduler_->formBatchIfDrained();
+    } else {
+      buildCandidates(eq_.now(), candBuf_, byCandidateBuf_, minFuture);
 
-    // One fused scan yields both the issuable winner and the scheduler's
-    // overall favourite (the priority-gate probe that used to cost a second
-    // full pick() pass).
-    const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, eq_.now());
-    const int pickIdx = pp.issuable;
-    if (pickIdx >= 0) {
-      // Priority gate: if the scheduler's overall favourite (ignoring issue
-      // readiness) is a different, imminently-ready command, hold the bus
-      // for it. Without this, a stream of back-to-back row hits can starve
-      // a higher-priority precharge forever: every hit CAS pushes the
-      // victim's tRTP window just past "now" again (priority inversion).
-      const int bestIdx = pp.overall;
-      if (bestIdx >= 0 && bestIdx != pickIdx) {
-        const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
-        if (bestAt > eq_.now() &&
-            bestAt - eq_.now() <= 2 * channel_.timing().tCCD) {
-          scheduleKick(bestAt);
-          break;
+      // One fused scan yields both the issuable winner and the scheduler's
+      // overall favourite (the priority-gate probe that used to cost a
+      // second full pick() pass).
+      const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, eq_.now());
+      const int pickIdx = pp.issuable;
+      if (pickIdx >= 0) {
+        // Priority gate: if the scheduler's overall favourite (ignoring
+        // issue readiness) is a different, imminently-ready command, hold
+        // the bus for it. Without this, a stream of back-to-back row hits
+        // can starve a higher-priority precharge forever: every hit CAS
+        // pushes the victim's tRTP window just past "now" again (priority
+        // inversion).
+        const int bestIdx = pp.overall;
+        if (bestIdx >= 0 && bestIdx != pickIdx) {
+          const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
+          if (bestAt > eq_.now() &&
+              bestAt - eq_.now() <= 2 * channel_.timing().tCCD) {
+            scheduleKick(bestAt);
+            break;
+          }
         }
+        issueFor(byCandidateBuf_[static_cast<size_t>(pickIdx)], eq_.now());
+        // The command bus is now busy for tCMD, so the next iteration is a
+        // wake-only pass.
+        continue;
       }
-      issueFor(byCandidateBuf_[static_cast<size_t>(pickIdx)], eq_.now());
-      // The command bus is now busy for tCMD; re-evaluating immediately
-      // would find nothing issuable, so fall through to the scheduling path
-      // on the next loop iteration.
-      continue;
     }
 
     // No request command issuable now: opportunistically retire one idle
@@ -724,6 +741,13 @@ void MemoryController::load(ckpt::Reader& r) {
   loadQueue(overflowQ_);
   loadQueue(writeQ_);
   drainingWrites_ = r.b();
+  queuedPerUbank_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
+  auto countQueue = [&](const auto& q) {
+    for (const ReqHandle h : q) ++queuedPerUbank_[static_cast<std::size_t>(pool_.get(h).ub)];
+  };
+  countQueue(readQ_);
+  countQueue(overflowQ_);
+  countQueue(writeQ_);
 
   pendingCloses_.clear();
   const std::uint64_t nCloses = r.count(32);

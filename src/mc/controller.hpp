@@ -4,12 +4,18 @@
 // Operation (event-driven):
 //   - enqueue() decomposes the address, applies write forwarding/coalescing,
 //     resolves any outstanding page-policy speculation for the target μbank,
-//     and wakes the command engine.
-//   - kick() repeatedly asks the scheduler to order the per-request
-//     candidate commands (the next command each request needs plus its
-//     earliest legal issue tick) and commits the winning command; when
-//     nothing is issuable it schedules its own wake-up at the earliest
-//     future candidate (or refresh) time.
+//     and runs kick().
+//   - kick() runs arbitration passes until nothing can issue, then schedules
+//     its own wake-up at the earliest future candidate, idle-close or
+//     refresh tick. With the command bus free, a full pass asks the
+//     scheduler to order the per-request candidate commands (the next
+//     command each request needs plus its earliest legal issue tick) and
+//     commits the winner. With the bus busy — every pass right after an
+//     issue — no command can issue, because every earliest tick is bounded
+//     below by the bus-free tick, so a wake-only pass computes just the
+//     minimum earliest tick and lets the scheduler update its batch. Each
+//     pass costs O(queue): the anti-row-steal guard reads a per-μbank table
+//     of the oldest row users, built at most once per pass.
 //   - After the last column access for a μbank with no pending work, the
 //     page-management policy decides whether to keep the row open, close it
 //     (an idle precharge is queued), or — for the perfect oracle — leave the
@@ -162,13 +168,24 @@ class MB_CHANNEL_LOCAL MemoryController {
 
  private:
   struct Pending {
-    MemRequest req;
     // Address projections cached at admission so the per-kick candidate and
-    // queue scans never re-derive them from the DramAddress fields.
+    // queue scans never re-derive them from the DramAddress fields. They
+    // precede `req` so the fields a scan reads sit ahead of the completion
+    // callback, not behind it on another cache line.
     std::int64_t flat = -1;  // system-wide flat μbank id (policy/map keys)
     int ub = -1;             // channel-local μbank index (timing arrays)
     bool sawConflict = false;  // a foreign row had to be precharged
     bool sawAct = false;       // an activation was needed
+    MemRequest req;
+  };
+  /// Per-μbank entry of the anti-row-steal table: the oldest arrival among
+  /// served requests that want the μbank's open row, over all of them and
+  /// over the batch-marked ones only. Valid only while `epoch` equals
+  /// rowUserEpoch_, so a new pass invalidates every entry without a clear.
+  struct RowUsers {
+    std::uint64_t epoch = 0;
+    Tick oldestAny = kTickNever;
+    Tick oldestMarked = kTickNever;
   };
   struct Speculation {
     core::PageDecision decision;
@@ -215,12 +232,30 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// Candidate list over the visible read window (and writes when draining).
   void buildCandidates(Tick now, std::vector<Candidate>& cands,
                        std::vector<ReqHandle>& byCandidate, Tick& minFuture);
+  /// Wake-only pass (command bus busy): the minFuture a full pass would
+  /// compute, without building candidates.
+  Tick earliestWake(Tick now);
+  /// minFuture of a full buildCandidates() pass into scratch buffers: the
+  /// reference earliestWake() is MB_DCHECKed against.
+  Tick fullPassMinFuture(Tick now);
   void issueFor(ReqHandle h, Tick now);
+  /// The next command `p` needs and its earliest legal issue tick, before
+  /// the anti-row-steal guard (preBlocked) is applied to a precharge.
   Tick earliestFor(const Pending& p, Tick now, DramCommand& cmdOut) const;
-  bool preBlockedByOlderRowUser(const Pending& p, bool servingReads,
-                                bool servingWrites) const;
+  /// Anti-row-steal guard for a precharge candidate, read from the row-user
+  /// table (built on first use in each pass).
+  bool preBlocked(const Pending& p);
+  void collectRowUsers();
+  /// The same guard as a scan of both served queues: the reference the
+  /// table is MB_DCHECKed against.
+  bool preBlockedByOlderRowUser(const Pending& p) const;
   /// Which queues the scheduler is currently drawing candidates from.
   void serveFlags(bool& reads, bool& writes) const;
+  /// Calls fn(handle) over the served queues (the read window, then the
+  /// write queue, as serveFlags() selects) until fn returns true; returns
+  /// whether it did.
+  template <typename Fn>
+  bool anyServed(Fn&& fn) const;
 
   ChannelId id_;
   dram::Geometry geom_;
@@ -269,12 +304,16 @@ class MB_CHANNEL_LOCAL MemoryController {
   // (MB-DET-001: iteration order is index order by construction).
   std::vector<SpecSlot> speculations_;
   std::int64_t liveSpeculations_ = 0;
+  // Queued requests (read window, overflow and write queue) per
+  // channel-local μbank, so retiring a request learns in O(1) whether its
+  // μbank still has queued work.
+  std::vector<std::int32_t> queuedPerUbank_;
+  MB_SNAP_TRANSIENT(queuedPerUbank_, "derived from the queues; load() recounts it from the restored queues");
 
   Tick nextKickAt_ = kTickNever;
-  // Tick of the last full kick(); the batched-admission fast path in
-  // enqueue() is only legal when a full arbitration pass (including the
-  // refresh catch-up) already ran at the current tick. Serialized so a
-  // restored run takes the same fast/full decisions as the cold run.
+  // Tick of the last kick(). No arbitration decision reads it; it keeps its
+  // place in the MBCKPT1 controller section because its bytes are part of
+  // the snapshot format, so kick() still maintains it.
   Tick lastKickTick_ = -1;
   // Outstanding wake-up events, one per distinct tick (armKick dedupes), so
   // a checkpoint can reify them. Kept as a flat vector sorted ascending by
@@ -303,6 +342,14 @@ class MB_CHANNEL_LOCAL MemoryController {
   // performs no per-iteration vector allocations.
   std::vector<Candidate> candBuf_;
   std::vector<ReqHandle> byCandidateBuf_;
+  // Anti-row-steal table, one entry per channel-local μbank, rebuilt lazily
+  // by the first precharge guard of a pass (rowUsersCurrent_ false).
+  std::vector<RowUsers> rowUsers_;
+  MB_SNAP_TRANSIENT(rowUsers_, "per-pass arbitration scratch; rebuilt from the queues and open rows before any read");
+  std::uint64_t rowUserEpoch_ = 0;
+  MB_SNAP_TRANSIENT(rowUserEpoch_, "per-pass arbitration scratch; only compared with the rowUsers_ entry stamps");
+  bool rowUsersCurrent_ = false;
+  MB_SNAP_TRANSIENT(rowUsersCurrent_, "per-pass arbitration scratch; every pass starts with it false");
 
   // Statistics.
   Counter reads_, writes_, rowHits_, rowMisses_, rowConflicts_, forwarded_;

@@ -116,7 +116,7 @@ void ParBsScheduler::onDequeue(const MemRequest& req) {
   }
 }
 
-void ParBsScheduler::formBatch(const std::vector<Candidate>&) {
+void ParBsScheduler::formBatch() {
   MB_DCHECK(marked_.empty());
   markedPerThread_.clear();
   // Oldest-first marking with a per-thread cap.
@@ -135,8 +135,12 @@ void ParBsScheduler::formBatch(const std::vector<Candidate>&) {
   }
 }
 
+void ParBsScheduler::formBatchIfDrained() {
+  if (marked_.empty() && !queueView_.empty()) formBatch();
+}
+
 void ParBsScheduler::prepareBatch(std::vector<Candidate>& cands) {
-  if (marked_.empty() && !queueView_.empty()) formBatch(cands);
+  formBatchIfDrained();
   for (auto& c : cands) {
     c.marked = marked_.count(c.id) != 0;
     if (c.marked) {

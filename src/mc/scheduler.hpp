@@ -83,12 +83,12 @@ class MB_CHANNEL_LOCAL Scheduler {
   /// marked request precharge over unmarked older row users.
   virtual bool requestMarked(std::uint64_t) const { return false; }
 
-  /// True when the next pick would (re)form a priority batch, i.e. calling
-  /// the scheduler is itself a state change. The controller's batched-
-  /// admission fast path must fall back to a full arbitration pass in that
-  /// case: batch membership depends on the queue contents at formation
-  /// time, so deferring the pick would mark a different set.
-  virtual bool wouldFormBatch() const { return false; }
+  /// Batch upkeep for an arbitration pass that skips the pick because
+  /// nothing can issue (the command bus is busy): (re)form the priority
+  /// batch exactly as the next pick()/pickPair() would. Batch membership
+  /// depends on the queue contents at formation time, so a skipped pick
+  /// must not defer it.
+  virtual void formBatchIfDrained() {}
 
   virtual SchedulerKind kind() const = 0;
   std::string name() const { return schedulerKindName(kind()); }
@@ -132,17 +132,15 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
   bool requestMarked(std::uint64_t requestId) const override {
     return isMarked(requestId);
   }
-  bool wouldFormBatch() const override {
-    return marked_.empty() && !queueView_.empty();  // mirrors prepareBatch()
-  }
+  void formBatchIfDrained() override;
 
   void save(ckpt::Writer& w) const override;
   void load(ckpt::Reader& r) override;
 
  private:
-  void formBatch(const std::vector<Candidate>& cands);
-  /// Batch upkeep shared by pick()/pickPair(): (re)form the batch when the
-  /// previous one drained and stamp each candidate's `marked` flag.
+  void formBatch();
+  /// Batch upkeep shared by pick()/pickPair(): formBatchIfDrained(), then
+  /// stamp each candidate's `marked` flag and rank.
   void prepareBatch(std::vector<Candidate>& cands);
 
   int markingCap_;

@@ -97,8 +97,9 @@ JVal parseToolOutput(const std::string& cmd) {
   EXPECT_EQ(root.t, JVal::T::Obj);
   const JVal* tool = root.get("tool");
   EXPECT_NE(tool, nullptr) << cmd;
-  if (tool != nullptr)
+  if (tool != nullptr) {
     EXPECT_NE(tool->s.find("microbank"), std::string::npos) << tool->s;
+  }
   return root;
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: build + full ctest under ASan+UBSan, a TSan pass over the parallel
-# sweep tests, the channel-sharded engine tests, and one sharded preset run,
-# a recorded (non-gating) perf-harness run in an unsanitized build tree, then
+# CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
+# assertions on), a TSan pass over the parallel sweep tests, the
+# channel-sharded engine tests, and one sharded preset run, a recorded
+# (non-gating) perf-harness run in an unsanitized build tree, then
 # clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
@@ -33,9 +34,16 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-ci}"
 build_tsan="${build}-tsan"
 
-echo "== configure (${build}) with MB_SANITIZE=address;undefined =="
+echo "== configure (${build}) with MB_SANITIZE=address;undefined, MB_DCHECKs on =="
+# RelWithDebInfo minus its -DNDEBUG: MB_DCHECK compiles out under NDEBUG, so
+# this is the stage that runs those invariants (arena-handle liveness, the
+# device-state commit preconditions, the arbitration cross-checks against
+# their full-scan references). _GLIBCXX_ASSERTIONS adds libstdc++'s
+# precondition checks (bounds on operator[], non-empty front/back, ...).
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
+  -DCMAKE_CXX_FLAGS="-D_GLIBCXX_ASSERTIONS" \
   -DMB_SANITIZE="address;undefined" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
