@@ -257,4 +257,132 @@ bool readFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Annotation markers and suppressions.
+
+namespace {
+
+bool isBlank(char c) { return c == ' ' || c == '\t'; }
+
+bool isMarkerName(const std::vector<std::string>& names, const std::string& word) {
+  return std::find(names.begin(), names.end(), word) != names.end();
+}
+
+/// Comment-form markers: the argument list is parsed from the raw text.
+void scanComment(const cxx::Comment& c, const std::vector<std::string>& names,
+                 std::vector<Marker>& out) {
+  const std::string& text = c.text;
+  const std::size_t n = text.size();
+  std::size_t pos = 0;
+  while (pos < n) {
+    if (!cxx::identChar(text[pos])) { ++pos; continue; }
+    const std::size_t start = pos;
+    while (pos < n && cxx::identChar(text[pos])) ++pos;
+    std::string word = text.substr(start, pos - start);
+    if (!isMarkerName(names, word)) continue;
+    std::size_t j = pos;
+    while (j < n && isBlank(text[j])) ++j;
+    if (j >= n || text[j] != '(') continue;  // prose
+    Marker m;
+    m.name = std::move(word);
+    m.line = c.line + static_cast<int>(std::count(
+                          text.begin(), text.begin() + static_cast<std::ptrdiff_t>(start), '\n'));
+    ++j;
+    while (j < n && text[j] != ',' && text[j] != ')' && text[j] != '\n')
+      m.first += text[j++];
+    while (!m.first.empty() && isBlank(m.first.back())) m.first.pop_back();
+    while (!m.first.empty() && isBlank(m.first.front())) m.first.erase(m.first.begin());
+    if (j >= n || text[j] == '\n') {
+      m.malformed = true;
+    } else if (text[j] == ',') {
+      ++j;
+      while (j < n && isBlank(text[j])) ++j;
+      if (j < n && text[j] == '"') {
+        ++j;
+        while (j < n && text[j] != '"' && text[j] != '\n') m.reason += text[j++];
+        m.malformed = j >= n || text[j] != '"';
+      } else {
+        m.malformed = true;
+      }
+    }
+    if (m.malformed) m.reason.clear();
+    out.push_back(std::move(m));
+    pos = j;
+  }
+}
+
+/// Code-form markers: the first argument is its tokens concatenated (a
+/// code like MB-DET-004 lexes as several), the reason one string literal.
+void scanCode(const std::vector<cxx::Token>& t, const std::vector<std::string>& names,
+              std::vector<Marker>& out) {
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != cxx::Token::Kind::Ident || !isMarkerName(names, t[i].text) ||
+        !cxx::isP(t[i + 1], "("))
+      continue;
+    Marker m;
+    m.name = t[i].text;
+    m.line = t[i].line;
+    std::size_t j = i + 2;
+    int depth = 1;
+    bool sawComma = false;
+    for (; j < t.size(); ++j) {
+      if (cxx::isP(t[j], "(")) ++depth;
+      else if (cxx::isP(t[j], ")")) {
+        if (--depth == 0) break;
+      } else if (depth == 1 && cxx::isP(t[j], ",")) { sawComma = true; ++j; break; }
+      m.first += t[j].text;
+    }
+    if (sawComma) {
+      if (j < t.size() && t[j].kind == cxx::Token::Kind::Str) m.reason = t[j].text;
+      else m.malformed = true;
+    }
+    out.push_back(std::move(m));
+  }
+}
+
+}  // namespace
+
+std::vector<Marker> scanMarkers(const cxx::Lexed& lexed,
+                                const std::vector<std::string>& names) {
+  std::vector<Marker> out;
+  for (const cxx::Comment& c : lexed.comments) scanComment(c, names, out);
+  scanCode(lexed.toks, names, out);
+  return out;
+}
+
+bool hasCodeShape(const std::string& code, const std::string& prefix) {
+  const std::size_t p = prefix.size();
+  return code.size() == p + 3 && code.compare(0, p, prefix) == 0 &&
+         cxx::isDigit(code[p]) && cxx::isDigit(code[p + 1]) && cxx::isDigit(code[p + 2]);
+}
+
+std::vector<Diagnostic> reportFindings(
+    DiagnosticEngine& engine, std::vector<Diagnostic> findings,
+    std::vector<Suppression>& suppressions, const char* unusedCode,
+    std::string (*unusedMessage)(const std::string& code)) {
+  std::vector<Diagnostic> suppressed;
+  for (Diagnostic& d : findings) {
+    const auto covering = std::find_if(
+        suppressions.begin(), suppressions.end(), [&](const Suppression& s) {
+          return s.code == d.code && s.file == d.where.file &&
+                 (s.fileScope || d.where.line == s.line || d.where.line == s.line + 1);
+        });
+    if (covering == suppressions.end()) {
+      engine.report(std::move(d));
+      continue;
+    }
+    ++covering->uses;
+    suppressed.push_back(std::move(d));
+  }
+  for (const Suppression& s : suppressions) {
+    if (s.uses > 0) continue;
+    Diagnostic d(unusedCode, Severity::Warning, unusedMessage(s.code));
+    d.where = SourceLocation{s.file, s.line};
+    d.with("reason", s.reason);
+    engine.report(std::move(d));
+  }
+  engine.sortByLocation();
+  return suppressed;
+}
+
 }  // namespace mb::analysis

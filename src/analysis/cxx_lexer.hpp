@@ -1,5 +1,5 @@
 // Dependency-free lexical C++ front end shared by the source-level static
-// analyses (det_lint / mbdetcheck, snap_lint / mbsnapcheck).
+// analyses (det_lint and snap_lint, run by `mbstatic det` / `mbstatic snap`).
 //
 // This is a tokenizer plus bracket-matching scope helpers — deliberately
 // not a parser and not libclang: the analyses built on it are heuristic
@@ -19,11 +19,17 @@
 //     source line, exactly as phase-2 translation does;
 //   - '<' '>' are never combined into shift tokens, so template-argument
 //     depth counting sees every angle bracket.
+//
+// Both analyses also share their annotation handling here: one scanner for
+// `NAME(first, "reason")` markers written as code or inside comments, and
+// one suppression matcher with one unused-suppression rule.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "analysis/diagnostic.hpp"
 
 namespace mb::analysis {
 
@@ -85,5 +91,54 @@ std::vector<std::string> collectSourceFiles(
 
 /// Read a file into memory; returns false (and empties out) on failure.
 bool readFileToString(const std::string& path, std::string* out);
+
+/// One analyzed source file, path as it should appear in diagnostics.
+struct SourceFile {
+  std::string path;
+  std::string contents;
+};
+
+/// One `NAME(first, "reason")` annotation marker (common/ownership.hpp),
+/// written as code or inside a comment.
+struct Marker {
+  std::string name;    // the marker name as written
+  std::string first;   // first argument: a registry code or a member name
+  std::string reason;  // empty when missing or when the marker is malformed
+  bool malformed = false;  // '(' opened but the arguments did not parse
+  int line = 1;
+};
+
+/// Every marker in `lexed` whose name is one of `names`: comment-form ones
+/// first, then code-form ones, each in source order. A name not followed by
+/// '(' is prose and skipped. The parse is strict: a first argument cut off
+/// by the end of the line, a second argument that is not a string literal,
+/// or a reason without its closing quote makes the marker malformed.
+std::vector<Marker> scanMarkers(const cxx::Lexed& lexed,
+                                const std::vector<std::string>& names);
+
+/// True when `code` is `prefix` followed by three digits ("MB-DET-004").
+bool hasCodeShape(const std::string& code, const std::string& prefix);
+
+/// A well-formed allow marker, kept for the audit trail.
+struct Suppression {
+  std::string code;
+  std::string reason;
+  std::string file;
+  int line = 0;
+  bool fileScope = false;
+  int uses = 0;  // findings suppressed by this entry
+};
+
+/// The suppression matcher both analyses share. A suppression covers a
+/// finding with its code in its file on the marker's line or the next one,
+/// or anywhere in the file when fileScope; the first covering entry counts
+/// the use. Every uncovered finding is reported to `engine`, then one
+/// `unusedCode` warning per suppression that covered nothing (message
+/// `unusedMessage(code)`, the reason as context), and the engine is sorted
+/// by location. Returns the findings that were suppressed.
+std::vector<Diagnostic> reportFindings(
+    DiagnosticEngine& engine, std::vector<Diagnostic> findings,
+    std::vector<Suppression>& suppressions, const char* unusedCode,
+    std::string (*unusedMessage)(const std::string& code));
 
 }  // namespace mb::analysis

@@ -12,13 +12,10 @@
 namespace mb::analysis {
 namespace {
 
-// The tokenizer and bracket-matching scope helpers live in the shared
-// cxx_lexer (they serve snap_lint / mbsnapcheck too); the aliases keep this
-// analysis reading the way it always has.
+// The tokenizer, the bracket-matching scope helpers and the marker scanner
+// live in the shared cxx_lexer (they serve snap_lint too); the aliases keep
+// this analysis reading the way it always has.
 using Tok = cxx::Token;
-using cxx::Comment;
-using cxx::identChar;
-using cxx::isDigit;
 using cxx::isI;
 using cxx::isP;
 using cxx::kNpos;
@@ -29,119 +26,14 @@ using cxx::matchForward;
 using cxx::skipToBody;
 
 // ---------------------------------------------------------------------------
-// Annotation markers.
-
-struct RawMarker {
-  bool fileScope = false;
-  bool malformed = false;  // opened a parenthesis but did not parse
-  std::string code;
-  std::string reason;
-  bool hasReason = false;
-  int line = 1;
-};
-
-bool validDetCode(const std::string& code) {
-  if (code.size() != 10 || code.compare(0, 7, "MB-DET-") != 0) return false;
-  return isDigit(code[7]) && isDigit(code[8]) && isDigit(code[9]);
-}
-
-/// Scan free text (comment contents) for suppression markers. A marker name
-/// not followed by an opening parenthesis is prose and ignored.
-void scanTextForMarkers(const std::string& text, int baseLine,
-                        std::vector<RawMarker>& out) {
-  const std::string name = "MB_DET_ALLOW";
-  std::size_t pos = 0;
-  while ((pos = text.find(name, pos)) != std::string::npos) {
-    if (pos > 0 && identChar(text[pos - 1])) { pos += name.size(); continue; }
-    RawMarker m;
-    m.line = baseLine + static_cast<int>(std::count(text.begin(),
-                                                   text.begin() + static_cast<std::ptrdiff_t>(pos), '\n'));
-    std::size_t j = pos + name.size();
-    if (text.compare(j, 5, "_FILE") == 0) { m.fileScope = true; j += 5; }
-    while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-    if (j >= text.size() || text[j] != '(') { pos = j; continue; }  // prose
-    ++j;
-    while (j < text.size() && text[j] != ',' && text[j] != ')' && text[j] != '\n')
-      m.code += text[j++];
-    while (!m.code.empty() && (m.code.back() == ' ' || m.code.back() == '\t'))
-      m.code.pop_back();
-    while (!m.code.empty() && (m.code.front() == ' ' || m.code.front() == '\t'))
-      m.code.erase(m.code.begin());
-    if (j >= text.size() || text[j] == '\n') {
-      m.malformed = true;
-    } else if (text[j] == ',') {
-      ++j;
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-      if (j < text.size() && text[j] == '"') {
-        ++j;
-        while (j < text.size() && text[j] != '"' && text[j] != '\n')
-          m.reason += text[j++];
-        if (j < text.size() && text[j] == '"') m.hasReason = !m.reason.empty();
-        else m.malformed = true;
-      } else {
-        m.malformed = true;
-      }
-    }
-    out.push_back(std::move(m));
-    pos = j;
-  }
-}
-
-/// Scan the token stream for suppression markers written as code — the
-/// no-op macros from common/ownership.hpp.
-void scanToksForMarkers(const std::vector<Tok>& toks, std::vector<RawMarker>& out) {
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    const bool plain = isI(toks[i], "MB_DET_ALLOW");
-    const bool file = isI(toks[i], "MB_DET_ALLOW_FILE");
-    if ((!plain && !file) || !isP(toks[i + 1], "(")) continue;
-    RawMarker m;
-    m.fileScope = file;
-    m.line = toks[i].line;
-    std::size_t j = i + 2;
-    int depth = 1;
-    bool sawComma = false;
-    for (; j < toks.size(); ++j) {
-      if (isP(toks[j], "(")) ++depth;
-      else if (isP(toks[j], ")")) {
-        if (--depth == 0) break;
-      } else if (depth == 1 && isP(toks[j], ",")) { sawComma = true; ++j; break; }
-      m.code += toks[j].text;
-    }
-    if (sawComma) {
-      if (j < toks.size() && toks[j].kind == Tok::Kind::Str) {
-        m.reason = toks[j].text;
-        m.hasReason = !m.reason.empty();
-      } else {
-        m.malformed = true;
-      }
-    }
-    out.push_back(std::move(m));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Findings (pre-suppression).
 
-struct Finding {
-  std::string code;
-  Severity severity = Severity::Error;
-  std::string message;
-  std::string file;
-  int line = 1;
-  std::vector<std::pair<std::string, std::string>> ctx;
-  std::size_t refIndex = kNpos;  // into OwnershipMap::refs for MB-DET-006
-};
-
-void add(std::vector<Finding>& out, const char* code, std::string message,
+void add(std::vector<Diagnostic>& out, const char* code, std::string message,
          const std::string& file, int line,
          std::vector<std::pair<std::string, std::string>> ctx = {}) {
-  Finding f;
-  f.code = code;
-  f.message = std::move(message);
-  f.file = file;
-  f.line = line;
-  f.ctx = std::move(ctx);
-  out.push_back(std::move(f));
+  Diagnostic& d = out.emplace_back(code, Severity::Error, std::move(message));
+  d.where = SourceLocation{file, line};
+  d.context = std::move(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +54,10 @@ constexpr const char* kClockTypes[] = {
     "minstd_rand", "minstd_rand0", "ranlux24", "ranlux48", "knuth_b",
     "steady_clock", "system_clock", "high_resolution_clock"};
 constexpr const char* kBeginNames[] = {"begin", "cbegin", "rbegin", "crbegin"};
+/// Path suffixes where MB-DET-003 is sanctioned without per-line
+/// suppressions: the one blessed randomness source and the perf-harness
+/// wall-timing code.
+constexpr const char* kClockAllowlist[] = {"common/rng.hpp", "bench/perf_harness.cpp"};
 
 template <typename Arr>
 bool inList(const Arr& arr, const std::string& s) {
@@ -219,7 +115,7 @@ void collectDecls(const std::vector<Tok>& t, DeclState& st) {
 }
 
 void checkFile(const std::string& path, const std::vector<Tok>& t,
-               bool clockAllowed, std::vector<Finding>& out) {
+               bool clockAllowed, std::vector<Diagnostic>& out) {
   DeclState st;
   collectDecls(t, st);
   collectDecls(t, st);
@@ -445,50 +341,40 @@ std::string OwnershipMap::text() const {
 // ---------------------------------------------------------------------------
 // DetLinter.
 
-DetLinter::DetLinter(DiagnosticEngine& engine, DetLintOptions opts)
-    : engine_(engine), opts_(std::move(opts)) {}
-
-void DetLinter::run(const std::vector<DetFileInput>& files) {
+void DetLinter::run(const std::vector<SourceFile>& files) {
   ownership_ = OwnershipMap{};
   suppressions_.clear();
 
   std::vector<Lexed> lexed;
   lexed.reserve(files.size());
-  for (const DetFileInput& f : files) lexed.push_back(lex(f.contents));
+  for (const SourceFile& f : files) lexed.push_back(lex(f.contents));
 
-  std::vector<Finding> findings;
+  std::vector<Diagnostic> findings;
 
   // Markers: suppressions (valid ones) and MB-DET-007 (malformed ones).
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    std::vector<RawMarker> markers;
-    for (const Comment& c : lexed[fi].comments)
-      scanTextForMarkers(c.text, c.line, markers);
-    scanToksForMarkers(lexed[fi].toks, markers);
-    for (RawMarker& m : markers) {
-      if (m.malformed || !validDetCode(m.code) || !m.hasReason) {
+    for (const Marker& m :
+         scanMarkers(lexed[fi], {"MB_DET_ALLOW", "MB_DET_ALLOW_FILE"})) {
+      const bool validCode = hasCodeShape(m.first, "MB-DET-");
+      if (m.malformed || !validCode || m.reason.empty()) {
         std::string why = m.malformed ? "unparseable marker"
-                          : !validDetCode(m.code)
-                              ? "code '" + m.code + "' is not a valid MB-DET code"
+                          : !validCode
+                              ? "code '" + m.first + "' is not a valid MB-DET code"
                               : "missing or empty reason string";
         add(findings, "MB-DET-007",
             "malformed suppression marker: " + why, files[fi].path, m.line,
-            {{"code", m.code}});
+            {{"code", m.first}});
         continue;
       }
-      DetSuppression s;
-      s.code = m.code;
-      s.reason = m.reason;
-      s.file = files[fi].path;
-      s.line = m.line;
-      s.fileScope = m.fileScope;
-      suppressions_.push_back(std::move(s));
+      suppressions_.push_back({m.first, m.reason, files[fi].path, m.line,
+                               m.name == "MB_DET_ALLOW_FILE", 0});
     }
   }
 
   // Determinism checks per file.
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
     bool clockAllowed = false;
-    for (const std::string& suffix : opts_.clockAllowlist) {
+    for (const std::string suffix : kClockAllowlist) {
       const std::string& p = files[fi].path;
       if (p.size() >= suffix.size() &&
           p.compare(p.size() - suffix.size(), suffix.size(), suffix) == 0)
@@ -578,47 +464,39 @@ void DetLinter::run(const std::vector<DetFileInput>& files) {
     }
   }
   // ...and channel-local -> cross-channel references.
-  if (opts_.ownership) {
-    std::set<std::tuple<std::string, std::string, std::string, int>> seen;
-    for (const auto& [name, info] : types) {
-      if (info.cross) continue;
-      for (const Span& s : info.spans) {
-        const std::vector<Tok>& t = lexed[s.file].toks;
-        for (std::size_t i = s.begin; i <= s.end && i < t.size(); ++i) {
-          if (t[i].kind != Tok::Kind::Ident) continue;
-          const auto target = types.find(t[i].text);
-          if (target == types.end() || !target->second.cross) continue;
-          if (i > s.begin && (isI(t[i - 1], "class") || isI(t[i - 1], "struct")))
-            continue;  // forward declaration, not a use
-          if (!seen.emplace(name, t[i].text, files[s.file].path, t[i].line).second)
-            continue;
-          OwnershipMap::Ref ref;
-          ref.fromType = name;
-          ref.toType = t[i].text;
-          ref.file = files[s.file].path;
-          ref.line = t[i].line;
-          ref.declared = info.interfaces.count(t[i].text) > 0;
-          ownership_.refs.push_back(ref);
-          if (!ref.declared) {
-            Finding f;
-            f.code = "MB-DET-006";
-            f.message = "channel-local '" + name + "' references cross-channel '" +
-                        t[i].text + "' without a declared MB_CHANNEL_IFACE";
-            f.file = ref.file;
-            f.line = ref.line;
-            f.ctx = {{"from", name}, {"to", t[i].text}};
-            f.refIndex = ownership_.refs.size() - 1;
-            findings.push_back(std::move(f));
-          }
-        }
+  std::set<std::tuple<std::string, std::string, std::string, int>> seen;
+  for (const auto& [name, info] : types) {
+    if (info.cross) continue;
+    for (const Span& s : info.spans) {
+      const std::vector<Tok>& t = lexed[s.file].toks;
+      for (std::size_t i = s.begin; i <= s.end && i < t.size(); ++i) {
+        if (t[i].kind != Tok::Kind::Ident) continue;
+        const auto target = types.find(t[i].text);
+        if (target == types.end() || !target->second.cross) continue;
+        if (i > s.begin && (isI(t[i - 1], "class") || isI(t[i - 1], "struct")))
+          continue;  // forward declaration, not a use
+        if (!seen.emplace(name, t[i].text, files[s.file].path, t[i].line).second)
+          continue;
+        OwnershipMap::Ref ref;
+        ref.fromType = name;
+        ref.toType = t[i].text;
+        ref.file = files[s.file].path;
+        ref.line = t[i].line;
+        ref.declared = info.interfaces.count(t[i].text) > 0;
+        ownership_.refs.push_back(ref);
+        if (!ref.declared)
+          add(findings, "MB-DET-006",
+              "channel-local '" + name + "' references cross-channel '" +
+                  t[i].text + "' without a declared MB_CHANNEL_IFACE",
+              ref.file, ref.line, {{"from", name}, {"to", t[i].text}});
       }
     }
-    std::sort(ownership_.refs.begin(), ownership_.refs.end(),
-              [](const OwnershipMap::Ref& a, const OwnershipMap::Ref& b) {
-                return std::tie(a.fromType, a.toType, a.file, a.line) <
-                       std::tie(b.fromType, b.toType, b.file, b.line);
-              });
   }
+  std::sort(ownership_.refs.begin(), ownership_.refs.end(),
+            [](const OwnershipMap::Ref& a, const OwnershipMap::Ref& b) {
+              return std::tie(a.fromType, a.toType, a.file, a.line) <
+                     std::tie(b.fromType, b.toType, b.file, b.line);
+            });
   for (const auto& [name, info] : types) {
     OwnershipMap::Type t;
     t.name = name;
@@ -631,52 +509,18 @@ void DetLinter::run(const std::vector<DetFileInput>& files) {
 
   // Apply suppressions; a suppressed MB-DET-006 marks its reference as
   // sanctioned in the ownership map (the audit trail carries the reason).
-  for (Finding& f : findings) {
-    bool suppressed = false;
-    for (DetSuppression& s : suppressions_) {
-      if (s.code != f.code || s.file != f.file) continue;
-      if (!s.fileScope && s.line != f.line && s.line + 1 != f.line) continue;
-      ++s.uses;
-      suppressed = true;
-      break;
-    }
-    if (suppressed) {
-      if (f.refIndex != kNpos) {
-        for (OwnershipMap::Ref& r : ownership_.refs) {
-          if (r.fromType == f.ctx[0].second && r.toType == f.ctx[1].second &&
-              r.file == f.file && r.line == f.line)
-            r.declared = true;
-        }
-      }
-      continue;
-    }
-    Diagnostic d(f.code, f.severity, f.message);
-    d.where = SourceLocation{f.file, f.line};
-    for (auto& [k, v] : f.ctx) d.with(k, v);
-    engine_.report(std::move(d));
+  const std::vector<Diagnostic> suppressed = reportFindings(
+      engine_, std::move(findings), suppressions_, "MB-DET-008",
+      [](const std::string& code) {
+        return "suppression for " + code + " matched no finding — stale?";
+      });
+  for (const Diagnostic& d : suppressed) {
+    if (d.code != "MB-DET-006") continue;
+    for (OwnershipMap::Ref& r : ownership_.refs)
+      if (r.fromType == d.context[0].second && r.toType == d.context[1].second &&
+          r.file == d.where.file && r.line == d.where.line)
+        r.declared = true;
   }
-
-  // MB-DET-008: suppressions that matched nothing.
-  for (const DetSuppression& s : suppressions_) {
-    if (s.uses > 0) continue;
-    Diagnostic d("MB-DET-008", Severity::Warning,
-                 "suppression for " + s.code + " matched no finding — stale?");
-    d.where = SourceLocation{s.file, s.line};
-    d.with("reason", s.reason);
-    engine_.report(std::move(d));
-  }
-
-  engine_.sortByLocation();
-}
-
-// ---------------------------------------------------------------------------
-// File discovery.
-
-std::vector<std::string> collectDetSourceFiles(
-    const std::string& root, const std::vector<std::string>& subdirs) {
-  // The annotation vocabulary itself documents the markers it defines;
-  // scanning it would only report its own documentation.
-  return collectSourceFiles(root, subdirs, {"common/ownership.hpp"});
 }
 
 }  // namespace mb::analysis

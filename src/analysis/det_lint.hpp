@@ -1,6 +1,6 @@
-// Determinism & channel-ownership static analysis (mbdetcheck's engine).
+// Determinism & channel-ownership static analysis (`mbstatic det`).
 //
-// The sharded-simulation refactor (ROADMAP item 1) gives every memory
+// The channel-sharded engine (DESIGN.md §14) gives every memory
 // channel its own event queue; a run stays reproducible only if no
 // component's behaviour depends on hash-table order, pointer values,
 // wall clocks, or hidden global state, and if every channel-local component
@@ -36,7 +36,8 @@
 // MB_CHANNEL_IFACE are recognized in code (they are no-op macros);
 // MB_DET_ALLOW / MB_DET_ALLOW_FILE are recognized in code or comments and
 // suppress matching findings on the same or the following line (file-wide
-// for the _FILE form), each with a mandatory reason.
+// for the _FILE form), each with a mandatory reason. Marker scanning and
+// suppression matching are shared with snap_lint (cxx_lexer.hpp).
 #pragma once
 
 #include <string>
@@ -46,32 +47,6 @@
 #include "analysis/diagnostic.hpp"
 
 namespace mb::analysis {
-
-struct DetLintOptions {
-  /// Path suffixes where MB-DET-003 findings are sanctioned without
-  /// per-line suppressions: the one blessed randomness source and the
-  /// perf-harness wall-timing code.
-  std::vector<std::string> clockAllowlist = {"common/rng.hpp",
-                                             "bench/perf_harness.cpp"};
-  /// Run the MB-DET-006 ownership pass and build the ownership map.
-  bool ownership = true;
-};
-
-/// One analyzed source file, path as it should appear in diagnostics.
-struct DetFileInput {
-  std::string path;
-  std::string contents;
-};
-
-/// An applied or dangling MB_DET_ALLOW, kept for the audit trail.
-struct DetSuppression {
-  std::string code;
-  std::string reason;
-  std::string file;
-  int line = 0;
-  bool fileScope = false;
-  int uses = 0;  // findings suppressed by this entry
-};
 
 /// The machine-checked ownership map: every annotated type and every
 /// channel-local -> cross-channel type reference found in the tree.
@@ -101,28 +76,20 @@ struct OwnershipMap {
 
 class DetLinter {
  public:
-  explicit DetLinter(DiagnosticEngine& engine, DetLintOptions opts = {});
+  explicit DetLinter(DiagnosticEngine& engine) : engine_(engine) {}
 
   /// Analyze the given files as one program: per-file determinism checks,
   /// then the cross-file ownership pass. Diagnostics land in the engine
   /// sorted by (file, line, code).
-  void run(const std::vector<DetFileInput>& files);
+  void run(const std::vector<SourceFile>& files);
 
   const OwnershipMap& ownership() const { return ownership_; }
-  const std::vector<DetSuppression>& suppressions() const { return suppressions_; }
+  const std::vector<Suppression>& suppressions() const { return suppressions_; }
 
  private:
   DiagnosticEngine& engine_;
-  DetLintOptions opts_;
   OwnershipMap ownership_;
-  std::vector<DetSuppression> suppressions_;
+  std::vector<Suppression> suppressions_;
 };
-
-/// All .hpp/.cpp files under root/<sub> for each subdirectory, as
-/// root-relative paths in lexicographic order (deterministic walk).
-/// common/ownership.hpp — the annotation vocabulary itself — is excluded.
-/// (readFileToString lives in cxx_lexer.hpp alongside collectSourceFiles.)
-std::vector<std::string> collectDetSourceFiles(
-    const std::string& root, const std::vector<std::string>& subdirs);
 
 }  // namespace mb::analysis

@@ -37,7 +37,7 @@ enum class Severity {
 const char* severityName(Severity s);
 
 /// Optional source location of the finding: the C++ check that fired, or —
-/// for source analyses like mbdetcheck — the analyzed file itself. Owned
+/// for source analyses like mbstatic's — the analyzed file itself. Owned
 /// string so dynamically discovered paths outlive their producer.
 struct SourceLocation {
   std::string file;
@@ -107,7 +107,7 @@ class MB_CROSS_CHANNEL DiagnosticEngine {
   std::string renderJson() const;
 
   /// Stable-sort the stored diagnostics by (location file, line, code):
-  /// producers that scan files in discovery order (mbdetcheck) call this
+  /// producers that scan files in discovery order (mbstatic) call this
   /// before rendering so text and JSON output diff cleanly run-to-run.
   /// Report order within one (file, line, code) is preserved.
   void sortByLocation();

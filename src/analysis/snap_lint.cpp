@@ -7,13 +7,13 @@
 #include <set>
 #include <sstream>
 
+#include "ckpt/serialize.hpp"
+
 namespace mb::analysis {
 namespace {
 
 using Tok = cxx::Token;
-using cxx::Comment;
 using cxx::identChar;
-using cxx::isDigit;
 using cxx::isI;
 using cxx::isP;
 using cxx::kNpos;
@@ -84,19 +84,14 @@ struct SnapFn {
 struct TransientMark {
   std::string member;
   std::string reason;
-  bool hasReason = false;
   std::string cls;  // innermost enclosing class ("" if none)
   std::size_t file = 0;
   int line = 0;
 };
 
-struct RawMarker {  // an MB_SNAP_ALLOW[_FILE] occurrence, pre-validation
-  std::string code;
-  std::string reason;
-  bool hasReason = false;
-  bool fileScope = false;
+struct AllowMark {  // an MB_SNAP_ALLOW[_FILE] occurrence, pre-validation
+  Marker marker;
   std::size_t file = 0;
-  int line = 0;
 };
 
 struct SectionName {
@@ -104,31 +99,6 @@ struct SectionName {
   std::size_t file = 0;
   int line = 0;
 };
-
-struct Finding {
-  Diagnostic diag;
-};
-
-bool validSnapCode(const std::string& code) {
-  if (code.size() != 10 || code.compare(0, 7, "MB-SNP-") != 0) return false;
-  return isDigit(code[7]) && isDigit(code[8]) && isDigit(code[9]);
-}
-
-std::uint64_t fnv1a64Local(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // Class spans and member declarations.
@@ -391,100 +361,6 @@ void extractStream(const std::vector<Tok>& t, SnapFn& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Marker scanning (code tokens and comments).
-
-void scanCommentForSnapMarkers(const std::string& text, int baseLine,
-                               std::size_t fileIdx,
-                               std::vector<TransientMark>& transients,
-                               std::vector<RawMarker>& allows) {
-  static const char* names[] = {"MB_SNAP_TRANSIENT", "MB_SNAP_ALLOW_FILE",
-                                "MB_SNAP_ALLOW"};
-  for (const char* nm : names) {
-    const std::string name = nm;
-    std::size_t pos = 0;
-    while ((pos = text.find(name, pos)) != std::string::npos) {
-      if (pos > 0 && identChar(text[pos - 1])) { pos += name.size(); continue; }
-      const std::size_t after = pos + name.size();
-      if (after < text.size() && identChar(text[after])) {
-        pos = after;  // longer marker name: let that pass match it
-        continue;
-      }
-      const int line =
-          baseLine +
-          static_cast<int>(std::count(
-              text.begin(), text.begin() + static_cast<long>(pos), '\n'));
-      std::size_t p = after;
-      while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
-      if (p >= text.size() || text[p] != '(') { pos = after; continue; }
-      const std::size_t close = text.find(')', p);
-      const std::string args = text.substr(
-          p + 1, (close == std::string::npos ? text.size() : close) - p - 1);
-      const std::size_t comma = args.find(',');
-      std::string first = args.substr(0, comma);
-      while (!first.empty() && (first.front() == ' ' || first.front() == '\t'))
-        first.erase(first.begin());
-      while (!first.empty() && (first.back() == ' ' || first.back() == '\t'))
-        first.pop_back();
-      std::string reason;
-      bool hasReason = false;
-      if (comma != std::string::npos) {
-        const std::size_t q1 = args.find('"', comma);
-        const std::size_t q2 =
-            q1 == std::string::npos ? std::string::npos : args.find('"', q1 + 1);
-        if (q2 != std::string::npos) {
-          reason = args.substr(q1 + 1, q2 - q1 - 1);
-          hasReason = !reason.empty();
-        }
-      }
-      if (name == "MB_SNAP_TRANSIENT")
-        transients.push_back({first, reason, hasReason, "", fileIdx, line});
-      else
-        allows.push_back({first, reason, hasReason,
-                          name == "MB_SNAP_ALLOW_FILE", fileIdx, line});
-      pos = after;
-    }
-  }
-}
-
-void scanToksForSnapMarkers(const std::vector<Tok>& t, std::size_t fileIdx,
-                            std::vector<TransientMark>& transients,
-                            std::vector<RawMarker>& allows) {
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Tok::Kind::Ident || !isP(t[i + 1], "(")) continue;
-    const bool isTransient = t[i].text == "MB_SNAP_TRANSIENT";
-    const bool isAllow = t[i].text == "MB_SNAP_ALLOW";
-    const bool isAllowFile = t[i].text == "MB_SNAP_ALLOW_FILE";
-    if (!isTransient && !isAllow && !isAllowFile) continue;
-    const std::size_t close = matchForward(t, i + 1, "(", ")");
-    if (close == kNpos) continue;
-    // First argument: tokens up to the first top-level ',' concatenated
-    // (a code like MB-SNP-003 lexes as several tokens).
-    std::string first;
-    std::size_t j = i + 2;
-    int depth = 0;
-    for (; j < close; ++j) {
-      if (isP(t[j], "(")) ++depth;
-      else if (isP(t[j], ")")) --depth;
-      else if (isP(t[j], ",") && depth == 0) break;
-      first += t[j].text;
-    }
-    std::string reason;
-    bool hasReason = false;
-    for (std::size_t k = j; k < close; ++k)
-      if (t[k].kind == Tok::Kind::Str) {
-        reason = t[k].text;
-        hasReason = !reason.empty();
-        break;
-      }
-    if (isTransient)
-      transients.push_back({first, reason, hasReason, "", fileIdx, t[i].line});
-    else
-      allows.push_back(
-          {first, reason, hasReason, isAllowFile, fileIdx, t[i].line});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Section-name scanning (MB-SNP-002).
 
 /// First token index of argument N (0-based) of the call whose '(' is at
@@ -621,6 +497,13 @@ struct BodySpan {
 
 // ---------------------------------------------------------------------------
 
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 int parseSnapshotVersion(const std::string& headerText) {
   const Lexed lx = lex(headerText);
   const std::vector<Tok>& t = lx.toks;
@@ -642,10 +525,10 @@ std::string SnapLinter::renderBaseline() const {
   std::sort(sorted.begin(), sorted.end(),
             [](const SnapPair* a, const SnapPair* b) { return a->key < b->key; });
   std::ostringstream os;
-  os << "# mbsnapcheck fingerprint baseline — `pair fingerprint` per line,\n"
+  os << "# mbstatic snap fingerprint baseline — `pair fingerprint` per line,\n"
         "# stamped with the ckpt::kSnapshotVersion it was recorded against.\n"
         "# A fingerprint change without a version bump is MB-SNP-004;\n"
-        "# regenerate: mbsnapcheck --write-baseline=tools/snap_baseline.txt\n";
+        "# regenerate: mbstatic snap --write-baseline=tools/snap_baseline.txt\n";
   os << "version " << (opts_.snapshotVersion < 0 ? 0 : opts_.snapshotVersion)
      << "\n";
   for (const SnapPair* p : sorted)
@@ -653,10 +536,10 @@ std::string SnapLinter::renderBaseline() const {
   return os.str();
 }
 
-void SnapLinter::run(const std::vector<SnapFileInput>& files) {
+void SnapLinter::run(const std::vector<SourceFile>& files) {
   std::vector<Lexed> lexed;
   lexed.reserve(files.size());
-  for (const SnapFileInput& f : files) lexed.push_back(lex(f.contents));
+  for (const SourceFile& f : files) lexed.push_back(lex(f.contents));
 
   // ---- structural inventory --------------------------------------------
   std::vector<ClassSpan> spans;
@@ -665,14 +548,18 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
 
   std::vector<SnapFn> fns;
   std::vector<TransientMark> transients;
-  std::vector<RawMarker> allows;
+  std::vector<AllowMark> allows;
   std::vector<SectionName> saveSections, loadSections;
 
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
     const std::vector<Tok>& t = lexed[fi].toks;
-    scanToksForSnapMarkers(t, fi, transients, allows);
-    for (const Comment& c : lexed[fi].comments)
-      scanCommentForSnapMarkers(c.text, c.line, fi, transients, allows);
+    for (Marker& m : scanMarkers(lexed[fi], {"MB_SNAP_TRANSIENT", "MB_SNAP_ALLOW",
+                                             "MB_SNAP_ALLOW_FILE"})) {
+      if (m.name == "MB_SNAP_TRANSIENT")
+        transients.push_back({m.first, m.reason, "", fi, m.line});
+      else
+        allows.push_back({std::move(m), fi});
+    }
     collectSections(t, fi, saveSections, loadSections);
 
     for (std::size_t j = 0; j + 1 < t.size(); ++j) {
@@ -748,14 +635,12 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
     }
   }
 
-  std::vector<Finding> findings;
+  std::vector<Diagnostic> findings;
   auto add = [&](const char* code, Severity sev, std::string msg,
                  const std::string& file, int line) -> Diagnostic& {
-    Finding f;
-    f.diag = Diagnostic(code, sev, std::move(msg));
-    f.diag.where = SourceLocation{file, line};
-    findings.push_back(std::move(f));
-    return findings.back().diag;
+    Diagnostic& d = findings.emplace_back(code, sev, std::move(msg));
+    d.where = SourceLocation{file, line};
+    return d;
   };
 
   auto join = [](const std::vector<Op>& ops) {
@@ -773,7 +658,7 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
     const SnapFn* lf = p.hasLoad ? loadFns[key] : nullptr;
     if (sf) p.saveStream = join(sf->ops);
     if (lf) p.loadStream = join(lf->ops);
-    p.fingerprint = fnv1a64Local(p.saveStream);
+    p.fingerprint = ckpt::fnv1a64(p.saveStream);
 
     if (p.hasSave != p.hasLoad) {
       add("MB-SNP-001", Severity::Error,
@@ -960,7 +845,7 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
 
   // ---- annotation well-formedness (MB-SNP-007) -------------------------
   for (const TransientMark& m : transients) {
-    if (!m.hasReason) {
+    if (m.reason.empty()) {
       add("MB-SNP-007", Severity::Error,
           "MB_SNAP_TRANSIENT(" + m.member + ") needs a non-empty reason",
           files[m.file].path, m.line);
@@ -995,16 +880,17 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
               " declares no such data member",
           files[m.file].path, m.line);
   }
-  for (const RawMarker& a : allows) {
-    if (!validSnapCode(a.code))
+  for (const AllowMark& a : allows) {
+    const Marker& m = a.marker;
+    if (!hasCodeShape(m.first, "MB-SNP-"))
       add("MB-SNP-007", Severity::Error,
-          "MB_SNAP_ALLOW with malformed code \"" + a.code +
+          "MB_SNAP_ALLOW with malformed code \"" + m.first +
               "\" (want MB-SNP-0xx)",
-          files[a.file].path, a.line);
-    else if (!a.hasReason)
+          files[a.file].path, m.line);
+    else if (m.reason.empty())
       add("MB-SNP-007", Severity::Error,
-          "MB_SNAP_ALLOW(" + a.code + ") needs a non-empty reason",
-          files[a.file].path, a.line);
+          "MB_SNAP_ALLOW(" + m.first + ") needs a non-empty reason",
+          files[a.file].path, m.line);
   }
 
   // ---- fingerprint baseline (MB-SNP-004) -------------------------------
@@ -1061,40 +947,17 @@ void SnapLinter::run(const std::vector<SnapFileInput>& files) {
 
   // ---- suppressions (unused ones are MB-SNP-008) -----------------------
   suppressions_.clear();
-  std::vector<SnapSuppression> sups;
-  for (const RawMarker& a : allows) {
-    if (!validSnapCode(a.code) || !a.hasReason) continue;  // 007 above
-    sups.push_back(
-        {a.code, a.reason, files[a.file].path, a.line, a.fileScope, 0});
+  for (const AllowMark& a : allows) {
+    const Marker& m = a.marker;
+    if (!hasCodeShape(m.first, "MB-SNP-") || m.reason.empty()) continue;  // 007 above
+    suppressions_.push_back({m.first, m.reason, files[a.file].path, m.line,
+                             m.name == "MB_SNAP_ALLOW_FILE", 0});
   }
-  std::vector<Finding> kept;
-  for (Finding& f : findings) {
-    bool suppressed = false;
-    for (SnapSuppression& s : sups) {
-      if (s.code != f.diag.code || s.file != f.diag.where.file) continue;
-      if (!s.fileScope && f.diag.where.line != s.line &&
-          f.diag.where.line != s.line + 1)
-        continue;
-      ++s.uses;
-      suppressed = true;
-      break;
-    }
-    if (!suppressed) kept.push_back(std::move(f));
-  }
-  for (const SnapSuppression& s : sups)
-    if (s.uses == 0) {
-      Finding f;
-      f.diag = Diagnostic("MB-SNP-008", Severity::Warning,
-                          "unused suppression for " + s.code +
-                              " — remove it or it hides future findings");
-      f.diag.where = SourceLocation{s.file, s.line};
-      f.diag.with("reason", s.reason);
-      kept.push_back(std::move(f));
-    }
-  suppressions_ = std::move(sups);
-
-  for (Finding& f : kept) engine_.report(std::move(f.diag));
-  engine_.sortByLocation();
+  reportFindings(engine_, std::move(findings), suppressions_, "MB-SNP-008",
+                 [](const std::string& code) {
+                   return "unused suppression for " + code +
+                          " — remove it or it hides future findings";
+                 });
 }
 
 }  // namespace mb::analysis

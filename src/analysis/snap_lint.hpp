@@ -1,5 +1,5 @@
 // Save/load symmetry & serialization-completeness static analysis
-// (mbsnapcheck's engine).
+// (`mbstatic snap`).
 //
 // PR 4 gave every stateful component a save(ckpt::Writer&)/load(ckpt::Reader&)
 // pair and the checkpoint work since then relies on the snapshot-compatibility
@@ -36,7 +36,8 @@
 //               member that save() actually writes
 //
 // Annotations are defined in common/ownership.hpp and recognized lexically
-// in code or comments, same contract as the MB_DET vocabulary.
+// in code or comments by the marker scanner and suppression matcher shared
+// with det_lint (cxx_lexer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -62,22 +63,6 @@ struct SnapLintOptions {
   bool haveBaseline = false;
 };
 
-/// One analyzed source file, path as it should appear in diagnostics.
-struct SnapFileInput {
-  std::string path;
-  std::string contents;
-};
-
-/// An applied or dangling MB_SNAP_ALLOW, kept for the audit trail.
-struct SnapSuppression {
-  std::string code;
-  std::string reason;
-  std::string file;
-  int line = 0;
-  bool fileScope = false;
-  int uses = 0;
-};
-
 /// One matched (or half-matched) save/load pair and its canonical streams,
 /// exposed for the fingerprint baseline and the tools' reporting.
 struct SnapPair {
@@ -100,10 +85,10 @@ class SnapLinter {
 
   /// Analyze the given files as one program. Diagnostics land in the engine
   /// sorted by (file, line, code).
-  void run(const std::vector<SnapFileInput>& files);
+  void run(const std::vector<SourceFile>& files);
 
   const std::vector<SnapPair>& pairs() const { return pairs_; }
-  const std::vector<SnapSuppression>& suppressions() const { return suppressions_; }
+  const std::vector<Suppression>& suppressions() const { return suppressions_; }
 
   /// Render the fingerprint baseline for --write-baseline: a version line
   /// followed by one `key fingerprint-hex` line per pair, sorted by key.
@@ -113,8 +98,12 @@ class SnapLinter {
   DiagnosticEngine& engine_;
   SnapLintOptions opts_;
   std::vector<SnapPair> pairs_;
-  std::vector<SnapSuppression> suppressions_;
+  std::vector<Suppression> suppressions_;
 };
+
+/// A fingerprint as the baseline and the JSON output spell it: 16
+/// lower-case hex digits.
+std::string hex16(std::uint64_t v);
 
 /// Parse `kSnapshotVersion = N` out of the snapshot header's text; -1 when
 /// absent (the tool feeds this into SnapLintOptions::snapshotVersion).

@@ -9,7 +9,7 @@
 // event queue per channel, merged by (when,seq)). FlatMap stores its entries
 // as a vector sorted by key, so iteration order is the key order by
 // construction: a walk over a FlatMap can feed reports, serialization, or
-// scheduling decisions without an extra sort, and mbdetcheck (MB-DET-001)
+// scheduling decisions without an extra sort, and `mbstatic det` (MB-DET-001)
 // does not need to reason about whether a given loop is observable.
 //
 // Shape: binary-searched sorted vector. O(log n) find, O(n) insert/erase

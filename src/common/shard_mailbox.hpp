@@ -12,7 +12,7 @@
 // sender, not by delivery timing, and the execution order is independent of
 // the shard count and of worker scheduling.
 //
-// This is a deliberate, declared cross-channel seam: mbdetcheck counts the
+// This is a deliberate, declared cross-channel seam: `mbstatic det` counts the
 // MB_CHANNEL_IFACE reference in MemoryController against this class.
 #pragma once
 

@@ -2,12 +2,18 @@
 // both sit on this tokenizer, so the conformance corners its header
 // promises — raw strings, digit separators, spliced comments, uncombined
 // angle brackets — are pinned here once rather than re-proved per analysis.
+// The shared marker scanner and suppression matcher are driven through both
+// analyses by one table of cases.
 #include "analysis/cxx_lexer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
+
+#include "analysis/det_lint.hpp"
+#include "analysis/snap_lint.hpp"
 
 namespace mb::analysis::cxx {
 namespace {
@@ -181,18 +187,123 @@ TEST(CxxLexer, CharLiteralsAndEscapes) {
 }
 
 TEST(CxxLexer, CollectSourceFilesIsSortedAndFiltered) {
-  // The repo's own tree is the fixture: deterministic lexicographic order,
-  // and the exclude-suffix hook drops the annotation vocabulary header.
+  // The repo's own tree is the fixture, walked the way each analysis walks
+  // it (snap: src; det: src, bench, tools): deterministic lexicographic
+  // order, and the exclude-suffix hook drops the annotation vocabulary.
 #ifdef MB_SOURCE_ROOT
-  const auto all = collectSourceFiles(MB_SOURCE_ROOT, {"src"});
-  ASSERT_FALSE(all.empty());
-  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_LT(all[i - 1], all[i]);
-  const auto filtered =
-      collectSourceFiles(MB_SOURCE_ROOT, {"src"}, {"common/ownership.hpp"});
-  EXPECT_EQ(filtered.size(), all.size() - 1);
-  for (const std::string& p : filtered)
-    EXPECT_EQ(p.find("common/ownership.hpp"), std::string::npos);
+  const std::vector<std::vector<std::string>> walks = {{"src"},
+                                                       {"src", "bench", "tools"}};
+  for (const std::vector<std::string>& subdirs : walks) {
+    const auto all = collectSourceFiles(MB_SOURCE_ROOT, subdirs);
+    ASSERT_GT(all.size(), 50u);
+    for (std::size_t i = 1; i < all.size(); ++i) EXPECT_LT(all[i - 1], all[i]);
+    const auto filtered =
+        collectSourceFiles(MB_SOURCE_ROOT, subdirs, {"common/ownership.hpp"});
+    EXPECT_EQ(filtered.size(), all.size() - 1);
+    for (const std::string& p : filtered)
+      EXPECT_EQ(p.find("common/ownership.hpp"), std::string::npos);
+  }
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Annotation markers: one table of cases, run through both analyses.
+
+/// One analysis's marker vocabulary and a snippet whose last line trips
+/// exactly one error finding.
+struct Vocabulary {
+  const char* analysis;
+  std::string allow;      // same/next-line marker
+  std::string allowFile;  // file-scope marker
+  std::string prefix;     // registry prefix, "MB-DET-"
+  std::string code;       // the snippet's finding
+  std::string otherCode;  // a valid code that does not fire in the snippet
+  std::string prelude;    // lines before the finding line
+  std::string finding;
+};
+
+enum class Place { SameLine, NextLine, FileScope, Far };
+enum class Arg { Own, Other, NoReason, Prose };
+
+struct MarkerCase {
+  const char* what;
+  Place place;
+  bool comment;  // comment form, else code form
+  Arg arg;
+  bool suppressed;    // the finding is suppressed
+  const char* extra;  // a further code the analysis reports (007/008)
+};
+
+constexpr MarkerCase kMarkerCases[] = {
+    {"same line, code form", Place::SameLine, false, Arg::Own, true, nullptr},
+    {"same line, comment form", Place::SameLine, true, Arg::Own, true, nullptr},
+    {"next line, code form", Place::NextLine, false, Arg::Own, true, nullptr},
+    {"next line, comment form", Place::NextLine, true, Arg::Own, true, nullptr},
+    {"file scope, code form", Place::FileScope, false, Arg::Own, true, nullptr},
+    {"file scope, comment form", Place::FileScope, true, Arg::Own, true, nullptr},
+    {"a different code does not apply", Place::NextLine, true, Arg::Other, false, "008"},
+    {"a prose mention is ignored", Place::NextLine, true, Arg::Prose, false, nullptr},
+    {"a marker two lines away is unused", Place::Far, false, Arg::Own, false, "008"},
+    {"a missing reason is malformed", Place::NextLine, false, Arg::NoReason, false, "007"},
+};
+
+std::string markerSource(const Vocabulary& v, const MarkerCase& c) {
+  std::string marker;
+  if (c.arg == Arg::Prose) {
+    marker = "// the " + v.allow + " marker needs a reason";
+  } else {
+    marker = (c.place == Place::FileScope ? v.allowFile : v.allow) + "(" + v.prefix +
+             (c.arg == Arg::Other ? v.otherCode : v.code);
+    if (c.arg != Arg::NoReason) marker += ", \"why\"";
+    marker += ")";
+    if (c.comment) marker = "// " + marker;
+  }
+  switch (c.place) {
+    case Place::SameLine: return v.prelude + v.finding + " " + marker + "\n";
+    case Place::NextLine: return v.prelude + marker + "\n" + v.finding + "\n";
+    case Place::FileScope:
+    case Place::Far: return marker + "\n\n\n" + v.prelude + v.finding + "\n";
+  }
+  return "";
+}
+
+template <typename Linter>
+void checkMarkerCases(const Vocabulary& v) {
+  for (const MarkerCase& c : kMarkerCases) {
+    SCOPED_TRACE(std::string(v.analysis) + ": " + c.what);
+    const std::string src = markerSource(v, c);
+    DiagnosticEngine engine;
+    Linter linter(engine);
+    linter.run({{"t.cpp", src}});
+    std::vector<std::string> codes;
+    for (const Diagnostic& d : engine.diagnostics()) codes.push_back(d.code);
+    std::sort(codes.begin(), codes.end());
+    std::vector<std::string> want;
+    if (!c.suppressed) want.push_back(v.prefix + v.code);
+    if (c.extra != nullptr) want.push_back(v.prefix + c.extra);
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(codes, want) << src;
+
+    const std::vector<Suppression>& sups = linter.suppressions();
+    const bool wellFormed = c.arg == Arg::Own || c.arg == Arg::Other;
+    ASSERT_EQ(sups.size(), wellFormed ? 1u : 0u) << src;
+    if (!wellFormed) continue;
+    EXPECT_EQ(sups[0].uses, c.suppressed ? 1 : 0);
+    EXPECT_EQ(sups[0].fileScope, c.place == Place::FileScope);
+    EXPECT_EQ(sups[0].reason, "why");
+  }
+}
+
+TEST(Markers, DetVocabulary) {
+  checkMarkerCases<DetLinter>({"det", "MB_DET_ALLOW", "MB_DET_ALLOW_FILE", "MB-DET-",
+                               "004", "003", "", "static int counter = 0;"});
+}
+
+TEST(Markers, SnapVocabulary) {
+  checkMarkerCases<SnapLinter>(
+      {"snap", "MB_SNAP_ALLOW", "MB_SNAP_ALLOW_FILE", "MB-SNP-", "001", "002",
+       "inline void saveX(ckpt::Writer& w) { w.u32(1); }\n",
+       "inline void loadX(ckpt::Reader& r) { r.u64(); }"});
 }
 
 }  // namespace

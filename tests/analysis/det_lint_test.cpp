@@ -1,6 +1,6 @@
 // Unit tests for the determinism & channel-ownership linter. The seeded
 // fixture corpus under tests/analysis/det_fixtures/ exercises the shipped
-// CLI (`mbdetcheck --self-test`); these tests pin the engine's behaviour on
+// CLI (`mbstatic det --self-test`); these tests pin the engine's behaviour on
 // in-memory snippets: each check's trigger and non-trigger, suppression
 // scoping, annotation validation, and the ownership map.
 #include "analysis/det_lint.hpp"
@@ -16,12 +16,12 @@ namespace {
 struct LintRun {
   DiagnosticEngine engine;
   OwnershipMap ownership;
-  std::vector<DetSuppression> suppressions;
+  std::vector<Suppression> suppressions;
 };
 
-LintRun lint(const std::vector<DetFileInput>& files, DetLintOptions opts = {}) {
+LintRun lint(const std::vector<SourceFile>& files) {
   LintRun run;
-  DetLinter linter(run.engine, std::move(opts));
+  DetLinter linter(run.engine);
   linter.run(files);
   run.ownership = linter.ownership();
   run.suppressions = linter.suppressions();
@@ -303,7 +303,7 @@ TEST(DetLint, DeclaredInterfaceSanctionsTheReference) {
 TEST(DetLint, OutOfClassMemberDefinitionIsScanned) {
   // The reference lives only in the .cpp member definition; the interface
   // declared in the header still covers it.
-  const std::vector<DetFileInput> undeclared = {
+  const std::vector<SourceFile> undeclared = {
       {"engine.hpp",
        "class MB_CROSS_CHANNEL Bus { public: void post(int); };\n"
        "class MB_CHANNEL_LOCAL Engine { public: void flush(); };\n"},
@@ -312,7 +312,7 @@ TEST(DetLint, OutOfClassMemberDefinitionIsScanned) {
   const auto bad = lint(undeclared);
   EXPECT_EQ(countCode(bad, "MB-DET-006"), 1);
 
-  const std::vector<DetFileInput> declared = {
+  const std::vector<SourceFile> declared = {
       {"engine.hpp",
        "class MB_CROSS_CHANNEL Bus { public: void post(int); };\n"
        "class MB_CHANNEL_LOCAL Engine { public: void flush();\n"
@@ -326,7 +326,7 @@ TEST(DetLint, OutOfClassMemberDefinitionIsScanned) {
 }
 
 TEST(DetLint, ConstructorInitializerListDoesNotTruncateTheBodySpan) {
-  const std::vector<DetFileInput> files = {
+  const std::vector<SourceFile> files = {
       {"engine.hpp",
        "class MB_CROSS_CHANNEL Bus { public: void post(int); };\n"
        "class MB_CHANNEL_LOCAL Engine { public: Engine(int a); int a_; };\n"},
@@ -376,15 +376,6 @@ TEST(DetLint, DiagnosticsAreSortedByFileThenLine) {
   ASSERT_EQ(diags.size(), 2u);
   EXPECT_EQ(diags[0].where.file, "a.cpp");
   EXPECT_EQ(diags[1].where.file, "b.cpp");
-}
-
-TEST(DetLint, CollectSourceFilesExcludesOwnershipVocabulary) {
-  const auto files = collectDetSourceFiles(MB_SOURCE_ROOT, {"src", "bench", "tools"});
-  EXPECT_GT(files.size(), 50u);
-  EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
-  for (const std::string& f : files) {
-    EXPECT_EQ(f.find("common/ownership.hpp"), std::string::npos) << f;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Shared diagnostic-JSON schema contract. mblint, mbdetcheck and
-// mbsnapcheck all render findings through Diagnostic::json(); this test
-// runs each shipped binary with --json against an input known to produce
-// findings and round-trips the bytes through the in-repo parser
+// Shared diagnostic-JSON schema contract. mblint and both mbstatic analyses
+// render findings through Diagnostic::json(); this test runs each shipped
+// binary with --json against an input known to produce findings and
+// round-trips the bytes through the in-repo parser
 // (common/json_mini.hpp), pinning the schema downstream consumers rely on:
 //   {"code":"MB-XXX-NNN","severity":"note|warning|error|fatal",
 //    "message":..., "location":{"file":...,"line":N}?, "context":{...}}
@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json_mini.hpp"
@@ -121,25 +122,20 @@ TEST(DiagJsonSchema, MblintAdHocConfigViolation) {
   EXPECT_GE(total, 1);
 }
 
-TEST(DiagJsonSchema, MbdetcheckSeededFixture) {
-  const JVal root = parseToolOutput(
-      std::string(MB_MBDETCHECK_BIN) + " --json " + MB_SOURCE_ROOT +
-      "/tests/analysis/det_fixtures/mbdet_003_rand_call.cpp");
-  const JVal* diags = root.get("diagnostics");
-  ASSERT_NE(diags, nullptr);
-  EXPECT_GE(checkDiagnostics(*diags, "mbdetcheck"), 1);
-  // Source-level findings must carry their location.
-  for (const JVal& d : diags->arr) EXPECT_NE(d.get("location"), nullptr);
-}
-
-TEST(DiagJsonSchema, MbsnapcheckSeededFixture) {
-  const JVal root = parseToolOutput(
-      std::string(MB_MBSNAPCHECK_BIN) + " --json " + MB_SOURCE_ROOT +
-      "/tests/analysis/snap_fixtures/mbsnp_001_missing_field.cpp");
-  const JVal* diags = root.get("diagnostics");
-  ASSERT_NE(diags, nullptr);
-  EXPECT_GE(checkDiagnostics(*diags, "mbsnapcheck"), 1);
-  for (const JVal& d : diags->arr) EXPECT_NE(d.get("location"), nullptr);
+TEST(DiagJsonSchema, MbstaticSeededFixtures) {
+  const std::pair<const char*, const char*> runs[] = {
+      {"det", "/tests/analysis/det_fixtures/mbdet_003_rand_call.cpp"},
+      {"snap", "/tests/analysis/snap_fixtures/mbsnp_001_missing_field.cpp"}};
+  for (const auto& [analysis, fixture] : runs) {
+    const std::string name = std::string("mbstatic ") + analysis;
+    const JVal root = parseToolOutput(std::string(MB_MBSTATIC_BIN) + " " + analysis +
+                                      " --json " + MB_SOURCE_ROOT + fixture);
+    const JVal* diags = root.get("diagnostics");
+    ASSERT_NE(diags, nullptr) << name;
+    EXPECT_GE(checkDiagnostics(*diags, name), 1);
+    // Source-level findings must carry their location.
+    for (const JVal& d : diags->arr) EXPECT_NE(d.get("location"), nullptr) << name;
+  }
 }
 
 }  // namespace

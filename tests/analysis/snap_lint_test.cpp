@@ -1,6 +1,6 @@
 // Unit tests for the save/load symmetry & serialization-completeness
 // linter. The seeded fixture corpus under tests/analysis/snap_fixtures/
-// exercises the shipped CLI (`mbsnapcheck --self-test`); these tests pin
+// exercises the shipped CLI (`mbstatic snap --self-test`); these tests pin
 // the engine's behaviour on in-memory snippets: stream extraction and
 // comparison, pairing, completeness, annotations, suppressions, and the
 // fingerprint baseline round trip.
@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,11 +19,11 @@ namespace {
 struct LintRun {
   DiagnosticEngine engine;
   std::vector<SnapPair> pairs;
-  std::vector<SnapSuppression> suppressions;
+  std::vector<Suppression> suppressions;
   std::string baseline;
 };
 
-LintRun lint(const std::vector<SnapFileInput>& files, SnapLintOptions opts = {}) {
+LintRun lint(const std::vector<SourceFile>& files, SnapLintOptions opts = {}) {
   LintRun run;
   SnapLinter linter(run.engine, std::move(opts));
   linter.run(files);
@@ -307,6 +309,26 @@ class S {
 TEST(SnapLint, ParseSnapshotVersion) {
   EXPECT_EQ(parseSnapshotVersion("constexpr std::uint32_t kSnapshotVersion = 3;"), 3);
   EXPECT_EQ(parseSnapshotVersion("no version here"), -1);
+}
+
+TEST(SnapLint, CommittedBaselineRecordsTheCurrentSnapshotVersion) {
+  // MB-SNP-004 only fires while the baseline's version equals
+  // kSnapshotVersion, so a version bump without a re-pinned baseline
+  // silently turns the fingerprint gate off for every later change.
+  std::string header, baseline;
+  ASSERT_TRUE(readFileToString(std::string(MB_SOURCE_ROOT) + "/src/ckpt/snapshot.hpp",
+                               &header));
+  ASSERT_TRUE(readFileToString(std::string(MB_SOURCE_ROOT) + "/tools/snap_baseline.txt",
+                               &baseline));
+  const int version = parseSnapshotVersion(header);
+  ASSERT_GT(version, 0);
+  std::istringstream lines(baseline);
+  std::string line;
+  int recorded = -1;
+  while (std::getline(lines, line))
+    if (line.rfind("version ", 0) == 0) recorded = std::atoi(line.c_str() + 8);
+  EXPECT_EQ(recorded, version)
+      << "re-pin: mbstatic snap --root=. --write-baseline=tools/snap_baseline.txt";
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
 # assertions on), a TSan pass over the parallel sweep tests, the
-# channel-sharded engine tests, and one sharded preset run, a recorded
-# (non-gating) perf-harness run in an unsanitized build tree, then
-# clang-tidy over src/.
+# channel-sharded engine tests, and one sharded preset run, the static
+# analyses (mblint, mbstatic), end-to-end audit / checkpoint / sweep-resume /
+# mbserve stages, a recorded (non-gating) perf-harness run in an unsanitized
+# build tree, then clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -12,23 +13,10 @@
 # ASan in one binary, so the race check uses its own build tree
 # (<build-dir>-tsan) and only rebuilds the thread-bearing sim tests.
 # clang-tidy runs when available and is skipped with a notice otherwise (the
-# container image may not ship it); when it does run, its warnings fail the
-# gate too.
+# container image may not ship it; MB_REQUIRE_TIDY=1 makes its absence a
+# failure); when it does run, its warnings fail the gate too. Every other
+# stage is fatal.
 set -euo pipefail
-
-# MB_REQUIRE_STATIC=1 is the umbrella switch for the source-level analysis
-# stages: it implies MB_REQUIRE_TIDY=1, MB_REQUIRE_DET=1 and
-# MB_REQUIRE_SNAP=1, turning every warn-only static check into a hard gate.
-if [ "${MB_REQUIRE_STATIC:-0}" = "1" ]; then
-  MB_REQUIRE_TIDY=1
-  MB_REQUIRE_DET=1
-  MB_REQUIRE_SNAP=1
-fi
-# Per-stage verdicts for the consolidated summary printed at the end.
-static_mblint="not run"
-static_det="not run"
-static_snap="not run"
-static_tidy="not run"
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-ci}"
@@ -87,42 +75,18 @@ TSAN_OPTIONS=halt_on_error=1 \
 
 echo "== mblint conformance =="
 "$build/tools/mblint" --all-presets
-static_mblint="pass"
 
-echo "== mbdetcheck determinism & ownership =="
-# The seeded violation corpus must trip exactly its expected codes (this is
-# the proof the analyzer fires, so it is always fatal). The whole-tree scan
-# and the ownership map are also enforced by ctest (mbdetcheck_tree_clean /
-# mbdetcheck_ownership_json); here they run warn-only by default so a CI
-# box mid-refactor still gets the full report, and MB_REQUIRE_DET=1 makes
-# them fatal like MB_REQUIRE_TIDY does for tidy.
-"$build/tools/mbdetcheck" --self-test="$repo/tests/analysis/det_fixtures"
-if "$build/tools/mbdetcheck" --root="$repo" --ownership; then
-  static_det="pass"
-elif [ "${MB_REQUIRE_DET:-0}" = "1" ]; then
-  echo "FAIL: mbdetcheck found determinism/ownership violations and MB_REQUIRE_DET=1" >&2
-  exit 1
-else
-  static_det="warn"
-  echo "mbdetcheck reported findings (warn-only; set MB_REQUIRE_DET=1 to enforce)"
-fi
-
-echo "== mbsnapcheck snapshot completeness =="
-# Same two-step contract as mbdetcheck: the seeded MB-SNP fixture corpus is
-# always fatal (it proves the analyzer fires), while the whole-tree scan —
-# stream symmetry, section names, completeness, and the fingerprint
-# baseline in tools/snap_baseline.txt — is warn-only unless
-# MB_REQUIRE_SNAP=1 (ctest's mbsnapcheck_tree_clean enforces it regardless).
-"$build/tools/mbsnapcheck" --self-test="$repo/tests/analysis/snap_fixtures"
-if "$build/tools/mbsnapcheck" --root="$repo"; then
-  static_snap="pass"
-elif [ "${MB_REQUIRE_SNAP:-0}" = "1" ]; then
-  echo "FAIL: mbsnapcheck found snapshot-completeness violations and MB_REQUIRE_SNAP=1" >&2
-  exit 1
-else
-  static_snap="warn"
-  echo "mbsnapcheck reported findings (warn-only; set MB_REQUIRE_SNAP=1 to enforce)"
-fi
+echo "== mbstatic determinism & ownership, snapshot completeness =="
+# Each seeded violation corpus must trip exactly its expected codes (the
+# proof each analysis fires), then each whole-tree scan must be clean: det
+# with the channel-ownership map, snap with stream symmetry, section names,
+# completeness and the fingerprint baseline in tools/snap_baseline.txt.
+# ctest runs the same gates (mbstatic_*_self_test, mbstatic_*_tree_clean);
+# this stage puts the full reports in the CI log.
+"$build/tools/mbstatic" det --self-test="$repo/tests/analysis/det_fixtures"
+"$build/tools/mbstatic" snap --self-test="$repo/tests/analysis/snap_fixtures"
+"$build/tools/mbstatic" det --root="$repo" --ownership
+"$build/tools/mbstatic" snap --root="$repo"
 
 echo "== offline command-trace audit =="
 # Record a short run of every shipped preset (one trace per sweep point)
@@ -374,24 +338,11 @@ if command -v clang-tidy >/dev/null 2>&1; then
     done
     [ "$status" -eq 0 ]
   fi
-  static_tidy="pass"
 elif [ "${MB_REQUIRE_TIDY:-0}" = "1" ]; then
   echo "FAIL: clang-tidy not installed but MB_REQUIRE_TIDY=1" >&2
   exit 1
 else
-  static_tidy="skipped (not installed)"
   echo "clang-tidy not installed; skipping tidy pass (build+sanitizer gate still enforced)"
 fi
-
-echo "== static-analysis summary =="
-# One block to scan instead of four scattered stage logs. "warn" means the
-# stage reported findings but was not enforced on this run; set the listed
-# switch (or MB_REQUIRE_STATIC=1 for all of them) to make it a hard gate.
-printf '  %-14s %s\n' \
-  "mblint"      "$static_mblint" \
-  "mbdetcheck"  "$static_det   (enforce: MB_REQUIRE_DET=1)" \
-  "mbsnapcheck" "$static_snap   (enforce: MB_REQUIRE_SNAP=1)" \
-  "clang-tidy"  "$static_tidy   (enforce: MB_REQUIRE_TIDY=1)"
-echo "  MB_REQUIRE_STATIC=1 enforces all of the above at once."
 
 echo "== CI gate passed =="
