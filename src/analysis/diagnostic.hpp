@@ -4,14 +4,14 @@
 // Every reportable condition in the simulator — a statically rejected
 // configuration, a DRAM protocol-timing violation, an internal invariant
 // breach — is expressed as a Diagnostic: a stable machine-readable code
-// (e.g. "MB-TIM-012"), a severity, a one-line message, an optional source
+// (e.g. "MB-AUD-012"), a severity, a one-line message, an optional source
 // location, and an ordered list of key/value context entries (the offending
 // command, the per-μbank shadow history, the violated constraint, ...).
 // Diagnostics render to human text and to machine-readable JSON so that CI
 // and downstream tooling can consume them without parsing free-form stderr.
 //
 // The DiagnosticEngine collects diagnostics from any number of producers
-// (ConfigLinter rules, the mc::TimingChecker, future analyses). Producers
+// (ConfigLinter rules, the mc::TraceAuditor, future analyses). Producers
 // never decide process fate; the consumer inspects severities and chooses
 // to abort, reject a config, or keep collecting. The registry of assigned
 // codes lives in DESIGN.md ("Static analysis & diagnostics").
@@ -68,7 +68,7 @@ struct Diagnostic {
   Diagnostic& with(std::string key, std::int64_t value);
   Diagnostic& with(std::string key, double value);
 
-  /// "error MB-TIM-012: tRCD violated (ACT->CAS)\n  command: RD\n  ..."
+  /// "error MB-AUD-012: ... tRCD (ACT->CAS)\n  event: RD\n  ..."
   std::string text() const;
   /// One JSON object: {"code":...,"severity":...,"message":...,
   /// "location":{...},"context":{...}}.

@@ -1,7 +1,7 @@
 // Sorted-vector map with deterministic iteration order.
 //
 // The simulator's per-structure bookkeeping (PAR-BS batch marks, page-policy
-// counters, timing-checker shadow histories, ...) used to live in
+// counters, protocol shadow histories, ...) used to live in
 // std::unordered_map. Keyed lookups there are deterministic, but any
 // *iteration* observes hash-table order — a function of the libstdc++
 // version, the allocator, and (for pointer keys) ASLR — which is exactly the

@@ -74,6 +74,25 @@ CmdEvent makeEvent(CmdEventKind kind, const core::DramAddress& da, Tick at,
 
 }  // namespace
 
+CmdEvent commandEvent(DramCommand cmd, const core::DramAddress& da, Tick at,
+                      Tick dataStart, Tick dataEnd) {
+  return makeEvent(kindOf(cmd), da, at, dataStart, dataEnd);
+}
+
+CmdEvent refreshEvent(int channel, int rank, int bank, Tick at) {
+  CmdEvent ev;
+  ev.kind = CmdEventKind::Refresh;
+  ev.channel = channel;
+  ev.rank = rank;
+  ev.bank = bank;  // -1: all-bank
+  ev.at = at;
+  return ev;
+}
+
+CmdEvent oraclePreEvent(const core::DramAddress& da, Tick at) {
+  return makeEvent(CmdEventKind::OraclePre, da, at, -1, -1);
+}
+
 CommandLogWriter::CommandLogWriter(const std::string& path,
                                    const CmdTraceConfig& config) {
   file_ = std::fopen(path.c_str(), "wb");
@@ -124,7 +143,7 @@ void CommandLogWriter::flush() {
   buf_.clear();
 }
 
-void CommandLogWriter::putEvent(const CmdEvent& ev) {
+void CommandLogWriter::onEvent(const CmdEvent& ev) {
   MB_CHECK(file_ != nullptr && !trailerWritten_ && "event after trailer/close");
   putScalar<std::uint8_t>(buf_, static_cast<std::uint8_t>(ev.kind));
   putScalar<std::int16_t>(buf_, static_cast<std::int16_t>(ev.channel));
@@ -138,26 +157,6 @@ void CommandLogWriter::putEvent(const CmdEvent& ev) {
   putScalar<std::int64_t>(buf_, ev.dataEnd);
   ++events_;
   if (buf_.size() >= kWriteBufferBytes) flush();
-}
-
-void CommandLogWriter::onCommand(DramCommand cmd, const core::DramAddress& da,
-                                 Tick at, Tick dataStart, Tick dataEnd) {
-  putEvent(makeEvent(kindOf(cmd), da, at, dataStart, dataEnd));
-}
-
-void CommandLogWriter::onRefresh(int channel, int rank, int bank, Tick at) {
-  CmdEvent ev;
-  ev.kind = CmdEventKind::Refresh;
-  ev.channel = channel;
-  ev.rank = rank;
-  ev.bank = bank;  // -1: all-bank
-  ev.ubank = 0;
-  ev.at = at;
-  putEvent(ev);
-}
-
-void CommandLogWriter::onOraclePre(const core::DramAddress& da, Tick at) {
-  putEvent(makeEvent(CmdEventKind::OraclePre, da, at, -1, -1));
 }
 
 void CommandLogWriter::writeTrailer(const CmdTraceTrailer& trailer) {
@@ -179,25 +178,6 @@ void CommandLogWriter::close() {
   flush();
   std::fclose(file_);
   file_ = nullptr;
-}
-
-void CommandLogRecorder::onCommand(DramCommand cmd, const core::DramAddress& da,
-                                   Tick at, Tick dataStart, Tick dataEnd) {
-  trace_.events.push_back(makeEvent(kindOf(cmd), da, at, dataStart, dataEnd));
-}
-
-void CommandLogRecorder::onRefresh(int channel, int rank, int bank, Tick at) {
-  CmdEvent ev;
-  ev.kind = CmdEventKind::Refresh;
-  ev.channel = channel;
-  ev.rank = rank;
-  ev.bank = bank;
-  ev.at = at;
-  trace_.events.push_back(ev);
-}
-
-void CommandLogRecorder::onOraclePre(const core::DramAddress& da, Tick at) {
-  trace_.events.push_back(makeEvent(CmdEventKind::OraclePre, da, at, -1, -1));
 }
 
 namespace {

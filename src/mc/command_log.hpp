@@ -5,9 +5,9 @@
 // device model charged), policy-initiated idle precharges, refreshes (with
 // the refreshed bank, or -1 for all-bank), and the perfect-oracle's
 // retroactive precharges (pseudo-events that close a row without a bus
-// slot). The stream is exactly what the incremental TimingChecker sees, so
-// an offline pass over it can independently re-verify every protocol and
-// energy claim a run makes (analysis/trace_audit.hpp).
+// slot). The stream is exactly what the controller's live protocol auditor
+// sees, so an offline pass over it re-verifies every protocol and energy
+// claim a run makes with the same rules (mc/trace_audit.hpp).
 //
 // CommandLogWriter streams the events to a compact little-endian binary
 // format, MBCMDT1, mirroring the MBTRACE1 convention of
@@ -48,25 +48,6 @@
 
 namespace mb::mc {
 
-/// Sink for the controller's committed command stream. Not owned by the
-/// controller; one sink may serve every controller of a run (the event
-/// queue is single-threaded, so no locking is needed).
-class MB_CROSS_CHANNEL CommandLog {
- public:
-  virtual ~CommandLog() = default;
-
-  /// A committed ACT/PRE/RD/WR. For CAS commands `dataStart`/`dataEnd`
-  /// bound the data burst the device model charged; -1 otherwise.
-  virtual void onCommand(DramCommand cmd, const core::DramAddress& da, Tick at,
-                         Tick dataStart, Tick dataEnd) = 0;
-  /// One elapsed refresh interval. `bank` is -1 for an all-bank refresh,
-  /// the refreshed bank index in per-bank mode.
-  virtual void onRefresh(int channel, int rank, int bank, Tick at) = 0;
-  /// The perfect-oracle page policy retroactively closed this μbank's row
-  /// (no physical PRE was modelled; see MemoryController::enqueue).
-  virtual void onOraclePre(const core::DramAddress& da, Tick at) = 0;
-};
-
 /// Event kinds as stored on disk. Act..Refresh match DramCommand order.
 enum class CmdEventKind : std::uint8_t {
   Act = 0,
@@ -92,6 +73,27 @@ struct CmdEvent {
   Tick at = 0;
   Tick dataStart = -1;
   Tick dataEnd = -1;
+};
+
+/// The events the controller commits. A committed ACT/PRE/RD/WR: for CAS
+/// commands `dataStart`/`dataEnd` bound the data burst the device model
+/// charged, -1 otherwise.
+CmdEvent commandEvent(DramCommand cmd, const core::DramAddress& da, Tick at,
+                      Tick dataStart, Tick dataEnd);
+/// One elapsed refresh interval; `bank` is -1 for an all-bank refresh, the
+/// refreshed bank index in per-bank mode.
+CmdEvent refreshEvent(int channel, int rank, int bank, Tick at);
+/// The perfect-oracle page policy retroactively closed this μbank's row (no
+/// physical PRE was modelled; see MemoryController::enqueue).
+CmdEvent oraclePreEvent(const core::DramAddress& da, Tick at);
+
+/// Sink for the controller's committed command stream, one call per event.
+/// Not owned by the controller; one sink may serve every controller of a
+/// run (the event queue is single-threaded, so no locking is needed).
+class MB_CROSS_CHANNEL CommandLog {
+ public:
+  virtual ~CommandLog() = default;
+  virtual void onEvent(const CmdEvent& ev) = 0;
 };
 
 /// The configuration block every trace carries: enough to rebuild the
@@ -134,10 +136,7 @@ class MB_CROSS_CHANNEL CommandLogWriter final : public CommandLog {
   CommandLogWriter(const CommandLogWriter&) = delete;
   CommandLogWriter& operator=(const CommandLogWriter&) = delete;
 
-  void onCommand(DramCommand cmd, const core::DramAddress& da, Tick at,
-                 Tick dataStart, Tick dataEnd) override;
-  void onRefresh(int channel, int rank, int bank, Tick at) override;
-  void onOraclePre(const core::DramAddress& da, Tick at) override;
+  void onEvent(const CmdEvent& ev) override;
 
   /// Write the end-of-run trailer (once, after the run completes).
   void writeTrailer(const CmdTraceTrailer& trailer);
@@ -147,7 +146,6 @@ class MB_CROSS_CHANNEL CommandLogWriter final : public CommandLog {
   void close();
 
  private:
-  void putEvent(const CmdEvent& ev);
   void putBytes(const void* data, std::size_t n);
   void flush();
 
@@ -165,10 +163,7 @@ class MB_CROSS_CHANNEL CommandLogRecorder final : public CommandLog {
     trace_.config = config;
   }
 
-  void onCommand(DramCommand cmd, const core::DramAddress& da, Tick at,
-                 Tick dataStart, Tick dataEnd) override;
-  void onRefresh(int channel, int rank, int bank, Tick at) override;
-  void onOraclePre(const core::DramAddress& da, Tick at) override;
+  void onEvent(const CmdEvent& ev) override { trace_.events.push_back(ev); }
 
   void setTrailer(const CmdTraceTrailer& trailer) { trace_.trailer = trailer; }
   CmdTrace& trace() { return trace_; }

@@ -26,7 +26,9 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
   channel_.refreshEnabled = cfg_.refreshEnabled;
   channel_.perBankRefresh = cfg_.perBankRefresh;
   if (cfg_.enableTimingCheck) {
-    checker_.emplace(geom, timing);
+    checker_.emplace(CmdTraceConfig{geom, timing, energy, map_.interleaveBaseBit(),
+                                    map_.xorBankHash()},
+                     id_);
     checker_->diagnostics = cfg_.diagnostics;
   }
 }
@@ -52,8 +54,7 @@ void MemoryController::enqueue(MemRequest req) {
     pendingCloses_.erase(pc);
   // Oracle resolution: charge the retrospectively-best decision (§V).
   if (channel_.resolveLazy(req.da, ub) == ChannelState::LazyOutcome::Closed) {
-    if (checker_) checker_->onOraclePre(req.da);
-    if (cfg_.commandLog) cfg_.commandLog->onOraclePre(req.da, eq_.now());
+    if (observed()) emit(oraclePreEvent(req.da, eq_.now()));
   }
 
   if (req.write) {
@@ -274,26 +275,22 @@ void MemoryController::issueFor(ReqHandle h, Tick now) {
     case DramCommand::Pre: {
       p.sawConflict = true;
       channel_.commitPre(p.req.da, now);
-      if (checker_) checker_->onCommand(DramCommand::Pre, p.req.da, now);
-      if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Pre, p.req.da, now, -1, -1);
+      if (observed()) emit(commandEvent(DramCommand::Pre, p.req.da, now, -1, -1));
       break;
     }
     case DramCommand::Act: {
       p.sawAct = true;
       channel_.commitAct(p.req.da, now);
       meter_.onActivate(geom_.ubankRowBytes());
-      if (checker_) checker_->onCommand(DramCommand::Act, p.req.da, now);
-      if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Act, p.req.da, now, -1, -1);
+      if (observed()) emit(commandEvent(DramCommand::Act, p.req.da, now, -1, -1));
       break;
     }
     case DramCommand::Read:
     case DramCommand::Write: {
       const Tick dataEnd = channel_.commitCas(p.req.da, p.req.write, now);
       meter_.onCas(geom_.lineBytes, geom_.ubanksPerBank());
-      if (checker_) checker_->onCommand(cmd, p.req.da, now);
-      if (cfg_.commandLog)
-        cfg_.commandLog->onCommand(cmd, p.req.da, now, now + channel_.timing().tAA,
-                                   dataEnd);
+      if (observed())
+        emit(commandEvent(cmd, p.req.da, now, now + channel_.timing().tAA, dataEnd));
       onRequestServiced(h, dataEnd);  // frees the arena slot; p is dead here
       break;
     }
@@ -486,13 +483,17 @@ void MemoryController::fireCompletion(int slot, std::uint64_t token) {
   if (cb) cb(due);
 }
 
+void MemoryController::emit(const CmdEvent& ev) {
+  if (checker_) checker_->audit(ev);
+  if (cfg_.commandLog) cfg_.commandLog->onEvent(ev);
+}
+
 void MemoryController::kick() {
   const Tick now = eq_.now();
   lastKickTick_ = now;
   channel_.maybeRefresh(now, [this, now](int rank, int bank) {
     meter_.onRefresh(bank < 0 ? 1.0 : 1.0 / geom_.banksPerRank);
-    if (checker_) checker_->onRankRefresh(id_, rank, bank);
-    if (cfg_.commandLog) cfg_.commandLog->onRefresh(id_, rank, bank, now);
+    if (observed()) emit(refreshEvent(id_, rank, bank, now));
   });
 
   for (;;) {
@@ -548,9 +549,7 @@ void MemoryController::kick() {
       const Tick e = channel_.earliestPre(da, ub, eq_.now());
       if (e <= eq_.now()) {
         channel_.commitPre(da, ub, eq_.now());
-        if (checker_) checker_->onCommand(DramCommand::Pre, da, eq_.now());
-        if (cfg_.commandLog)
-          cfg_.commandLog->onCommand(DramCommand::Pre, da, eq_.now(), -1, -1);
+        if (observed()) emit(commandEvent(DramCommand::Pre, da, eq_.now(), -1, -1));
         pendingCloses_.erase(it);
         issuedClose = true;
         break;

@@ -50,7 +50,7 @@
 #include "mc/request.hpp"
 #include "mc/request_arena.hpp"
 #include "mc/scheduler.hpp"
-#include "mc/timing_checker.hpp"
+#include "mc/trace_audit.hpp"
 
 namespace mb::mc {
 
@@ -61,17 +61,20 @@ struct ControllerConfig {
   int writeLowWatermark = 16;   // leave write-drain mode
   SchedulerKind scheduler = SchedulerKind::ParBs;
   core::PolicyKind pagePolicy = core::PolicyKind::Open;
+  /// Own a protocol auditor for this channel (mc/trace_audit.hpp) and feed
+  /// it every command, refresh and oracle precharge as it is committed.
   bool enableTimingCheck = false;
   bool refreshEnabled = true;
   bool perBankRefresh = false;  // extension: rotate tRFCpb refreshes per bank
-  /// Optional sink for structured protocol diagnostics. When set (together
-  /// with enableTimingCheck), timing violations are collected here instead
-  /// of aborting the process. Not owned; must outlive the controller.
+  /// Optional sink for the auditor's MB-AUD diagnostics. When set (together
+  /// with enableTimingCheck), protocol violations are collected here
+  /// instead of aborting the process. Not owned; must outlive the
+  /// controller.
   analysis::DiagnosticEngine* diagnostics = nullptr;
   /// Optional command-stream sink: fed every committed command (including
   /// policy-initiated idle precharges), refresh interval, and oracle
-  /// pseudo-precharge, in issue order — the capture side of the offline
-  /// trace auditor (analysis/trace_audit.hpp). Not owned.
+  /// pseudo-precharge as it happens — the events the auditor checks,
+  /// recorded for the offline audit (mbaudit). Not owned.
   CommandLog* commandLog = nullptr;
 };
 
@@ -239,6 +242,11 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// reference earliestWake() is MB_DCHECKed against.
   Tick fullPassMinFuture(Tick now);
   void issueFor(ReqHandle h, Tick now);
+  /// True when a live auditor or a command log watches the committed stream
+  /// (the event is built only then).
+  bool observed() const { return checker_.has_value() || cfg_.commandLog != nullptr; }
+  /// Feed one committed event to the auditor, then to the command log.
+  void emit(const CmdEvent& ev);
   /// The next command `p` needs and its earliest legal issue tick, before
   /// the anti-row-steal guard (preBlocked) is applied to a precharge.
   Tick earliestFor(const Pending& p, Tick now, DramCommand& cmdOut) const;
@@ -278,7 +286,7 @@ class MB_CHANNEL_LOCAL MemoryController {
   dram::EnergyMeter meter_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<core::PagePolicy> policy_;
-  std::optional<TimingChecker> checker_;
+  std::optional<TraceAuditor> checker_;  // the enableTimingCheck auditor
 
   // Request records live in a per-controller slot arena; the queues hold
   // generation-tagged handles, so steady-state admission/retire traffic does

@@ -213,7 +213,7 @@ class MB_CHANNEL_LOCAL ChannelState {
   /// (closing the affected rows) and return true. `refreshHook(rank, bank)`
   /// is invoked once per elapsed refresh interval; bank is -1 for an
   /// all-bank refresh and the refreshed bank index in per-bank mode
-  /// (energy + protocol-checker shadow-state updates key off it).
+  /// (energy + protocol-auditor shadow-state updates key off it).
   bool maybeRefresh(Tick now, const std::function<void(int, int)>& refreshHook);
   /// Earliest tick at which any rank wants a refresh.
   Tick nextRefreshDue() const;

@@ -13,54 +13,8 @@ namespace mb::sim {
 // ---------------------------------------------------------------------------
 // BufferedCommandLog
 
-BufferedCommandLog::Entry& BufferedCommandLog::append() {
-  entries_.emplace_back();
-  Entry& e = entries_.back();
-  e.execWhen = eq_.now();
-  e.execStamp = eq_.currentStamp();
-  return e;
-}
-
-void BufferedCommandLog::onCommand(mc::DramCommand cmd,
-                                   const core::DramAddress& da, Tick at,
-                                   Tick dataStart, Tick dataEnd) {
-  Entry& e = append();
-  e.which = 0;
-  e.cmd = cmd;
-  e.da = da;
-  e.at = at;
-  e.dataStart = dataStart;
-  e.dataEnd = dataEnd;
-}
-
-void BufferedCommandLog::onRefresh(int channel, int rank, int bank, Tick at) {
-  Entry& e = append();
-  e.which = 1;
-  e.channel = channel;
-  e.rank = rank;
-  e.bank = bank;
-  e.at = at;
-}
-
-void BufferedCommandLog::onOraclePre(const core::DramAddress& da, Tick at) {
-  Entry& e = append();
-  e.which = 2;
-  e.da = da;
-  e.at = at;
-}
-
-void BufferedCommandLog::replayInto(mc::CommandLog& sink, const Entry& e) const {
-  switch (e.which) {
-    case 0:
-      sink.onCommand(e.cmd, e.da, e.at, e.dataStart, e.dataEnd);
-      break;
-    case 1:
-      sink.onRefresh(e.channel, e.rank, e.bank, e.at);
-      break;
-    default:
-      sink.onOraclePre(e.da, e.at);
-      break;
-  }
+void BufferedCommandLog::onEvent(const mc::CmdEvent& ev) {
+  entries_.push_back(Entry{eq_.now(), eq_.currentStamp(), ev});
 }
 
 // ---------------------------------------------------------------------------
@@ -418,9 +372,8 @@ void ShardedEngine::drainCommands() {
         best = static_cast<int>(i);
     }
     if (best < 0) break;
-    auto& buf = *cmdBufs_[static_cast<std::size_t>(best)];
-    buf.replayInto(*cmdSink_, buf.entries_[cur[static_cast<std::size_t>(best)]]);
-    ++cur[static_cast<std::size_t>(best)];
+    const auto bi = static_cast<std::size_t>(best);
+    cmdSink_->onEvent(cmdBufs_[bi]->entries_[cur[bi]++].ev);
   }
   for (BufferedCommandLog* b : cmdBufs_) b->entries_.clear();
 }

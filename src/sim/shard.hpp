@@ -1,7 +1,7 @@
 // Channel-sharded conservative-window execution engine (DESIGN.md §14).
 //
 // The system decomposes into one EventQueue per memory channel (controller +
-// device state + timing checker) plus one queue for the whole CPU hierarchy.
+// device state + protocol auditor) plus one queue for the whole CPU hierarchy.
 // Each iteration of ShardedEngine::run advances every queue through one
 // bounded window [t0, t1):
 //
@@ -60,7 +60,7 @@ namespace mb::sim {
 /// under sharded execution each controller instead writes into its own
 /// buffer, tagged with the *executing event's* ordering key — not the
 /// command's own tick, because the perfect-oracle emits retroactive
-/// onOraclePre entries whose `at` lies before the event that produced them.
+/// precharge events whose `at` lies before the event that produced them.
 /// The engine drains the buffers once per window, k-way merged by
 /// (execWhen, execStamp, buffer position), which is exactly the order a
 /// single queue would have fired the producing events.
@@ -70,10 +70,7 @@ class MB_CROSS_CHANNEL BufferedCommandLog final : public mc::CommandLog {
   /// every entry is read from it at append time.
   explicit BufferedCommandLog(const EventQueue& eq) : eq_(eq) {}
 
-  void onCommand(mc::DramCommand cmd, const core::DramAddress& da, Tick at,
-                 Tick dataStart, Tick dataEnd) override;
-  void onRefresh(int channel, int rank, int bank, Tick at) override;
-  void onOraclePre(const core::DramAddress& da, Tick at) override;
+  void onEvent(const mc::CmdEvent& ev) override;
 
  private:
   friend class ShardedEngine;
@@ -81,19 +78,8 @@ class MB_CROSS_CHANNEL BufferedCommandLog final : public mc::CommandLog {
   struct Entry {
     Tick execWhen = 0;         // eq.now() of the producing execution
     EventStamp execStamp{};    // eq.currentStamp() of the producing execution
-    std::uint8_t which = 0;    // 0 onCommand, 1 onRefresh, 2 onOraclePre
-    mc::DramCommand cmd{};
-    core::DramAddress da{};
-    int channel = 0;
-    int rank = 0;
-    int bank = 0;
-    Tick at = 0;
-    Tick dataStart = -1;
-    Tick dataEnd = -1;
+    mc::CmdEvent ev;
   };
-
-  Entry& append();
-  void replayInto(mc::CommandLog& sink, const Entry& e) const;
 
   const EventQueue& eq_;
   MB_SNAP_TRANSIENT(eq_, "command recording is rejected on checkpointing runs (MB_CHECK in runSimulation); buffers never reach a snapshot");

@@ -57,7 +57,7 @@ struct SystemConfig {
   bool timingCheck = false;
   /// Non-empty: stream every DRAM command of the run to this MBCMDT1 file
   /// (see mc/command_log.hpp), including the end-of-run energy trailer, for
-  /// offline re-verification with analysis/trace_audit (tools/mbaudit).
+  /// offline re-verification with mc/trace_audit (tools/mbaudit).
   std::string recordCmdsPath;
 
   cpu::HierarchyConfig hier;

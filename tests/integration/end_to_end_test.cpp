@@ -1,5 +1,5 @@
 // Full-stack integration tests: cores + caches + directory + controllers +
-// DRAM, with the protocol checker armed, across workload kinds and system
+// DRAM, with the protocol auditor armed, across workload kinds and system
 // configurations. These verify the plumbing (completion, accounting
 // conservation), not performance trends (see trends_test.cpp).
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 // Property test tying the static-analysis layer to live traffic: every
 // (nW, nB) point of the paper's 5x5 μbank grid, under both static page
 // policies, must (a) lint clean statically and (b) drive random traffic
-// through a controller with the TimingChecker in diagnostic-collection mode
+// through a controller with its protocol auditor in diagnostic-collection mode
 // producing ZERO diagnostics. Unlike the abort-on-violation property test,
 // a failure here prints the full structured diagnostics (command, violated
 // constraint, shadow history) instead of killing the process on the first
@@ -43,7 +43,7 @@ TEST_P(LintPropertyTest, GridPointLintsCleanAndRunsWithZeroDiagnostics) {
   EXPECT_TRUE(linter.lintTiming(dram::TimingParams::tsi())) << engine.renderText();
   ASSERT_TRUE(engine.empty()) << engine.renderText();
 
-  // Dynamic conformance: random traffic with the checker collecting into
+  // Dynamic conformance: random traffic with the auditor collecting into
   // the engine instead of aborting.
   const core::AddressMap map(g, 6 + exactLog2(g.linesPerUbankRow()));
   ControllerConfig cfg;

@@ -1,6 +1,6 @@
 // Property test: no legal traffic pattern, scheduler, page policy, or μbank
 // configuration may ever produce a DRAM protocol-timing violation. The
-// controller runs with its incremental TimingChecker enabled (which aborts
+// controller runs with its live protocol auditor enabled (which aborts
 // the process on any violation of tRCD/tRAS/tRP/tRRD/tFAW/tCCD/tRTP/tWR/
 // tWTR/bus rules), while randomized read/write traffic is pushed through.
 #include <gtest/gtest.h>

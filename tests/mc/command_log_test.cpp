@@ -72,7 +72,7 @@ TEST(CommandLog, ConfigAndTrailerRoundTrip) {
   trailer.refreshes = 7;
   {
     CommandLogWriter w(path, cfg);
-    w.onCommand(DramCommand::Act, addr(1, 0, 3, 2, 11, -1), 100, -1, -1);
+    w.onEvent(commandEvent(DramCommand::Act, addr(1, 0, 3, 2, 11, -1), 100, -1, -1));
     w.writeTrailer(trailer);
     EXPECT_EQ(w.eventsWritten(), 1);
   }
@@ -130,34 +130,29 @@ TEST(CommandLog, RandomEventStreamRoundTripsExactly) {
                            static_cast<int>(rng.nextBounded(4)),
                            static_cast<std::int64_t>(rng.nextBounded(1 << 20)),
                            static_cast<std::int64_t>(rng.nextBounded(128)));
+      CmdEvent ev;
       switch (rng.nextBounded(6)) {
         case 0:
-          w.onCommand(DramCommand::Act, da, at, -1, -1);
-          expected.onCommand(DramCommand::Act, da, at, -1, -1);
+          ev = commandEvent(DramCommand::Act, da, at, -1, -1);
           break;
         case 1:
-          w.onCommand(DramCommand::Pre, da, at, -1, -1);
-          expected.onCommand(DramCommand::Pre, da, at, -1, -1);
+          ev = commandEvent(DramCommand::Pre, da, at, -1, -1);
           break;
         case 2:
-          w.onCommand(DramCommand::Read, da, at, at + 100, at + 200);
-          expected.onCommand(DramCommand::Read, da, at, at + 100, at + 200);
+          ev = commandEvent(DramCommand::Read, da, at, at + 100, at + 200);
           break;
         case 3:
-          w.onCommand(DramCommand::Write, da, at, at + 100, at + 200);
-          expected.onCommand(DramCommand::Write, da, at, at + 100, at + 200);
+          ev = commandEvent(DramCommand::Write, da, at, at + 100, at + 200);
           break;
-        case 4: {
-          const int bank = rng.nextBounded(2) == 0 ? -1 : da.bank;
-          w.onRefresh(da.channel, da.rank, bank, at);
-          expected.onRefresh(da.channel, da.rank, bank, at);
+        case 4:
+          ev = refreshEvent(da.channel, da.rank, rng.nextBounded(2) == 0 ? -1 : da.bank, at);
           break;
-        }
         case 5:
-          w.onOraclePre(da, at);
-          expected.onOraclePre(da, at);
+          ev = oraclePreEvent(da, at);
           break;
       }
+      w.onEvent(ev);
+      expected.onEvent(ev);
     }
     EXPECT_EQ(w.eventsWritten(), 5000);
   }
@@ -201,7 +196,7 @@ std::string firstCode(const std::string& path) {
 std::string writeValidTrace(const char* tag, bool withTrailer = true) {
   const auto path = tmpPath(tag);
   CommandLogWriter w(path, testConfig());
-  w.onCommand(DramCommand::Act, addr(0, 0, 0, 0, 1, -1), 10, -1, -1);
+  w.onEvent(commandEvent(DramCommand::Act, addr(0, 0, 0, 0, 1, -1), 10, -1, -1));
   if (withTrailer) w.writeTrailer(CmdTraceTrailer{});
   w.close();
   return path;

@@ -374,6 +374,9 @@ TEST_F(ControllerTest, KickAndCompletionStateSurviveCheckpointRoundTrip) {
 
   ckpt::Writer w;
   mc_->save(w);
+  // The checking state keeps the MBCKPT1 bytes the controller section has
+  // always had: pinned against a build that predates the live auditor.
+  EXPECT_EQ(ckpt::fnv1a64(w.str()), 0xb6baaa400f512bf4ull);
 
   // Finish the original run; the requests still in flight at the snapshot
   // are the reference the restored controller must reproduce.

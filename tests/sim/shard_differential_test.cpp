@@ -132,10 +132,17 @@ TEST(ShardDifferential, ReportAndCommandTraceBitwiseEqual) {
 // shard counts (the format has no shard-dependent content), and restores
 // must complete bit-identically in every serial/sharded pairing — including
 // restoring a sharded-written snapshot with a serial engine and vice versa.
+// The third cell checks every command live, so its snapshot carries each
+// controller's auditor state and the restored auditors must pick it up.
 TEST(ShardDifferential, MidRunCheckpointBytesAndRestoresMatch) {
   const auto grid = seededGrid();
-  for (std::size_t i = 0; i < 2; ++i) {  // two cells: this test runs 6 sims each
-    const Cell& cell = grid[i];
+  Cell checking = grid[0];
+  checking.cfg.timingCheck = true;
+  checking.label += " timing-check";
+  ASSERT_GT(checking.cfg.channels, 1);
+  const Cell* cells[] = {&grid[0], &grid[1], &checking};  // 6 sims each
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Cell& cell = *cells[i];
     SCOPED_TRACE(cell.label);
     const RunResult cold = runSimulation(cell.cfg, cell.workload);
     ASSERT_GT(cold.elapsed, 0);

@@ -125,7 +125,7 @@ TEST(RunSimulation, PerfectPolicyReportsUnitHitRate) {
 
 TEST(RunSimulation, ExtensionOptionsComplete) {
   // Per-bank refresh, activation-window scaling, and the HMC interface are
-  // extension features; all must run cleanly under the timing checker.
+  // extension features; all must run cleanly under the protocol auditor.
   {
     auto cfg = fastConfig();
     cfg.perBankRefresh = true;

@@ -67,11 +67,12 @@ TSAN_OPTIONS=halt_on_error=1 \
 echo "== one preset at --shards=4 under TSan =="
 # End-to-end sharded run through the real mbsim binary: 16 channels over 4
 # threads (the caller plus 3 pool threads), long enough to cross thousands
-# of window barriers.
+# of window barriers. --timing-check gives every controller its protocol
+# auditor, which runs on the shard workers with the controller it checks.
 cmake --build "$build_tsan" -j"$(nproc)" --target mbsim
 TSAN_OPTIONS=halt_on_error=1 \
   "$build_tsan/tools/mbsim" --preset=tsi-baseline --workload=RADIX \
-    --instrs=20000 --shards=4 > /dev/null
+    --instrs=20000 --shards=4 --timing-check > /dev/null
 
 echo "== mblint conformance =="
 "$build/tools/mblint" --all-presets
@@ -90,7 +91,7 @@ echo "== mbstatic determinism & ownership, snapshot completeness =="
 
 echo "== offline command-trace audit =="
 # Record a short run of every shipped preset (one trace per sweep point)
-# and let the independent auditor re-verify each; --audit makes mbsim exit
+# and let the protocol auditor re-verify each; --audit makes mbsim exit
 # non-zero if any trace fails. Then the auditor must reject a seeded
 # single-command mutant with a non-zero exit (proving the audit actually
 # fires, not merely that clean traces pass).

@@ -1,11 +1,12 @@
 // mbaudit — offline auditor for recorded DRAM command traces.
 //
 // Replays an MBCMDT1 command trace (written by `mbsim --record-cmds=PATH`,
-// see src/mc/command_log.hpp) through an independent protocol interpreter
-// and re-verifies everything the live run claimed: Table-I timing
-// constraints, bank-state legality, address-map round-trip consistency,
-// and the total DRAM energy recomputed from the stream against the live
-// meter totals in the trace trailer (src/analysis/trace_audit.hpp).
+// see src/mc/command_log.hpp) through the protocol auditor — the one
+// `mbsim --timing-check` runs live — and re-verifies everything the run
+// claimed: Table-I timing constraints, bank-state legality, address-map
+// round-trip consistency, and the total DRAM energy recomputed from the
+// stream against the live meter totals in the trace trailer
+// (src/mc/trace_audit.hpp).
 //
 //   mbaudit CMDS.mbc                  audit, human-readable report
 //   mbaudit CMDS.mbc --json           machine-readable report (one object)
@@ -26,9 +27,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "analysis/trace_audit.hpp"
 #include "common/string_util.hpp"
 #include "common/version.hpp"
+#include "mc/trace_audit.hpp"
 #include "sim/experiment.hpp"
 
 namespace {
@@ -50,7 +51,7 @@ bool matchFlag(const std::string& arg, const std::string& name, std::string* val
   return true;
 }
 
-void printJson(const std::string& path, const analysis::TraceAuditResult& res,
+void printJson(const std::string& path, const mc::TraceAuditResult& res,
                const analysis::DiagnosticEngine& diags) {
   std::printf("{\"tool\":\"%s\",", analysis::jsonEscape(versionString()).c_str());
   std::printf("\"file\":\"%s\",", analysis::jsonEscape(path).c_str());
@@ -68,7 +69,7 @@ void printJson(const std::string& path, const analysis::TraceAuditResult& res,
   std::printf("\"diagnostics\":%s}\n", diags.renderJson().c_str());
 }
 
-void printText(const std::string& path, const analysis::TraceAuditResult& res,
+void printText(const std::string& path, const mc::TraceAuditResult& res,
                const analysis::DiagnosticEngine& diags) {
   std::printf("trace               %s\n", path.c_str());
   std::printf("events audited      %lld (%lld rejected)\n",
@@ -134,16 +135,16 @@ int main(int argc, char** argv) {
 
   // Optional self-test mutation.
   if (!mutate.empty()) {
-    const auto kind = analysis::traceMutationFromName(mutate);
+    const auto kind = mc::traceMutationFromName(mutate);
     if (!kind.has_value()) {
       std::string known;
-      for (int k = 0; k < analysis::kTraceMutationCount; ++k) {
+      for (int k = 0; k < mc::kTraceMutationCount; ++k) {
         if (k > 0) known += ", ";
-        known += analysis::traceMutationName(static_cast<analysis::TraceMutation>(k));
+        known += mc::traceMutationName(static_cast<mc::TraceMutation>(k));
       }
       usage(("unknown --mutate kind (one of: " + known + ")").c_str());
     }
-    if (!analysis::applyTraceMutation(*trace, *kind, seed)) {
+    if (!mc::applyTraceMutation(*trace, *kind, seed)) {
       std::fprintf(stderr,
                    "mbaudit: trace has no eligible victim for mutation %s\n",
                    mutate.c_str());
@@ -151,10 +152,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "mbaudit: planted %s (seed %llu), expecting %s\n",
                  mutate.c_str(), static_cast<unsigned long long>(seed),
-                 analysis::traceMutationExpectedCode(*kind));
+                 mc::traceMutationExpectedCode(*kind));
   }
 
-  analysis::TraceAuditOptions opts;
+  mc::TraceAuditOptions opts;
   mc::CmdTraceConfig expect;
   if (!preset.empty()) {
     bool found = false;
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
   }
 
   analysis::DiagnosticEngine diags;
-  const auto res = analysis::auditCmdTrace(*trace, diags, opts);
+  const auto res = mc::auditCmdTrace(*trace, diags, opts);
   if (json)
     printJson(path, res, diags);
   else

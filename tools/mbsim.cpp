@@ -92,10 +92,10 @@
 #include <string>
 
 #include "analysis/config_lint.hpp"
-#include "analysis/trace_audit.hpp"
 #include "common/check.hpp"
 #include "common/string_util.hpp"
 #include "common/version.hpp"
+#include "mc/trace_audit.hpp"
 #include "serve/run_plan.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
@@ -149,7 +149,7 @@ bool auditRecordedTrace(const std::string& path) {
     std::printf("audit %-40s UNREADABLE\n", path.c_str());
     return false;
   }
-  const auto res = analysis::auditCmdTrace(*trace, diags);
+  const auto res = mc::auditCmdTrace(*trace, diags);
   if (diags.hasErrors()) {
     std::fprintf(stderr, "%s", diags.renderText().c_str());
     std::printf("audit %-40s VIOLATIONS (%lld of %lld events rejected)\n",
