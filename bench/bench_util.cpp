@@ -195,14 +195,7 @@ const std::vector<sim::RunResult>& SweepPlan::results(std::size_t cell) const {
 
 std::vector<sim::RunResult> runWorkload(const std::string& name,
                                         const sim::SystemConfig& cfg) {
-  return runWorkload(name, cfg, 0);
-}
-
-std::vector<sim::RunResult> runWorkload(const std::string& name,
-                                        const sim::SystemConfig& cfg, int jobs) {
-  sim::SweepOptions opts;
-  opts.jobs = jobs;
-  return sim::SweepRunner(opts).runAll(workloadPoints(name, cfg));
+  return sim::SweepRunner().runAll(workloadPoints(name, cfg));
 }
 
 double relative(const std::vector<sim::RunResult>& test,

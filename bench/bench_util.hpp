@@ -106,11 +106,9 @@ class SweepPlan {
 ///   - "mix-high"/"mix-blend": 64-core multiprogrammed;
 ///   - "RADIX"/"FFT"/"canneal"/"TPC-C"/"TPC-H": 64-thread kernels.
 /// Returns one result per constituent run. Group members run concurrently
-/// (`jobs` as in SweepPlan::run; the no-jobs overload uses the default).
+/// (MB_JOBS workers, else one per hardware thread).
 std::vector<sim::RunResult> runWorkload(const std::string& name,
                                         const sim::SystemConfig& cfg);
-std::vector<sim::RunResult> runWorkload(const std::string& name,
-                                        const sim::SystemConfig& cfg, int jobs);
 
 /// Mean metric ratio of `test` over `baseline` (paired per constituent).
 double relative(const std::vector<sim::RunResult>& test,

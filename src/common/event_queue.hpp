@@ -164,10 +164,8 @@ class MB_CROSS_CHANNEL EventQueue {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  /// Counter the next stamp minted here will carry. Components that fuse
-  /// same-tick events (transit batching) use this to prove that nothing
-  /// else has claimed a slot in this queue's ordering since their last
-  /// schedule — the condition under which fusing preserves event order.
+  /// Counter the next stamp minted here will carry. The sharded engine's
+  /// checkpoint (ENG section) saves it, and restoreNextCounter puts it back.
   std::uint64_t nextCounter() const { return nextCounter_; }
   Tick now() const { return now_; }
   Tick nextEventTime() const { return heap_.empty() ? kTickNever : heap_[0].when; }

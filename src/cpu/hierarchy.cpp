@@ -6,6 +6,15 @@
 
 namespace mb::cpu {
 
+namespace {
+
+/// The kind byte of every MBCKPT1 transit record. Kinds 0 and 1 were
+/// MC-bound admissions, which travel as engine messages now; load()
+/// rejects them.
+constexpr std::uint8_t kHopKind = 2;
+
+}  // namespace
+
 MemoryHierarchy::MemoryHierarchy(
     const HierarchyConfig& config,
     std::vector<std::unique_ptr<mc::MemoryController>>& controllers,
@@ -108,8 +117,7 @@ int MemoryHierarchy::homeCluster(std::uint64_t lineAddr) const {
 void MemoryHierarchy::postDramWrite(std::uint64_t lineAddr, CoreId core, Tick at) {
   ++stats_.dramWrites;
   if (functional_) return;  // warmup: writebacks are counted, not modelled
-  const Tick when = std::max(at, eq_.now());
-  trackTransit(Transit::Kind::EnqWrite, when, lineAddr, core);
+  postMiss(lineAddr, core, std::max(at, eq_.now()), /*isWrite=*/true);
 }
 
 mc::CompletionFn MemoryHierarchy::makeReadCompletion(std::uint64_t lineAddr,
@@ -118,8 +126,7 @@ mc::CompletionFn MemoryHierarchy::makeReadCompletion(std::uint64_t lineAddr,
   return [this, lineAddr, cluster](Tick dataTick) {
     // Response link hop (zero for parallel interfaces).
     if (cfg_.memLinkLatency > 0) {
-      trackTransit(Transit::Kind::Hop, dataTick + cfg_.memLinkLatency, lineAddr,
-                   cluster);
+      trackTransit(dataTick + cfg_.memLinkLatency, lineAddr, cluster);
     } else {
       onDramData(lineAddr, cluster, dataTick);
     }
@@ -134,73 +141,30 @@ void MemoryHierarchy::requestDramRead(std::uint64_t lineAddr, CoreId core, Tick 
     onDramData(lineAddr, clusterOf(core), std::max(at, eq_.now()));
     return;
   }
-  const Tick when = std::max(at, eq_.now()) + cfg_.memLinkLatency;
-  trackTransit(Transit::Kind::EnqRead, when, lineAddr, core);
+  postMiss(lineAddr, core, std::max(at, eq_.now()) + cfg_.memLinkLatency,
+           /*isWrite=*/false);
 }
 
-void MemoryHierarchy::trackTransit(Transit::Kind kind, Tick due,
-                                   std::uint64_t lineAddr, int core) {
-  if (mailbox_ != nullptr) {
-    if (kind != Transit::Kind::Hop) {
-      // Sharded mode: an MC-bound transit is a cross-shard message, not a
-      // local event. The destination channel is a pure function of the
-      // address, so it can be computed at post time; the stamp minted here
-      // fixes the message's merge position on the channel queue exactly
-      // where the equivalent local event would have sorted.
-      const int ch = mcs_.front()->addressMap().decompose(lineAddr).channel;
-      MB_CHECK(ch >= 0 && static_cast<size_t>(ch) < mcs_.size());
-      mailbox_->postEnqueue(ch, due, eq_.issueStamp(), lineAddr, core,
-                            kind == Transit::Kind::EnqWrite);
-      return;
-    }
-    // Response hops stay CPU-local but are never coalesced in sharded mode:
-    // counter adjacency on this queue no longer proves order adjacency once
-    // channel-minted stamps merge into the same timeline.
-    const std::uint64_t token = nextTransitToken_++;
-    auto& t = transits_[token];
-    t.kind = kind;
-    t.due = due;
-    t.lineAddr = lineAddr;
-    t.core = core;
-    t.stamp = eq_.scheduleAt(due, [this, token] { fireTransitGroup(token); });
-    return;
-  }
+void MemoryHierarchy::postMiss(std::uint64_t lineAddr, CoreId core, Tick due,
+                               bool isWrite) {
+  MB_CHECK_MSG(mailbox_ != nullptr,
+               "timed DRAM access with no engine mailbox wired "
+               "(MemoryHierarchy::setMailbox)");
+  // The destination channel is a pure function of the address, so it is
+  // known at post time; the stamp minted here fixes the message's merge
+  // position on the channel queue.
+  const int ch = mcs_.front()->addressMap().decompose(lineAddr).channel;
+  MB_CHECK(ch >= 0 && static_cast<size_t>(ch) < mcs_.size());
+  mailbox_->postEnqueue(ch, due, eq_.issueStamp(), lineAddr, core, isWrite);
+}
+
+void MemoryHierarchy::trackTransit(Tick due, std::uint64_t lineAddr, int cluster) {
   const std::uint64_t token = nextTransitToken_++;
   auto& t = transits_[token];
-  t.kind = kind;
   t.due = due;
   t.lineAddr = lineAddr;
-  t.core = core;
-  // Join the open batch when the due times match and no event on this queue
-  // has minted a stamp since its last member (nextCounter() proves it): this
-  // transit's own counter would have been batchStamp_.counter + 1, directly
-  // adjacent in the single-queue order, so sharing the batch's event cannot
-  // reorder it relative to anything else.
-  if (batchOpen_ && batchDue_ == due &&
-      eq_.nextCounter() == batchStamp_.counter + 1) {
-    t.stamp = batchStamp_;
-    return;
-  }
-  t.stamp = eq_.scheduleAt(due, [this, token] { fireTransitGroup(token); });
-  batchOpen_ = true;
-  batchStamp_ = t.stamp;
-  batchDue_ = due;
-}
-
-void MemoryHierarchy::fireTransitGroup(std::uint64_t firstToken) {
-  const auto head = transits_.find(firstToken);
-  MB_CHECK(head != transits_.end());
-  const EventStamp stamp = head->second.stamp;
-  // Close the batch before firing: transits created by the members below
-  // (writebacks, response hops) must open a fresh event, not ride one that
-  // is already in flight.
-  if (batchOpen_ && batchStamp_ == stamp) batchOpen_ = false;
-  std::uint64_t token = firstToken;
-  for (;;) {
-    fireTransit(token);
-    const auto next = transits_.find(++token);
-    if (next == transits_.end() || next->second.stamp != stamp) break;
-  }
+  t.cluster = cluster;
+  t.stamp = eq_.scheduleAt(due, [this, token] { fireTransit(token); });
 }
 
 void MemoryHierarchy::fireTransit(std::uint64_t token) {
@@ -208,25 +172,7 @@ void MemoryHierarchy::fireTransit(std::uint64_t token) {
   MB_CHECK(it != transits_.end());
   const Transit t = it->second;
   transits_.erase(it);
-  switch (t.kind) {
-    case Transit::Kind::EnqWrite:
-    case Transit::Kind::EnqRead: {
-      const int ch = mcs_.front()->addressMap().decompose(t.lineAddr).channel;
-      MB_CHECK(ch >= 0 && static_cast<size_t>(ch) < mcs_.size());
-      mc::MemRequest req;
-      req.addr = t.lineAddr;
-      req.write = t.kind == Transit::Kind::EnqWrite;
-      req.core = t.core;
-      req.thread = t.core;
-      if (!req.write) req.onComplete = makeReadCompletion(t.lineAddr, t.core);
-      mcs_[static_cast<size_t>(ch)]->enqueue(std::move(req));
-      break;
-    }
-    case Transit::Kind::Hop:
-      // `core` holds the destination cluster for response hops.
-      onDramData(t.lineAddr, t.core, eq_.now());
-      break;
-  }
+  onDramData(t.lineAddr, t.cluster, eq_.now());
 }
 
 void MemoryHierarchy::deliverEnqueue(int channel, std::uint64_t lineAddr,
@@ -578,11 +524,11 @@ void MemoryHierarchy::save(ckpt::Writer& w) const {
   w.u64(transits_.size());
   for (const auto& [token, t] : transits_) {
     w.u64(token);
-    w.u8(static_cast<std::uint8_t>(t.kind));
+    w.u8(kHopKind);
     ckpt::saveStamp(w, t.stamp);
     w.i64(t.due);
     w.u64(t.lineAddr);
-    w.i32(t.core);
+    w.i32(t.cluster);
   }
   w.u64(nextTransitToken_);
 
@@ -666,21 +612,18 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
   prefetchClock_ = r.u64();
 
   transits_.clear();
-  batchOpen_ = false;  // restored runs start with the coalescing batch closed
   const std::uint64_t nTransit = r.count(37);
   for (std::uint64_t i = 0; i < nTransit && r.ok(); ++i) {
     const std::uint64_t token = r.u64();
-    Transit t;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(Transit::Kind::Hop)) {
+    if (r.u8() != kHopKind) {
       r.fail();
       return;
     }
-    t.kind = static_cast<Transit::Kind>(kind);
+    Transit t;
     t.stamp = ckpt::loadStamp(r);
     t.due = r.i64();
     t.lineAddr = r.u64();
-    t.core = r.i32();
+    t.cluster = r.i32();
     transits_.emplace(token, t);
   }
   nextTransitToken_ = r.u64();
@@ -698,19 +641,9 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
 }
 
 void MemoryHierarchy::reschedule(ckpt::EventRestorer& er) {
-  // Coalesced groups (consecutive tokens sharing a stamp) re-arm as one
-  // event keyed by their head, under the head's original stamp — members
-  // keep their saved stamps, so the group structure and the merge position
-  // both survive repeated save/restore cycles.
   for (const auto& [token, t] : transits_) {
-    const std::uint64_t tok = token;
-    const auto prev = transits_.find(tok - 1);
-    if (prev != transits_.end() && prev->second.stamp == t.stamp) continue;  // member
-    er.add([this, tok] {
-      const auto head = transits_.find(tok);
-      MB_CHECK(head != transits_.end());
-      eq_.scheduleStamped(head->second.due, head->second.stamp,
-                          [this, tok] { fireTransitGroup(tok); });
+    er.add([this, tok = token, due = t.due, stamp = t.stamp] {
+      eq_.scheduleStamped(due, stamp, [this, tok] { fireTransit(tok); });
     });
   }
 }

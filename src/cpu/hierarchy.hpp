@@ -127,17 +127,17 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   /// hierarchy (the same closure requestDramRead would have attached).
   mc::CompletionFn makeReadCompletion(std::uint64_t lineAddr, CoreId core);
 
-  /// Wire the cross-shard message port (sharded engine). When set, MC-bound
-  /// transits (write-backs, read requests) leave through the mailbox as
-  /// plain-data messages instead of events on this queue; must be wired
-  /// before any timed access and before load() when restoring.
+  /// Wire the engine's cross-shard message port. Every DRAM read and
+  /// write-back leaves through it (postEnqueue) and reaches its controller
+  /// through deliverEnqueue; a timed miss with no mailbox wired is an
+  /// MB_CHECK failure. Functional (warm-up) accesses never touch it.
   void setMailbox(ShardMailbox* mailbox) { mailbox_ = mailbox; }
 
-  /// Sharded mode: materialize a buffered CPU -> channel admission on its
-  /// destination controller (the channel-side half of a postEnqueue
-  /// message). Runs on the channel's thread; reads only immutable wiring
-  /// (config, address map) and the channel's own controller, so it is safe
-  /// off the CPU queue.
+  /// Materialize a buffered CPU -> channel admission on its destination
+  /// controller (the channel-side half of a postEnqueue message): the one
+  /// place a miss becomes a MemRequest. Runs on the channel's thread; reads
+  /// only immutable wiring (config, address map) and the channel's own
+  /// controller, so it is safe off the CPU queue.
   void deliverEnqueue(int channel, std::uint64_t lineAddr, CoreId core,
                       bool isWrite);
 
@@ -147,10 +147,11 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   std::function<mc::CompletionFn(CoreId core, int tag)> waiterResolver;
 
   /// Serializable protocol (caches, directory, pending fills, prefetcher,
-  /// in-flight hierarchy<->MC transits, stats).
+  /// in-flight response hops, stats). In-flight admissions are not here:
+  /// they are engine messages, saved in its ENG section.
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
-  /// Re-arm in-flight transit events after load().
+  /// Re-arm in-flight response hops after load().
   void reschedule(ckpt::EventRestorer& er);
 
  private:
@@ -169,19 +170,15 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
     bool anyWrite = false;
     bool prefetch = false;  // no waiters; fills the L2 only
   };
-  /// One in-flight event between the hierarchy and the memory controllers,
-  /// reified so checkpoints can capture it: a request travelling to an MC
-  /// enqueue (write-back or read), or a read response hopping back across
-  /// the memory link. The event-queue closure captures only the token; the
-  /// payload lives here and is rebuilt at fire time.
+  /// A read response hopping back across a serial memory link (HMC's
+  /// memLinkLatency): the one hierarchy<->MC event that runs on this queue,
+  /// reified so checkpoints can capture it. The event-queue closure captures
+  /// only the token; the payload lives here.
   struct Transit {
-    enum class Kind : std::uint8_t { EnqWrite = 0, EnqRead = 1, Hop = 2 };
-    Kind kind = Kind::EnqWrite;
     EventStamp stamp;  // event-queue stamp (for restore ordering)
     Tick due = 0;
     std::uint64_t lineAddr = 0;
-    // Requesting core for Enq*; destination cluster for Hop.
-    int core = 0;
+    int cluster = 0;  // destination cluster
   };
 
   int clusterOf(CoreId core) const { return core / cfg_.coresPerCluster; }
@@ -193,19 +190,12 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
 
   void postDramWrite(std::uint64_t lineAddr, CoreId core, Tick at);
   void requestDramRead(std::uint64_t lineAddr, CoreId core, Tick at);
-  /// Register + schedule a reified hierarchy<->MC event (see Transit). In
-  /// mailbox (sharded) mode MC-bound transits leave as cross-shard messages
-  /// instead. Otherwise, consecutive same-due transits registered with no
-  /// intervening stamp minted on this queue share one wake-up event (one
-  /// stamp): their would-have-been counters were consecutive, so fusing
-  /// them — and firing the group in token order — is a monotone renumbering
-  /// of the single-queue event order, i.e. observationally identical. One
-  /// MC batch of same-tick admissions then arrives in one event.
-  void trackTransit(Transit::Kind kind, Tick due, std::uint64_t lineAddr, int core);
+  /// Post a DRAM read or write-back to its channel as an engine message due
+  /// at `due`, stamped on this queue (its merge position on the channel).
+  void postMiss(std::uint64_t lineAddr, CoreId core, Tick due, bool isWrite);
+  /// Register + schedule a response hop (see Transit).
+  void trackTransit(Tick due, std::uint64_t lineAddr, int cluster);
   void fireTransit(std::uint64_t token);
-  /// Fire `firstToken` and every consecutively-tokened transit sharing its
-  /// event seq (the coalesced batch described at trackTransit).
-  void fireTransitGroup(std::uint64_t firstToken);
   /// Stride detection on the L1-miss stream; may issue prefetch fills.
   void trainPrefetcher(CoreId core, std::uint64_t lineAddr, Tick at);
   void issuePrefetch(CoreId core, std::uint64_t lineAddr, Tick at);
@@ -222,8 +212,9 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   MB_SNAP_TRANSIENT(mcs_, "wiring reference; every MC serializes its own MC<i> section");
   EventQueue& eq_;
   MB_SNAP_TRANSIENT(eq_, "wiring reference; in-flight events are re-armed by ckpt::EventRestorer");
-  // Cross-shard port (null in single-queue unit fixtures). The class is
-  // MB_CROSS_CHANNEL, so this reference is not an extra seam.
+  // Cross-shard port, the only way a miss reaches a controller; null until
+  // setMailbox. The class is MB_CROSS_CHANNEL, so this reference is not an
+  // extra seam.
   ShardMailbox* mailbox_ = nullptr;
   MB_SNAP_TRANSIENT(mailbox_, "wiring reference; in-flight messages live in the engine's ENG section");
 
@@ -251,17 +242,6 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
 
   std::map<std::uint64_t, Transit> transits_;  // keyed by token
   std::uint64_t nextTransitToken_ = 0;
-  // Open coalescing batch (see trackTransit): the latest scheduled transit
-  // event, joinable while it has not fired and no other event has claimed a
-  // sequence number since. Deliberately not serialized: a restored run
-  // starts with the batch closed, which only splits one shared event into
-  // per-transit events at the same tick in the same relative order.
-  bool batchOpen_ = false;
-  MB_SNAP_TRANSIENT(batchOpen_, "open coalescing batch; a restored run starts with the batch closed (see comment above)");
-  EventStamp batchStamp_;
-  MB_SNAP_TRANSIENT(batchStamp_, "valid only while batchOpen_; a restored run starts with the batch closed");
-  Tick batchDue_ = 0;
-  MB_SNAP_TRANSIENT(batchDue_, "valid only while batchOpen_; a restored run starts with the batch closed");
   bool functional_ = false;
   MB_SNAP_TRANSIENT(functional_, "structural mode flag derived from the run configuration, not simulation state");
 

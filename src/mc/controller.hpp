@@ -56,7 +56,6 @@ namespace mb::mc {
 
 struct ControllerConfig {
   int queueDepth = 32;        // scheduler-visible read window (§VI-A)
-  int writeQueueDepth = 64;
   int writeHighWatermark = 48;  // enter write-drain mode
   int writeLowWatermark = 16;   // leave write-drain mode
   SchedulerKind scheduler = SchedulerKind::ParBs;
@@ -277,8 +276,9 @@ class MB_CHANNEL_LOCAL MemoryController {
   MB_CHANNEL_IFACE(EventQueue)
   EventQueue& eq_;
   // Declared seam: read completions leave the channel through the shard
-  // mailbox when one is wired (sharded engine); null means completions run
-  // directly on eq_ (single-queue unit fixtures).
+  // mailbox when one is wired (every simulation run); null means completions
+  // run directly on eq_, which is how mbbench's mc.ns_per_request probe and
+  // the mc unit tests drive a bare controller on one queue.
   MB_CHANNEL_IFACE(ShardMailbox)
   ShardMailbox* mailbox_ = nullptr;
 

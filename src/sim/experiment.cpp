@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "sim/sweep.hpp"
 
 namespace mb::sim {
 
@@ -106,23 +105,6 @@ void applySlice(SystemConfig& cfg, SlicePreset preset, bool multicore) {
 
 RunResult runSpecApp(const std::string& appName, const SystemConfig& cfg) {
   return runSimulation(cfg, WorkloadSpec::spec(appName));
-}
-
-std::vector<RunResult> runSpecGroup(trace::SpecGroup group, const SystemConfig& cfg) {
-  std::vector<RunResult> out;
-  for (const auto& name : trace::specGroupMembers(group))
-    out.push_back(runSpecApp(name, cfg));
-  return out;
-}
-
-std::vector<RunResult> runSpecGroup(trace::SpecGroup group, const SystemConfig& cfg,
-                                    int jobs) {
-  std::vector<SweepPoint> points;
-  for (const auto& name : trace::specGroupMembers(group))
-    points.push_back({name, cfg, WorkloadSpec::spec(name)});
-  SweepOptions opts;
-  opts.jobs = jobs;
-  return SweepRunner(opts).runAll(points);
 }
 
 namespace {

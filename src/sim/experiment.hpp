@@ -45,15 +45,6 @@ void applySlice(SystemConfig& cfg, SlicePreset preset, bool multicore);
 /// Run one single-threaded SPEC application (1 core, 1 channel, §VI-A).
 RunResult runSpecApp(const std::string& appName, const SystemConfig& cfg);
 
-/// Run every app in a group and return the per-app results (Table II order).
-std::vector<RunResult> runSpecGroup(trace::SpecGroup group, const SystemConfig& cfg);
-
-/// Parallel variant: shard the group's apps across `jobs` workers via
-/// SweepRunner (jobs <= 0 resolves through MB_JOBS / hardware concurrency;
-/// 1 is serial). Results are bit-identical to the serial overload.
-std::vector<RunResult> runSpecGroup(trace::SpecGroup group, const SystemConfig& cfg,
-                                    int jobs);
-
 /// Arithmetic mean of per-app metric ratios vs. a baseline run list.
 ///
 /// A baseline metric of 0 is a methodology error (the paper normalizes every

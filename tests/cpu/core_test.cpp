@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/event_queue.hpp"
+#include "engine_rig.hpp"
 
 namespace mb::cpu {
 namespace {
@@ -31,42 +31,29 @@ class ScriptedTrace final : public trace::TraceSource {
   size_t idx_ = 0;
 };
 
-class CoreTest : public ::testing::Test {
+class CoreTest : public EngineRigTest {
  protected:
   void build(std::vector<trace::Record> records, std::int64_t maxInstrs,
              int mshrs = 8) {
+    core_.reset();
     geom_.channels = 1;
     geom_.ranksPerChannel = 2;
     geom_.banksPerRank = 8;
     geom_.capacityBytes = 4 * kGiB;
-    map_.emplace(core::AddressMap::pageInterleaved(geom_));
-    mc::ControllerConfig cfg;
-    cfg.refreshEnabled = false;
-    cfg.enableTimingCheck = true;
-    mcs_.push_back(std::make_unique<mc::MemoryController>(
-        0, geom_, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(), *map_, cfg,
-        eq_));
     hcfg_.numCores = 1;
     hcfg_.coresPerCluster = 1;
-    hier_ = std::make_unique<MemoryHierarchy>(hcfg_, mcs_, eq_);
+    buildRig();
     trace_ = std::make_unique<ScriptedTrace>(std::move(records));
     params_.maxInstrs = maxInstrs;
     params_.mshrs = mshrs;
-    core_ = std::make_unique<RobCore>(0, params_, *trace_, *hier_, eq_);
+    core_ = std::make_unique<RobCore>(0, params_, *trace_, *hier_, *cpuQ_);
   }
 
   void run() {
     core_->start();
-    while (!core_->done() && eq_.step()) {
-    }
+    runUntil([this] { return core_->done(); });
   }
 
-  EventQueue eq_;
-  dram::Geometry geom_;
-  std::optional<core::AddressMap> map_;
-  std::vector<std::unique_ptr<mc::MemoryController>> mcs_;
-  HierarchyConfig hcfg_;
-  std::unique_ptr<MemoryHierarchy> hier_;
   std::unique_ptr<ScriptedTrace> trace_;
   CoreParams params_;
   std::unique_ptr<RobCore> core_;
@@ -145,9 +132,6 @@ TEST_F(CoreTest, DependentChainsSerialize) {
   const double independentIpc = core_->ipc();
 
   // Rebuild with dependent chains: pointer chasing kills MLP.
-  eq_ = EventQueue();
-  mcs_.clear();
-  hier_.reset();
   build(makeRecs(true), 15000);
   run();
   const double dependentIpc = core_->ipc();
@@ -168,9 +152,6 @@ TEST_F(CoreTest, MshrLimitReducesOverlap) {
   run();
   const double wideIpc = core_->ipc();
 
-  eq_ = EventQueue();
-  mcs_.clear();
-  hier_.reset();
   build(makeRecs(), 4000, /*mshrs=*/1);
   run();
   const double narrowIpc = core_->ipc();
@@ -201,9 +182,6 @@ TEST_F(CoreTest, StoresOutpaceEquivalentLoads) {
   run();
   const double storeIpc = core_->ipc();
 
-  eq_ = EventQueue();
-  mcs_.clear();
-  hier_.reset();
   build(makeRecs(false), 15000);
   run();
   const double loadIpc = core_->ipc();
@@ -224,9 +202,6 @@ TEST_F(CoreTest, IpcIsDeterministic) {
   run();
   const double first = core_->ipc();
 
-  eq_ = EventQueue();
-  mcs_.clear();
-  hier_.reset();
   build(makeRecs(), 7000);
   run();
   EXPECT_DOUBLE_EQ(core_->ipc(), first);

@@ -2,55 +2,37 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "common/event_queue.hpp"
+#include "engine_rig.hpp"
 
 namespace mb::cpu {
 namespace {
 
 // A hierarchy over real controllers with a tiny geometry, so DRAM responses
 // flow through the full event-driven path.
-class HierarchyTest : public ::testing::Test {
+class HierarchyTest : public EngineRigTest {
  protected:
   void build(int numCores = 8, int coresPerCluster = 4) {
     geom_.channels = 2;
     geom_.ranksPerChannel = 2;
     geom_.banksPerRank = 8;
     geom_.capacityBytes = 8 * kGiB;
-    map_.emplace(core::AddressMap::pageInterleaved(geom_));
-    mc::ControllerConfig cfg;
-    cfg.enableTimingCheck = true;
-    cfg.refreshEnabled = false;
-    for (int ch = 0; ch < geom_.channels; ++ch) {
-      mcs_.push_back(std::make_unique<mc::MemoryController>(
-          ch, geom_, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(), *map_,
-          cfg, eq_));
-    }
     hcfg_.numCores = numCores;
     hcfg_.coresPerCluster = coresPerCluster;
-    hier_ = std::make_unique<MemoryHierarchy>(hcfg_, mcs_, eq_);
+    buildRig();
   }
 
-  /// Synchronous-style access helper: runs the event queue until completion.
+  /// Synchronous-style access helper: runs the engine until completion.
   Tick access(CoreId core, std::uint64_t addr, bool write) {
     Tick result = -1;
-    const auto r = hier_->access(core, addr, write, eq_.now(),
+    const auto r = hier_->access(core, addr, write, now(),
                                  [&](Tick when) { result = when; });
-    if (r.immediate) return eq_.now() + r.latency;
-    eq_.run();
+    if (r.immediate) return now() + r.latency;
+    drain();
     EXPECT_GE(result, 0) << "access never completed";
     return result;
   }
-
-  EventQueue eq_;
-  dram::Geometry geom_;
-  std::optional<core::AddressMap> map_;
-  std::vector<std::unique_ptr<mc::MemoryController>> mcs_;
-  HierarchyConfig hcfg_;
-  std::unique_ptr<MemoryHierarchy> hier_;
 };
+using HierarchyDeathTest = HierarchyTest;
 
 TEST_F(HierarchyTest, ColdReadGoesToDram) {
   build();
@@ -62,7 +44,7 @@ TEST_F(HierarchyTest, ColdReadGoesToDram) {
 TEST_F(HierarchyTest, SecondReadHitsL1) {
   build();
   access(0, 0x100000, false);
-  const auto r = hier_->access(0, 0x100000, false, eq_.now(), nullptr);
+  const auto r = hier_->access(0, 0x100000, false, now(), nullptr);
   EXPECT_TRUE(r.immediate);
   EXPECT_EQ(r.latency, static_cast<Tick>(hcfg_.l1LatCycles) * hcfg_.cyclePs);
   EXPECT_EQ(hier_->stats().l1Hits, 1);
@@ -72,7 +54,7 @@ TEST_F(HierarchyTest, SecondReadHitsL1) {
 TEST_F(HierarchyTest, SiblingCoreHitsSharedL2) {
   build();
   access(0, 0x100000, false);
-  const auto r = hier_->access(1, 0x100000, false, eq_.now(), nullptr);
+  const auto r = hier_->access(1, 0x100000, false, now(), nullptr);
   EXPECT_TRUE(r.immediate);  // L2 hit, no DRAM
   EXPECT_EQ(hier_->stats().l2Hits, 1);
   EXPECT_EQ(hier_->stats().dramReads, 1);
@@ -109,9 +91,9 @@ TEST_F(HierarchyTest, WriteInvalidatesRemoteSharers) {
 
 TEST_F(HierarchyTest, PostedStoreCompletesImmediatelyButFetches) {
   build();
-  const auto r = hier_->access(0, 0x200000, true, eq_.now(), nullptr);
+  const auto r = hier_->access(0, 0x200000, true, now(), nullptr);
   EXPECT_TRUE(r.immediate);  // posted
-  eq_.run();
+  drain();
   EXPECT_EQ(hier_->stats().dramReads, 1);  // fetch-for-ownership happened
 }
 
@@ -119,18 +101,18 @@ TEST_F(HierarchyTest, StoreWithCallbackReportsFillCompletion) {
   build();
   Tick done = -1;
   const auto r =
-      hier_->access(0, 0x200000, true, eq_.now(), [&](Tick when) { done = when; });
+      hier_->access(0, 0x200000, true, now(), [&](Tick when) { done = when; });
   EXPECT_FALSE(r.immediate);
-  eq_.run();
+  drain();
   EXPECT_GT(done, 0);
 }
 
 TEST_F(HierarchyTest, ConcurrentMissesToSameLineMerge) {
   build();
   int completions = 0;
-  hier_->access(0, 0x300000, false, eq_.now(), [&](Tick) { ++completions; });
-  hier_->access(1, 0x300000, false, eq_.now(), [&](Tick) { ++completions; });
-  eq_.run();
+  hier_->access(0, 0x300000, false, now(), [&](Tick) { ++completions; });
+  hier_->access(1, 0x300000, false, now(), [&](Tick) { ++completions; });
+  drain();
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(hier_->stats().dramReads, 1);  // one fill serves both (MSHR merge)
 }
@@ -140,19 +122,19 @@ TEST_F(HierarchyTest, CapacityEvictionWritesDirtyLinesBack) {
   // Write far more distinct lines than the L2 holds.
   const std::int64_t lines = (hcfg_.l2Bytes / 64) * 2;
   for (std::int64_t i = 0; i < lines; ++i) {
-    hier_->access(0, static_cast<std::uint64_t>(i) * 64, true, eq_.now(), nullptr);
-    if (i % 1024 == 0) eq_.run();
+    hier_->access(0, static_cast<std::uint64_t>(i) * 64, true, now(), nullptr);
+    if (i % 1024 == 0) drain();
   }
-  eq_.run();
+  drain();
   EXPECT_GT(hier_->stats().dramWrites, lines / 4);
 }
 
 TEST_F(HierarchyTest, LatencyOrdering) {
   build();
   // L1 hit < L2 hit < DRAM.
-  const Tick dram = access(0, 0x400000, false) - eq_.now();
-  const auto l1 = hier_->access(0, 0x400000, false, eq_.now(), nullptr);
-  const auto l2 = hier_->access(1, 0x400000, false, eq_.now(), nullptr);
+  const Tick dram = access(0, 0x400000, false) - now();
+  const auto l1 = hier_->access(0, 0x400000, false, now(), nullptr);
+  const auto l2 = hier_->access(1, 0x400000, false, now(), nullptr);
   EXPECT_TRUE(l1.immediate);
   EXPECT_TRUE(l2.immediate);
   EXPECT_LT(l1.latency, l2.latency);
@@ -165,6 +147,15 @@ TEST_F(HierarchyTest, StatsAccessCountsEverything) {
   access(0, 0x1000, false);
   access(0, 0x2000, true);
   EXPECT_EQ(hier_->stats().accesses, 3);
+}
+
+// A miss reaches a controller only through the engine's mailbox; a
+// hierarchy nobody wired to an engine must stop at its first one.
+TEST_F(HierarchyDeathTest, TimedMissWithoutMailboxAborts) {
+  build();
+  hier_->setMailbox(nullptr);
+  EXPECT_DEATH(hier_->access(0, 0x100000, false, now(), nullptr),
+               "timed DRAM access with no engine mailbox wired");
 }
 
 TEST(HierarchyConfig, ClusterMath) {

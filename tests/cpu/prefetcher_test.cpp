@@ -1,48 +1,30 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <optional>
-#include <vector>
-
-#include "common/event_queue.hpp"
 #include "common/rng.hpp"
 #include "cpu/hierarchy.hpp"
+#include "engine_rig.hpp"
 
 namespace mb::cpu {
 namespace {
 
-class PrefetcherTest : public ::testing::Test {
+class PrefetcherTest : public EngineRigTest {
  protected:
   void build(bool enable = true, int degree = 4) {
     geom_.channels = 1;
     geom_.ranksPerChannel = 2;
     geom_.banksPerRank = 8;
     geom_.capacityBytes = 4 * kGiB;
-    map_.emplace(core::AddressMap::pageInterleaved(geom_));
-    mc::ControllerConfig cfg;
-    cfg.enableTimingCheck = true;
-    cfg.refreshEnabled = false;
-    mcs_.push_back(std::make_unique<mc::MemoryController>(
-        0, geom_, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(), *map_, cfg,
-        eq_));
     hcfg_.numCores = 4;
     hcfg_.coresPerCluster = 4;
     hcfg_.enablePrefetch = enable;
     hcfg_.prefetchDegree = degree;
-    hier_ = std::make_unique<MemoryHierarchy>(hcfg_, mcs_, eq_);
+    buildRig();
   }
 
   void touch(CoreId core, std::uint64_t addr) {
-    hier_->access(core, addr, false, eq_.now(), [](Tick) {});
-    eq_.run();
+    hier_->access(core, addr, false, now(), [](Tick) {});
+    drain();
   }
-
-  EventQueue eq_;
-  dram::Geometry geom_;
-  std::optional<core::AddressMap> map_;
-  std::vector<std::unique_ptr<mc::MemoryController>> mcs_;
-  HierarchyConfig hcfg_;
-  std::unique_ptr<MemoryHierarchy> hier_;
 };
 
 TEST_F(PrefetcherTest, UnitStrideStreamTriggersPrefetch) {
@@ -100,7 +82,7 @@ TEST_F(PrefetcherTest, PrefetchFillsL2NotL1) {
   ASSERT_GT(hier_->stats().prefetchIssued, 0);
   // A sibling core's access to the prefetched line is an L2 hit.
   const auto before = hier_->stats().dramReads;
-  const auto r = hier_->access(1, 3 * 64, false, eq_.now(), nullptr);
+  const auto r = hier_->access(1, 3 * 64, false, now(), nullptr);
   EXPECT_TRUE(r.immediate);
   EXPECT_EQ(hier_->stats().dramReads, before);
 }
@@ -111,11 +93,11 @@ TEST_F(PrefetcherTest, DemandJoiningInFlightPrefetchCountsUseful) {
   touch(0, 1 * 64);
   // This access triggers prefetches of lines 3..6; immediately demand line 3
   // before its fill returns.
-  hier_->access(0, 2 * 64, false, eq_.now(), [](Tick) {});
+  hier_->access(0, 2 * 64, false, now(), [](Tick) {});
   Tick done = -1;
-  const auto r = hier_->access(0, 3 * 64, false, eq_.now(),
+  const auto r = hier_->access(0, 3 * 64, false, now(),
                                [&](Tick when) { done = when; });
-  eq_.run();
+  drain();
   EXPECT_FALSE(r.immediate);
   EXPECT_GE(done, 0);
   EXPECT_GT(hier_->stats().prefetchUseful, 0);
@@ -137,10 +119,6 @@ TEST_F(PrefetcherTest, DegreeControlsAggressiveness) {
   for (std::uint64_t i = 0; i < 16; ++i) touch(0, i * 64);
   const auto low = hier_->stats().prefetchIssued;
 
-  eq_ = EventQueue();
-  mcs_.clear();
-  hier_.reset();
-  map_.reset();
   build(true, /*degree=*/8);
   for (std::uint64_t i = 0; i < 16; ++i) touch(0, i * 64);
   EXPECT_GT(hier_->stats().prefetchIssued, low);

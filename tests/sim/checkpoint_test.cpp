@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
+#include "ckpt/serialize.hpp"
 #include "ckpt/snapshot.hpp"
 #include "common/check.hpp"
 #include "sim/experiment.hpp"
@@ -247,6 +249,89 @@ TEST(Checkpoint, RejectsMalformedSectionPayload) {
   const std::string msg = restoreFailure(cfg, workload, path);
   EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
   std::remove(path.c_str());
+}
+
+// The hmc preset's serial link gives the hierarchy its one event of its own:
+// a read response hopping back across the link (memLinkLatency), saved in
+// the HIER section. Its 429.mcf run at 10 k instructions has one in flight
+// at 20 us. HIER then ends in the u64 hop count, one 69-byte record (u64
+// token, u8 kind, 40-byte stamp, i64 due, u64 line, i32 cluster), the u64
+// next token and 80 bytes of stats.
+constexpr Tick kHopCut = 20 * kMicrosecond;
+constexpr std::size_t kHopCountFromEnd = 8 + 69 + 8 + 80;
+constexpr std::size_t kHopKindFromEnd = kHopCountFromEnd - 8 - 8;
+
+SystemConfig hmcFast() {
+  for (const auto& preset : shippedPresets()) {
+    if (preset.name != "hmc") continue;
+    SystemConfig cfg = preset.cfg;
+    cfg.core.maxInstrs = 10000;
+    return cfg;
+  }
+  ADD_FAILURE() << "no hmc preset";
+  return {};
+}
+
+/// Relabel the one in-flight hop's kind byte (2) as `Kind`.
+template <std::uint8_t Kind>
+void relabelHop(ckpt::Snapshot& s) {
+  for (auto& sec : s.sections) {
+    if (sec.name != "HIER") continue;
+    ASSERT_GE(sec.payload.size(), kHopCountFromEnd);
+    sec.payload[sec.payload.size() - kHopKindFromEnd] = static_cast<char>(Kind);
+    return;
+  }
+  FAIL() << "checkpoint had no HIER section";
+}
+
+TEST(Checkpoint, RestoresAnInFlightResponseHop) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  const SystemConfig cfg = hmcFast();
+  const RunResult cold = runSimulation(cfg, workload);
+  ASSERT_GT(cold.elapsed, kHopCut);
+
+  const std::string path = ::testing::TempDir() + "mb_ckpt_hop.mbk";
+  RunOptions save;
+  save.checkpointAt = kHopCut;
+  save.checkpointPath = path;
+  expectBitIdentical(cold, runSimulation(cfg, workload, save));
+
+  analysis::DiagnosticEngine diags;
+  auto snap = ckpt::readSnapshotFile(path, diags);
+  ASSERT_TRUE(snap.has_value()) << diags.renderText();
+  const ckpt::SnapshotSection* hier = snap->section("HIER");
+  ASSERT_NE(hier, nullptr);
+  const std::string_view payload = hier->payload;
+  ASSERT_GE(payload.size(), kHopCountFromEnd);
+  ckpt::Reader tail(payload.substr(payload.size() - kHopCountFromEnd));
+  EXPECT_EQ(tail.u64(), 1u) << "no response hop in flight at the cut";
+  (void)tail.u64();          // token
+  EXPECT_EQ(tail.u8(), 2u);  // the hop kind
+
+  RunOptions load;
+  load.restorePath = path;
+  expectBitIdentical(cold, runSimulation(cfg, workload, load));
+  std::remove(path.c_str());
+}
+
+// Kinds 0 and 1 were MC-bound admissions, which travel as engine messages
+// (ENG section) now: a CRC-valid HIER section that relabels the hop as one
+// must be rejected, not restored into a different run or a hang.
+TEST(Checkpoint, RejectsAHopRelabelledAsAnAdmission) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  const SystemConfig cfg = hmcFast();
+  RunOptions save;
+  save.checkpointAt = kHopCut;
+  for (void (*relabel)(ckpt::Snapshot&) : {relabelHop<0>, relabelHop<1>}) {
+    const std::string path = ::testing::TempDir() + "mb_ckpt_hopkind.mbk";
+    save.checkpointPath = path;
+    (void)runSimulation(cfg, workload, save);
+    tamperSnapshot(path, relabel);
+
+    const std::string msg = restoreFailure(cfg, workload, path);
+    EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
+    std::remove(path.c_str());
+  }
 }
 
 // Warmup snapshot reuse: restoring a captured warmup must be bit-identical

@@ -123,13 +123,5 @@ TEST(Axes, RepresentativeConfigsMatchFig10) {
   EXPECT_EQ(cfgs[3].nB, 2);
 }
 
-TEST(RunSpecGroup, RunsWholeGroup) {
-  SystemConfig cfg = tsiBaselineConfig();
-  cfg.core.maxInstrs = 8000;
-  const auto results = runSpecGroup(trace::SpecGroup::Low, cfg);
-  EXPECT_EQ(results.size(), 10u);
-  for (const auto& r : results) EXPECT_GT(r.systemIpc, 0.0);
-}
-
 }  // namespace
 }  // namespace mb::sim

@@ -317,15 +317,5 @@ TEST(SweepRunner, CancelBeforeStartCancelsEverythingQuickly) {
   }
 }
 
-TEST(RunSpecGroupParallel, MatchesSerialOverload) {
-  SystemConfig cfg = tsiBaselineConfig();
-  cfg.core.maxInstrs = 2000;
-  const auto serial = runSpecGroup(trace::SpecGroup::Low, cfg);
-  const auto parallel = runSpecGroup(trace::SpecGroup::Low, cfg, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    expectIdentical(serial[i], parallel[i]);
-}
-
 }  // namespace
 }  // namespace mb::sim
