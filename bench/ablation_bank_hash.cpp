@@ -41,8 +41,8 @@ int main() {
       const auto runs = bench::runWorkload(workload, cfg);
       const auto p = bench::powerBreakdown(runs);
       t.addRow(s.label,
-               {bench::relative(runs, baseline, bench::ipcMetric),
-                bench::relative(runs, baseline, bench::invEdpMetric),
+               {sim::meanRatio(runs, baseline, sim::ipcOf),
+                sim::meanRatio(runs, baseline, sim::invEdpOf),
                 bench::meanOf(runs, +[](const sim::RunResult& r) { return r.rowHitRate; }),
                 p.actPre},
                3);

@@ -31,7 +31,7 @@ int main() {
         if (baseline.empty()) baseline = runs;
         t.addRow({"(" + std::to_string(nW) + "," + std::to_string(nB) + ")",
                   scaled ? "scaled 1/nW" : "standard",
-                  formatDouble(bench::relative(runs, baseline, bench::ipcMetric), 3),
+                  formatDouble(sim::meanRatio(runs, baseline, sim::ipcOf), 3),
                   formatDouble(
                       bench::meanOf(
                           runs, +[](const sim::RunResult& r) { return r.avgReadLatencyNs; }),

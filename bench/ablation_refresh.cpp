@@ -28,7 +28,7 @@ int main() {
         if (baseline.empty()) baseline = runs;
         t.addRow({"(" + std::to_string(nW) + "," + std::to_string(nB) + ")",
                   perBank ? "per-bank" : "all-bank",
-                  formatDouble(bench::relative(runs, baseline, bench::ipcMetric), 3),
+                  formatDouble(sim::meanRatio(runs, baseline, sim::ipcOf), 3),
                   formatDouble(
                       bench::meanOf(
                           runs, +[](const sim::RunResult& r) { return r.avgReadLatencyNs; }),

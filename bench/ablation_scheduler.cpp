@@ -32,7 +32,7 @@ int main() {
         cfg.scheduler = kind;
         auto runs = bench::runWorkload(workload, cfg);
         if (kind == mc::SchedulerKind::Fcfs) fcfsRuns = runs;
-        rel.push_back(bench::relative(runs, fcfsRuns, bench::ipcMetric));
+        rel.push_back(sim::meanRatio(runs, fcfsRuns, sim::ipcOf));
       }
       t.addRow("(" + std::to_string(nW) + "," + std::to_string(nB) + ")", rel, 3);
     }

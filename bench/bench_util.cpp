@@ -6,6 +6,8 @@
 #include <iterator>
 
 #include "common/check.hpp"
+#include "serve/run_plan.hpp"
+#include "sim/journal.hpp"
 
 namespace mb::bench {
 
@@ -54,12 +56,10 @@ BenchArgs parseBenchArgs(int argc, char** argv) {
       args.jobs = static_cast<int>(positiveIntArg("--jobs", argv[++i]));
     } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
       args.warmup = positiveIntArg("--warmup", arg + 9);
-    } else if (std::strcmp(arg, "--warmup-cold") == 0) {
-      args.warmupCold = true;
     } else {
       std::fprintf(stderr,
                    "unrecognized argument: %s (this bench takes --jobs N, "
-                   "--warmup N, --warmup-cold)\n",
+                   "--warmup N)\n",
                    arg);
       std::exit(2);
     }
@@ -76,36 +76,32 @@ void printBanner(const std::string& artifact, const std::string& what) {
   std::printf("================================================================\n");
 }
 
-sim::SystemConfig multicoreConfig(sim::SystemConfig base) {
-  const auto phy = interface::PhyModel::make(base.phy);
-  base.hier.numCores = 64;
-  base.hier.coresPerCluster = 4;
-  base.channels = phy.channels;  // 16, or 8 for the pin-limited DDR3-PCB
-  return base;
-}
-
-sim::SystemConfig sliced(sim::SystemConfig cfg, bool multicore) {
-  sim::applySlice(cfg, sim::slicePresetFromEnv(), multicore);
-  return cfg;
-}
-
 namespace {
 
-/// Expand a named workload into its constituent sweep points (one per
-/// single-app slice run, or one multicore run for mixes/kernels), applying
-/// the same slicing rules the serial path used.
+/// One sweep point of `workload` on `cfg`: processor shape and channel
+/// population from sim::applyWorkloadShape, instruction slice from MB_SLICE.
+sim::SweepPoint slicedPoint(std::string label, sim::SystemConfig cfg,
+                            const sim::WorkloadSpec& workload) {
+  sim::applyWorkloadShape(cfg, workload);
+  sim::applySlice(cfg, sim::slicePresetFromEnv(),
+                  workload.kind != sim::WorkloadSpec::Kind::SingleSpec);
+  return {std::move(label), std::move(cfg), workload};
+}
+
+/// Expand a named workload into its constituent sweep points: one per
+/// single-app run of a SPEC group, else the one point sim::workloadByName
+/// resolves.
 std::vector<sim::SweepPoint> workloadPoints(const std::string& name,
                                             const sim::SystemConfig& cfg) {
-  using trace::SpecGroup;
   auto groupPoints = [&](const std::vector<std::string>& apps) {
-    const auto c = sliced(cfg, false);
     std::vector<sim::SweepPoint> pts;
     pts.reserve(apps.size());
     for (const auto& app : apps)
-      pts.push_back({name + "/" + app, c, sim::WorkloadSpec::spec(app)});
+      pts.push_back(slicedPoint(name + "/" + app, cfg, sim::WorkloadSpec::spec(app)));
     return pts;
   };
 
+  using trace::SpecGroup;
   if (name == "spec-high") return groupPoints(trace::specGroupMembers(SpecGroup::High));
   if (name == "spec-med") return groupPoints(trace::specGroupMembers(SpecGroup::Med));
   if (name == "spec-low") return groupPoints(trace::specGroupMembers(SpecGroup::Low));
@@ -114,17 +110,9 @@ std::vector<sim::SweepPoint> workloadPoints(const std::string& name,
     for (const auto& p : trace::specProfiles()) all.push_back(p.name);
     return groupPoints(all);
   }
-  if (name == "mix-high" || name == "mix-blend") {
-    return {{name, sliced(multicoreConfig(cfg), true), sim::WorkloadSpec::mix(name)}};
-  }
-  for (auto kind : {trace::MtKind::Radix, trace::MtKind::Fft, trace::MtKind::Canneal,
-                    trace::MtKind::TpcC, trace::MtKind::TpcH}) {
-    if (name == trace::mtKindName(kind)) {
-      return {{name, sliced(multicoreConfig(cfg), true), sim::WorkloadSpec::mt(kind)}};
-    }
-  }
-  // Single SPEC application.
-  return {{name, sliced(cfg, false), sim::WorkloadSpec::spec(name)}};
+  const auto workload = sim::workloadByName(name);
+  MB_CHECK_MSG(workload.has_value(), "unknown bench workload \"%s\"", name.c_str());
+  return {slicedPoint(name, cfg, *workload)};
 }
 
 }  // namespace
@@ -140,50 +128,46 @@ std::size_t SweepPlan::add(const std::string& workload, const sim::SystemConfig&
   return cells_.size() - 1;
 }
 
-void SweepPlan::enableWarmup(std::int64_t records, bool reuseSnapshots) {
+void SweepPlan::enableWarmup(std::int64_t records) {
   MB_CHECK(!ran_ && records > 0);
   warmupRecords_ = records;
-  warmupReuse_ = reuseSnapshots;
 }
 
 void SweepPlan::run(int jobs) {
   MB_CHECK(!ran_);
-  if (warmupRecords_ > 0) {
-    std::size_t captured = 0;
-    for (auto& p : points_) {
-      p.opts.warmupRecords = warmupRecords_;
-      if (!warmupReuse_) continue;
-      const std::uint64_t key =
-          sim::warmupKeyHash(p.cfg, p.workload, warmupRecords_);
-      auto it = warmupSnaps_.find(key);
-      if (it == warmupSnaps_.end()) {
-        // First point with this (workload, seed, processor shape): run the
-        // functional warmup once and snapshot it. Every other grid point
-        // sharing the key restores the snapshot instead of replaying.
-        it = warmupSnaps_
-                 .emplace(key, sim::captureWarmupSnapshot(p.cfg, p.workload,
-                                                          warmupRecords_))
-                 .first;
-        ++captured;
-      }
-      p.opts.warmupRestoreBuf = &it->second;
-    }
-    if (warmupReuse_)
-      std::fprintf(stderr,
-                   "[sweep] warmup: %lld records/core, %zu snapshots shared "
-                   "across %zu points\n",
-                   static_cast<long long>(warmupRecords_), captured,
-                   points_.size());
-  }
+  serve::JobPlan plan;
+  plan.points = std::move(points_);
+  for (auto& p : plan.points) p.opts.warmupRecords = warmupRecords_;
+  // No result cache. The LRU's leases pin every warm-up snapshot until the
+  // sweep ends, so a zero budget still shares each one across its points.
+  serve::SnapshotLru snapshots(0);
   sim::SweepOptions opts;
   opts.jobs = jobs;
   opts.progress = true;
-  auto results = sim::SweepRunner(opts).runAll(points_);
+  const auto outs = serve::runPlan(plan, nullptr, snapshots, opts, /*shards=*/1);
+  if (warmupRecords_ > 0)
+    std::fprintf(stderr,
+                 "[sweep] warmup: %lld records/core, %lld snapshots shared "
+                 "across %zu points\n",
+                 static_cast<long long>(warmupRecords_),
+                 static_cast<long long>(snapshots.stats().misses), outs.size());
+
+  std::vector<sim::RunResult> results(outs.size());
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    if (outs[i].ok && sim::runResultFromJson(outs[i].json, &results[i])) continue;
+    ++failed;
+    std::fprintf(stderr, "sweep point %zu (%s) failed: %s\n", i,
+                 plan.points[i].label.c_str(),
+                 outs[i].ok ? "result does not decode" : outs[i].error.c_str());
+  }
+  MB_CHECK_MSG(failed == 0, "%zu of %zu sweep points failed (see stderr)", failed,
+               outs.size());
   for (auto& cell : cells_) {
-    cell.results.assign(
-        std::make_move_iterator(results.begin() + static_cast<std::ptrdiff_t>(cell.firstPoint)),
-        std::make_move_iterator(results.begin() +
-                                static_cast<std::ptrdiff_t>(cell.firstPoint + cell.numPoints)));
+    const auto first = results.begin() + static_cast<std::ptrdiff_t>(cell.firstPoint);
+    cell.results.assign(std::make_move_iterator(first),
+                        std::make_move_iterator(
+                            first + static_cast<std::ptrdiff_t>(cell.numPoints)));
   }
   ran_ = true;
 }
@@ -195,13 +179,10 @@ const std::vector<sim::RunResult>& SweepPlan::results(std::size_t cell) const {
 
 std::vector<sim::RunResult> runWorkload(const std::string& name,
                                         const sim::SystemConfig& cfg) {
-  return sim::SweepRunner().runAll(workloadPoints(name, cfg));
-}
-
-double relative(const std::vector<sim::RunResult>& test,
-                const std::vector<sim::RunResult>& baseline,
-                double (*metric)(const sim::RunResult&)) {
-  return sim::meanRatio(test, baseline, metric);
+  SweepPlan plan;
+  const std::size_t cell = plan.add(name, cfg);
+  plan.run(0);
+  return plan.results(cell);
 }
 
 PowerBreakdownW powerBreakdown(const std::vector<sim::RunResult>& runs) {

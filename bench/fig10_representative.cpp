@@ -8,8 +8,9 @@
 // with more wordline partitions dissipate the least ACT/PRE power; RADIX
 // gains ~49% IPC at (8,2).
 //
-// All (workload, config) runs execute in parallel via sim::SweepRunner
-// (--jobs N / MB_JOBS; --jobs 1 is the old serial walk, same stdout).
+// All (workload, config) runs are planned through bench::SweepPlan and run
+// in parallel on mbserve's sweep path (--jobs N / MB_JOBS; --jobs 1 is a
+// serial walk, same stdout).
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -57,8 +58,8 @@ int main(int argc, char** argv) {
       const auto& runs = plan.results(configCell[workload][c.label]);
       const auto p = bench::powerBreakdown(runs);
       t.addRow(c.label,
-               {bench::relative(runs, baseline, bench::ipcMetric),
-                bench::relative(runs, baseline, bench::invEdpMetric), p.processor,
+               {sim::meanRatio(runs, baseline, sim::ipcOf),
+                sim::meanRatio(runs, baseline, sim::invEdpOf), p.processor,
                 p.actPre, p.dramStatic, p.rdwr, p.io},
                3);
     }

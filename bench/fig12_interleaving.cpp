@@ -45,8 +45,8 @@ int main() {
           const auto runs = bench::runWorkload(group, cfg);
           t.addRow({"(" + std::to_string(c.nW) + "," + std::to_string(c.nB) + ")",
                     std::to_string(iB), policy == core::PolicyKind::Open ? "O" : "C",
-                    formatDouble(bench::relative(runs, baseline, bench::ipcMetric), 3),
-                    formatDouble(bench::relative(runs, baseline, bench::invEdpMetric),
+                    formatDouble(sim::meanRatio(runs, baseline, sim::ipcOf), 3),
+                    formatDouble(sim::meanRatio(runs, baseline, sim::invEdpOf),
                                  3)});
         }
       }

@@ -59,7 +59,7 @@ int main() {
         const auto runs = schemes[s].kind == core::PolicyKind::Open
                               ? openRuns
                               : bench::runWorkload(workload, cfg);
-        ipcRel[s] = bench::relative(runs, openRuns, bench::ipcMetric);
+        ipcRel[s] = sim::meanRatio(runs, openRuns, sim::ipcOf);
         hitRate[s] = bench::meanOf(
             runs, +[](const sim::RunResult& r) { return r.predictorHitRate; });
         if (schemes[s].kind == core::PolicyKind::Tournament) {

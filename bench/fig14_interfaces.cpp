@@ -40,8 +40,8 @@ int main() {
       const auto p = bench::powerBreakdown(runs);
       const double memW = p.actPre + p.dramStatic + p.rdwr + p.io;
       t.addRow(interface::phyKindName(phy),
-               {bench::relative(runs, baseline, bench::ipcMetric),
-                bench::relative(runs, baseline, bench::invEdpMetric), p.processor,
+               {sim::meanRatio(runs, baseline, sim::ipcOf),
+                sim::meanRatio(runs, baseline, sim::invEdpOf), p.processor,
                 p.actPre, p.dramStatic, p.rdwr, p.io,
                 memW > 0 ? p.actPre / memW : 0.0},
                3);

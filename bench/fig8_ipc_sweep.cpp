@@ -6,16 +6,18 @@
 // are modest (~1.2x); TPC-H jumps sharply with nB and saturates, with weak
 // nW sensitivity; diminishing returns everywhere.
 //
-// All grid points are independent simulations and run in parallel through
-// sim::SweepRunner: --jobs N / MB_JOBS bounds the pool (default: hardware
-// concurrency; 1 is the old serial walk; stdout is identical either way).
+// The 286 grid points (26 cells per workload; spec-high is 9 apps per cell)
+// are independent simulations planned through bench::SweepPlan and run on
+// mbserve's sweep path (serve::runPlan): --jobs N / MB_JOBS bounds the pool
+// (default: hardware concurrency; 1 is a serial walk; stdout is identical
+// either way).
 //
 // --warmup=N (or MB_WARMUP=N) warms each point's caches with N functional
 // trace records per core before measurement. The warmup state depends only
 // on the workload and the processor shape — not on (nW, nB) or any other
-// memory knob — so it runs once per workload and every grid point restores
-// the shared MBCKPT1 snapshot (--warmup-cold replays it per point instead;
-// the grids are bit-identical, only wall-clock differs).
+// memory knob — so it runs once per warmup key and every grid point restores
+// that MBCKPT1 snapshot from the sweep's SnapshotLru; the grids are
+// bit-identical to replaying the warmup in every point.
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (args.warmup > 0) plan.enableWarmup(args.warmup, !args.warmupCold);
+  if (args.warmup > 0) plan.enableWarmup(args.warmup);
   plan.run(jobs);
 
   for (const auto& workload : workloads) {
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
     for (int nw : axis) {
       for (int nb : axis) {
         const auto& runs = plan.results(gridCell[workload][{nw, nb}]);
-        grid.set(nw, nb, bench::relative(runs, baseline, bench::ipcMetric));
+        grid.set(nw, nb, sim::meanRatio(runs, baseline, sim::ipcOf));
       }
     }
     grid.print(std::cout);

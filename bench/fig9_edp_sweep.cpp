@@ -6,13 +6,13 @@
 // cuts activation energy; mcf reaches ~4.9x at (8,16); TPC-H ~3.6x at
 // (16,8); the best-EDP corner always has nW >= 2.
 //
-// Grid points run in parallel via sim::SweepRunner (--jobs N / MB_JOBS;
-// --jobs 1 reproduces the old serial walk with identical stdout).
+// It plans the same points as fig8 and prints a different metric. Grid
+// points run in parallel on mbserve's sweep path via bench::SweepPlan
+// (--jobs N / MB_JOBS; --jobs 1 is a serial walk with identical stdout).
 //
 // --warmup=N / MB_WARMUP=N warms caches with N trace records per core
-// before measurement, capturing one MBCKPT1 warmup snapshot per workload
-// and restoring it at every grid point (--warmup-cold re-simulates the
-// warmup per point instead; same grids, more wall-clock).
+// before measurement: one MBCKPT1 warmup snapshot per warmup key, restored
+// at every grid point that shares it.
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (args.warmup > 0) plan.enableWarmup(args.warmup, !args.warmupCold);
+  if (args.warmup > 0) plan.enableWarmup(args.warmup);
   plan.run(jobs);
 
   for (const auto& workload : workloads) {
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     for (int nw : axis) {
       for (int nb : axis) {
         const auto& runs = plan.results(gridCell[workload][{nw, nb}]);
-        grid.set(nw, nb, bench::relative(runs, baseline, bench::invEdpMetric));
+        grid.set(nw, nb, sim::meanRatio(runs, baseline, sim::invEdpOf));
       }
     }
     grid.print(std::cout);

@@ -22,8 +22,8 @@ int main() {
   {
     const auto tsi = bench::runWorkload("spec-high", sim::tsiBaselineConfig());
     t.addRow({"LPDDR-TSI, (1,1)",
-              formatDouble(bench::relative(tsi, baseline, bench::ipcMetric), 3),
-              formatDouble(bench::relative(tsi, baseline, bench::invEdpMetric), 3),
+              formatDouble(sim::meanRatio(tsi, baseline, sim::ipcOf), 3),
+              formatDouble(sim::meanRatio(tsi, baseline, sim::invEdpOf), 3),
               "0.0%"});
   }
   dram::AreaModel area;
@@ -33,8 +33,8 @@ int main() {
     cfg.ubank = dram::UbankConfig{c.nW, c.nB};
     const auto runs = bench::runWorkload("spec-high", cfg);
     t.addRow({"LPDDR-TSI + ubank " + c.label,
-              formatDouble(bench::relative(runs, baseline, bench::ipcMetric), 3),
-              formatDouble(bench::relative(runs, baseline, bench::invEdpMetric), 3),
+              formatDouble(sim::meanRatio(runs, baseline, sim::ipcOf), 3),
+              formatDouble(sim::meanRatio(runs, baseline, sim::invEdpOf), 3),
               formatDouble(area.overhead({c.nW, c.nB}) * 100.0, 1) + "%"});
   }
   t.print(std::cout);

@@ -78,11 +78,6 @@ struct HierarchyStats {
   std::int64_t upgrades = 0;
   std::int64_t prefetchIssued = 0;
   std::int64_t prefetchUseful = 0;  // prefetched lines later hit by demand
-
-  double l1HitRate() const {
-    return accesses == 0 ? 0.0
-                         : static_cast<double>(l1Hits) / static_cast<double>(accesses);
-  }
 };
 
 class MB_CROSS_CHANNEL MemoryHierarchy {
@@ -117,7 +112,6 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   /// measurement; a warmup snapshot taken in this mode is independent of
   /// every memory-side parameter.
   void setFunctionalMode(bool on) { functional_ = on; }
-  bool functionalMode() const { return functional_; }
   /// Convenience wrapper for warmup traffic (functional mode must be on).
   void warmAccess(CoreId core, std::uint64_t addr, bool write);
   /// Zero the access counters (after warmup, before measurement).

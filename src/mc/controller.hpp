@@ -165,8 +165,6 @@ class MB_CHANNEL_LOCAL MemoryController {
   const std::vector<KickEvent>& pendingKickEvents() const { return kickEvents_; }
   /// In-flight read completions currently occupying pool slots.
   std::size_t liveCompletionCount() const { return liveCompletions_; }
-  /// Request-arena occupancy (tests / invariants: zero when idle).
-  std::size_t liveRequestCount() const { return pool_.liveCount(); }
 
  private:
   struct Pending {

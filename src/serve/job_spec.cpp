@@ -208,7 +208,6 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
   if (!workload)
     return reject(diags, "MB-SRV-006",
                   "unknown workload \"" + spec.workload + "\"");
-  plan.workload = *workload;
 
   std::vector<sim::NamedConfig> bases;
   if (spec.sweep) {
@@ -233,7 +232,7 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
       for (const int nb : nbs) {
         sim::SweepPoint point;
         point.cfg = base.cfg;
-        point.workload = plan.workload;
+        point.workload = *workload;
         if (nw > 0) point.cfg.ubank.nW = nw;
         if (nb > 0) point.cfg.ubank.nB = nb;
         point.label = base.name;
@@ -243,7 +242,7 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
         }
         if (spec.instrs > 0) point.cfg.core.maxInstrs = spec.instrs;
         if (spec.hasSeed) point.cfg.seed = spec.seed;
-        sim::applyWorkloadShape(point.cfg, plan.workload);
+        sim::applyWorkloadShape(point.cfg, *workload);
         // Fold reseed into the effective per-point seed NOW, keyed by the
         // point's position in this expansion — downstream (SweepRunner, the
         // memo key) never needs to know reseed existed.

@@ -69,7 +69,6 @@ std::string canonicalJson(const JobSpec& spec);
 
 struct JobPlan {
   std::string workloadName;
-  sim::WorkloadSpec workload;
   std::vector<sim::SweepPoint> points;  // seeds already effective (see above)
   bool nocache = false;
 };

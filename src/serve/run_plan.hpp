@@ -2,12 +2,14 @@
 //
 // runPlan looks every point of a JobPlan up in the content-addressed
 // ResultCache, runs only the misses on a SweepRunner, and stores each miss
-// that finishes. Both front ends share it:
+// that finishes. It is the one multi-point path:
 //
 //   - mbserve (Server::executeJob) wraps it in protocol events;
 //   - `mbsim --sweep --cache-dir=DIR` prints its table from it, so
 //     re-running an interrupted sweep over the same DIR replays the points
-//     that finished and simulates only the rest.
+//     that finished and simulates only the rest;
+//   - the figure benches (bench::SweepPlan) run their grids on it with no
+//     cache and decode each result with runResultFromJson.
 //
 // The cache key folds each point's effective seed (planJob already folded
 // any reseed into it), so a sweep with a different seed, workload or preset

@@ -205,21 +205,4 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepPoint>& points
   return outcomes;
 }
 
-std::vector<RunResult> SweepRunner::runAll(const std::vector<SweepPoint>& points) const {
-  const auto outcomes = run(points);
-  std::size_t failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok) continue;
-    ++failed;
-    std::fprintf(stderr, "sweep point %zu (%s) failed: %s\n", o.index,
-                 o.label.c_str(), o.error.c_str());
-  }
-  MB_CHECK_MSG(failed == 0, "%zu of %zu sweep points failed (see stderr)", failed,
-               outcomes.size());
-  std::vector<RunResult> results;
-  results.reserve(outcomes.size());
-  for (auto& o : outcomes) results.push_back(std::move(o.result));
-  return results;
-}
-
 }  // namespace mb::sim

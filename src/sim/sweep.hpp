@@ -1,7 +1,7 @@
 // Parallel sweep engine.
 //
 // The paper's evaluation is built from dense grids of *independent*
-// simulations — 5x5 (nW, nB) points per workload in Figs. 6/8/9, one run per
+// simulations — 5x5 (nW, nB) points per workload in Figs. 8/9, one run per
 // representative config in Fig. 10 — and every simulation is a pure function
 // of (SystemConfig, WorkloadSpec): its own event queue, device state, and
 // seeded generators, with no shared mutable state. SweepRunner exploits that:
@@ -114,11 +114,6 @@ class SweepRunner {
   /// Run all points; outcome[i] corresponds to points[i]. Never aborts on a
   /// point failure (see header notes); the caller inspects `ok`.
   std::vector<SweepOutcome> run(const std::vector<SweepPoint>& points) const;
-
-  /// Convenience for callers that treat any point failure as fatal (the
-  /// pre-SweepRunner behavior): runs, and on failure reports every failed
-  /// point before aborting. Returns results in submission order.
-  std::vector<RunResult> runAll(const std::vector<SweepPoint>& points) const;
 
  private:
   SweepOptions opts_;

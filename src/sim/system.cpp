@@ -359,8 +359,10 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
                                   "config hash mismatch: snapshot belongs to a "
                                   "different configuration or workload",
                                   label)
-                       .with("snapshot", static_cast<std::int64_t>(snap.configHash))
-                       .with("expected", static_cast<std::int64_t>(expectHash)));
+                       .with("snapshotConfigHash",
+                             static_cast<std::int64_t>(snap.configHash))
+                       .with("expectedConfigHash",
+                             static_cast<std::int64_t>(expectHash)));
   }
   if (snap.geometry != snapshotGeometry(sys.geom)) {
     rejectSnapshot(ckpt::ckptDiag("MB-CKP-009",
@@ -424,8 +426,9 @@ void restoreWarmup(BuiltSystem& sys, std::uint64_t expectKey,
                                   "a different workload / core / cache / warmup-"
                                   "length combination",
                                   label)
-                       .with("snapshot", static_cast<std::int64_t>(snap.warmupKey))
-                       .with("expected", static_cast<std::int64_t>(expectKey)));
+                       .with("snapshotWarmupKey",
+                             static_cast<std::int64_t>(snap.warmupKey))
+                       .with("expectedWarmupKey", static_cast<std::int64_t>(expectKey)));
   }
   loadSection(snap, "TRACE", label, [&](ckpt::Reader& r) {
     for (auto& t : sys.traces) t->load(r);

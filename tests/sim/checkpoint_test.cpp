@@ -148,6 +148,18 @@ std::string restoreFailure(const SystemConfig& cfg, const WorkloadSpec& workload
   return "";
 }
 
+/// How many `key: value` context lines a rendered diagnostic carries for
+/// `key`. Each context key must be unique: Diagnostic::json() writes them as
+/// one JSON object, which json_mini's strict mode rejects on a duplicate.
+std::size_t contextLines(const std::string& text, const std::string& key) {
+  const std::string needle = "\n  " + key + ": ";
+  std::size_t n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1))
+    ++n;
+  return n;
+}
+
 /// Write a full-run checkpoint of (cfg, workload) at half distance.
 std::string writeCheckpoint(const SystemConfig& cfg, const WorkloadSpec& workload,
                             const std::string& path) {
@@ -169,6 +181,10 @@ TEST(Checkpoint, RejectsConfigMismatch) {
   other.seed += 1;  // any config delta changes the hash
   const std::string msg = restoreFailure(other, workload, path);
   EXPECT_NE(msg.find("MB-CKP-004"), std::string::npos) << msg;
+  // The file label and the two hashes each have their own key.
+  EXPECT_EQ(contextLines(msg, "snapshot"), 1u) << msg;
+  EXPECT_EQ(contextLines(msg, "snapshotConfigHash"), 1u) << msg;
+  EXPECT_EQ(contextLines(msg, "expectedConfigHash"), 1u) << msg;
   std::remove(path.c_str());
 }
 
@@ -408,6 +424,9 @@ TEST(Warmup, RejectsKeyMismatch) {
     FAIL() << "mismatched warmup key accepted";
   } catch (const CheckFailure& f) {
     EXPECT_NE(f.message.find("MB-CKP-005"), std::string::npos) << f.message;
+    EXPECT_EQ(contextLines(f.message, "snapshot"), 1u) << f.message;
+    EXPECT_EQ(contextLines(f.message, "snapshotWarmupKey"), 1u) << f.message;
+    EXPECT_EQ(contextLines(f.message, "expectedWarmupKey"), 1u) << f.message;
   }
 }
 

@@ -224,15 +224,6 @@ TEST(SweepRunner, FailingPointIsIsolated) {
   expectIdentical(outcomes[2].result, clean[1].result);
 }
 
-TEST(SweepRunnerDeath, RunAllAbortsOnFailureAfterReportingAll) {
-  auto points = seededGrid(0xfeedULL);
-  points.resize(2);
-  points[0].cfg.ubank = dram::UbankConfig{3, 1};
-  SweepOptions opts;
-  opts.jobs = 2;
-  EXPECT_DEATH((void)SweepRunner(opts).runAll(points), "sweep points failed");
-}
-
 TEST(SweepRunner, OnProgressReportsMonotoneSerializedCounts) {
   auto points = seededGrid(0x5eedULL);
   points.resize(6);

@@ -2,9 +2,10 @@
 # CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
 # assertions on), a TSan pass over the parallel sweep tests, the
 # channel-sharded engine tests, and one sharded preset run, the static
-# analyses (mblint, mbstatic), end-to-end audit / checkpoint / sweep-resume /
-# mbserve stages, a recorded (non-gating) perf-harness run in an unsanitized
-# build tree, then clang-tidy over src/.
+# analyses (mblint, mbstatic), end-to-end audit / checkpoint / warm-up file /
+# sweep-resume / mbserve stages, a recorded (non-gating) perf-harness run and
+# a bench --jobs invariance check in an unsanitized build tree, then
+# clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -106,7 +107,7 @@ if "$build/tools/mbaudit" "$audit_dir/cmds.tsi-baseline.mbc" \
 fi
 rm -rf "$audit_dir"
 
-echo "== checkpoint/restore equivalence per preset =="
+echo "== checkpoint/restore and warm-up file equivalence per preset =="
 # For every shipped preset: run cold, run again writing a mid-flight MBCKPT1
 # checkpoint, then restore from it — all three reports must be byte-identical
 # (the ASan build also shakes memory bugs out of the save/load paths). The
@@ -128,6 +129,23 @@ while read -r preset; do
   cmp "$ckpt_dir/cold.txt" "$ckpt_dir/restore.txt" || {
     echo "FAIL: restore diverged from cold run for preset $preset" >&2; exit 1; }
   echo "checkpoint/restore ok: $preset"
+done < <("$build/tools/mblint" --list-presets)
+
+# Warm-up files (--warmup-save / --warmup-load): the warm-up key excludes
+# every memory-side knob, so one snapshot saved from the default config
+# serves all presets, and each restore must print the report a --warmup=N
+# replay prints.
+"$build/tools/mbsim" --workload=429.mcf --warmup=2000 \
+  --warmup-save="$ckpt_dir/warm.mbk" >/dev/null
+while read -r preset; do
+  "$build/tools/mbsim" --preset="$preset" --workload=429.mcf --instrs=10000 \
+    --warmup=2000 > "$ckpt_dir/replay.txt"
+  "$build/tools/mbsim" --preset="$preset" --workload=429.mcf --instrs=10000 \
+    --warmup=2000 --warmup-load="$ckpt_dir/warm.mbk" > "$ckpt_dir/load.txt"
+  cmp "$ckpt_dir/replay.txt" "$ckpt_dir/load.txt" || {
+    echo "FAIL: --warmup-load diverged from the replayed warm-up for preset $preset" >&2
+    exit 1; }
+  echo "warm-up load ok: $preset"
 done < <("$build/tools/mblint" --list-presets)
 
 rm -rf "$ckpt_dir"
@@ -326,6 +344,18 @@ cmake --build "$build_perf" -j"$(nproc)" --target mbperf
 "$build_perf/bench/mbperf" --out="$build_perf/BENCH_PERF.json" \
   --baseline="$repo/bench/perf_baseline.txt" --serve --shard-bench=4
 echo "perf record: $build_perf/BENCH_PERF.json"
+
+echo "== bench stdout is the same at every --jobs =="
+# bench/bench_util.hpp promises identical stdout for every worker count.
+# fig8 with a warm-up covers the shared snapshots too. Gating, unlike the
+# perf record above: the output is deterministic, only wall clock varies.
+cmake --build "$build_perf" -j"$(nproc)" --target fig8_ipc_sweep
+"$build_perf/bench/fig8_ipc_sweep" --warmup=2000 --jobs=1 > "$build_perf/fig8.j1.txt"
+"$build_perf/bench/fig8_ipc_sweep" --warmup=2000 --jobs=4 > "$build_perf/fig8.j4.txt"
+cmp "$build_perf/fig8.j1.txt" "$build_perf/fig8.j4.txt" || {
+  echo "FAIL: fig8_ipc_sweep stdout differs between --jobs=1 and --jobs=4" >&2
+  exit 1; }
+echo "fig8 --jobs=1 and --jobs=4 stdout identical"
 
 echo "== clang-tidy over src/ =="
 if command -v clang-tidy >/dev/null 2>&1; then
