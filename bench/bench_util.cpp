@@ -1,11 +1,13 @@
 #include "bench_util.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
 
 #include "common/check.hpp"
+#include "common/string_util.hpp"
 #include "serve/run_plan.hpp"
 #include "sim/journal.hpp"
 
@@ -14,13 +16,12 @@ namespace mb::bench {
 namespace {
 
 std::int64_t positiveIntArg(const char* flag, const char* value) {
-  char* end = nullptr;
-  const long long v = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || v < 1) {
+  const auto v = parseInt(value, 1, INT_MAX);
+  if (!v) {
     std::fprintf(stderr, "%s expects a positive integer, got \"%s\"\n", flag, value);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ checkFailedMsg(const char* expr, const char* file, int line, const char* fmt, ..
 }  // namespace detail
 
 /// While alive, MB_CHECK / MB_CHECK_MSG failures on THIS thread throw
-/// CheckFailure instead of aborting the process. Used by sim::SweepRunner to
+/// CheckFailure instead of aborting the process. Used by serve::runPlan to
 /// isolate a failing sweep point as a recorded error rather than killing the
 /// whole sweep. Nests; restores the previous state on destruction.
 class ScopedCheckTrap {

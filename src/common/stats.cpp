@@ -45,26 +45,4 @@ double Histogram::percentile(double fraction) const {
   return static_cast<double>(buckets_.size()) * bucketWidth_;
 }
 
-std::int64_t StatRegistry::counterValue(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second.value();
-}
-
-double StatRegistry::accumulatorMean(const std::string& name) const {
-  auto it = accumulators_.find(name);
-  return it == accumulators_.end() ? 0.0 : it->second.mean();
-}
-
-std::map<std::string, double> StatRegistry::snapshot() const {
-  std::map<std::string, double> out;
-  for (const auto& [name, c] : counters_) out[name] = static_cast<double>(c.value());
-  for (const auto& [name, a] : accumulators_) out[name + ".mean"] = a.mean();
-  return out;
-}
-
-void StatRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, a] : accumulators_) a.reset();
-}
-
 }  // namespace mb

@@ -1,16 +1,13 @@
 // Statistics primitives: counters, scalar accumulators, histograms, and a
-// registry that components expose so benches and tests can read every stat
-// by name without plumbing each one through a results struct.
+// time-weighted level, each serializable into a component's snapshot
+// section.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "ckpt/serialize.hpp"
 #include "common/check.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 
 namespace mb {
@@ -178,27 +175,6 @@ class TimeWeightedLevel {
   Tick lastTick_ = 0;
   double level_ = 0.0;
   double weightedSum_ = 0.0;
-};
-
-/// Named stat registry. Components register counters/accumulators under
-/// hierarchical dotted names ("mc0.rowHits"). Values are snapshotted as
-/// doubles for reporting.
-class MB_CROSS_CHANNEL StatRegistry {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Accumulator& accumulator(const std::string& name) { return accumulators_[name]; }
-
-  bool hasCounter(const std::string& name) const { return counters_.count(name) != 0; }
-  std::int64_t counterValue(const std::string& name) const;
-  double accumulatorMean(const std::string& name) const;
-
-  /// All stats flattened to name -> value (counter values and accumulator means).
-  std::map<std::string, double> snapshot() const;
-  void reset();
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Accumulator> accumulators_;
 };
 
 }  // namespace mb

@@ -1,5 +1,7 @@
 #include "common/string_util.hpp"
 
+#include <charconv>
+
 namespace mb {
 
 std::vector<std::string> splitString(const std::string& s, char sep) {
@@ -37,6 +39,15 @@ std::string trimString(const std::string& s) {
   while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' || s[e - 1] == '\r'))
     --e;
   return s.substr(b, e - b);
+}
+
+std::optional<std::int64_t> parseInt(const std::string& text, std::int64_t lo,
+                                     std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || end != last || v < lo || v > hi) return std::nullopt;
+  return v;
 }
 
 }  // namespace mb

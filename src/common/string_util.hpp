@@ -1,6 +1,8 @@
 // Small string helpers used by reporting and config code.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,5 +12,12 @@ std::vector<std::string> splitString(const std::string& s, char sep);
 std::string joinStrings(const std::vector<std::string>& parts, const std::string& sep);
 bool startsWith(const std::string& s, const std::string& prefix);
 std::string trimString(const std::string& s);
+
+/// `text` as a whole decimal integer in [lo, hi]; nullopt for anything else
+/// (empty, a sign alone, trailing characters such as "1e5" or "7x", out of
+/// range). Every numeric command-line flag parses through this, so a typo
+/// is rejected instead of silently changing the run.
+std::optional<std::int64_t> parseInt(const std::string& text, std::int64_t lo,
+                                     std::int64_t hi);
 
 }  // namespace mb

@@ -253,13 +253,11 @@ void RobCore::load(ckpt::Reader& r) {
   budgetTick_ = r.i64();
 }
 
-void RobCore::reschedule(ckpt::EventRestorer& er) {
+void RobCore::reschedule() {
   if (!stepScheduled_) return;
-  er.add([this] {
-    eq_.scheduleStamped(stepAt_, stepStamp_, [this] {
-      stepScheduled_ = false;
-      step();
-    });
+  eq_.scheduleStamped(stepAt_, stepStamp_, [this] {
+    stepScheduled_ = false;
+    step();
   });
 }
 

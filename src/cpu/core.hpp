@@ -79,7 +79,7 @@ class RobCore {
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
   /// Re-arm the pending step event (if one was outstanding) after load().
-  void reschedule(ckpt::EventRestorer& er);
+  void reschedule();
 
  private:
   enum class WaitKind { None, RobSlot, Dependence, Mshr, StoreBuffer };
@@ -103,7 +103,7 @@ class RobCore {
   MemoryHierarchy& hier_;
   MB_SNAP_TRANSIENT(hier_, "wiring reference; the hierarchy owns the HIER section");
   EventQueue& eq_;
-  MB_SNAP_TRANSIENT(eq_, "wiring reference; in-flight events are re-armed by ckpt::EventRestorer");
+  MB_SNAP_TRANSIENT(eq_, "wiring reference; the pending step event is re-armed by reschedule()");
 
   std::vector<Slot> ring_;
   std::uint64_t idx_ = 0;        // instructions dispatched

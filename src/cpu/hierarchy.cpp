@@ -640,12 +640,9 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
   stats_.prefetchUseful = r.i64();
 }
 
-void MemoryHierarchy::reschedule(ckpt::EventRestorer& er) {
-  for (const auto& [token, t] : transits_) {
-    er.add([this, tok = token, due = t.due, stamp = t.stamp] {
-      eq_.scheduleStamped(due, stamp, [this, tok] { fireTransit(tok); });
-    });
-  }
+void MemoryHierarchy::reschedule() {
+  for (const auto& [token, t] : transits_)
+    eq_.scheduleStamped(t.due, t.stamp, [this, tok = token] { fireTransit(tok); });
 }
 
 }  // namespace mb::cpu

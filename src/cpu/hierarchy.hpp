@@ -146,7 +146,7 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
   /// Re-arm in-flight response hops after load().
-  void reschedule(ckpt::EventRestorer& er);
+  void reschedule();
 
  private:
   struct DirEntry {
@@ -205,7 +205,7 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   std::vector<std::unique_ptr<mc::MemoryController>>& mcs_;
   MB_SNAP_TRANSIENT(mcs_, "wiring reference; every MC serializes its own MC<i> section");
   EventQueue& eq_;
-  MB_SNAP_TRANSIENT(eq_, "wiring reference; in-flight events are re-armed by ckpt::EventRestorer");
+  MB_SNAP_TRANSIENT(eq_, "wiring reference; in-flight response hops are re-armed by reschedule()");
   // Cross-shard port, the only way a miss reaches a controller; null until
   // setMailbox. The class is MB_CROSS_CHANNEL, so this reference is not an
   // extra seam.

@@ -853,32 +853,24 @@ void MemoryController::load(ckpt::Reader& r) {
   finalizedAt_ = r.i64();
 }
 
-void MemoryController::reschedule(ckpt::EventRestorer& er) {
-  for (std::size_t i = 0; i < kickEvents_.size(); ++i) {
-    er.add([this, i] {
-      const Tick t = kickEvents_[i].at;
-      eq_.scheduleStamped(t, kickEvents_[i].stamp,
-                          [this, t] { onKickEventFired(t); });
-    });
+void MemoryController::reschedule() {
+  for (const auto& k : kickEvents_) {
+    const Tick t = k.at;
+    eq_.scheduleStamped(t, k.stamp, [this, t] { onKickEventFired(t); });
   }
   for (std::size_t i = 0; i < completionSlots_.size(); ++i) {
-    auto& s = completionSlots_[i];
+    const auto& s = completionSlots_[i];
     if (!s.live) continue;
     const int slot = static_cast<int>(i);
-    const std::uint64_t tok = s.token;
-    er.add([this, slot, tok] {
-      auto& sl = completionSlots_[static_cast<size_t>(slot)];
-      eq_.scheduleStamped(sl.c.due, sl.c.stamp,
-                          [this, slot, tok] { fireCompletion(slot, tok); });
-      // Re-post the in-flight delivery message under its original stamp;
-      // the live slot is the proof the message had not yet fired at capture
-      // time (delivery and release share a due tick and fire in the same
-      // window).
-      if (mailbox_ != nullptr) {
-        mailbox_->postCompletion(id_, sl.c.due, sl.c.msgStamp,
-                                 completionFactory(sl.c.addr, sl.c.core));
-      }
-    });
+    eq_.scheduleStamped(s.c.due, s.c.stamp,
+                        [this, slot, tok = s.token] { fireCompletion(slot, tok); });
+    // Re-post the in-flight delivery message under its original stamp; the
+    // live slot is the proof the message had not yet fired at capture time
+    // (delivery and release share a due tick and fire in the same window).
+    if (mailbox_ != nullptr) {
+      mailbox_->postCompletion(id_, s.c.due, s.c.msgStamp,
+                               completionFactory(s.c.addr, s.c.core));
+    }
   }
 }
 

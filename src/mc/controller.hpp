@@ -92,16 +92,6 @@ struct ControllerStats {
   double dataBusUtilization = 0.0;
   std::int64_t activations = 0;
   std::int64_t refreshes = 0;
-
-  double rowHitRate() const {
-    const auto total = rowHits + rowMisses + rowConflicts;
-    return total == 0 ? 0.0 : static_cast<double>(rowHits) / static_cast<double>(total);
-  }
-  double predictorHitRate() const {
-    return specDecisions == 0
-               ? 0.0
-               : static_cast<double>(specCorrect) / static_cast<double>(specDecisions);
-  }
 };
 
 class MB_CHANNEL_LOCAL MemoryController {
@@ -153,7 +143,7 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// Re-arm the controller's pending events (wake-ups and in-flight read
   /// completions) after load(); original event order is preserved via the
   /// saved sequence numbers.
-  void reschedule(ckpt::EventRestorer& er);
+  void reschedule();
 
   /// Outstanding wake-up events, sorted ascending by tick (tests /
   /// invariants: steady-state idle leaves this empty, a quiescent busy

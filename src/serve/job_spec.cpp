@@ -244,8 +244,8 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
         if (spec.hasSeed) point.cfg.seed = spec.seed;
         sim::applyWorkloadShape(point.cfg, *workload);
         // Fold reseed into the effective per-point seed NOW, keyed by the
-        // point's position in this expansion — downstream (SweepRunner, the
-        // memo key) never needs to know reseed existed.
+        // point's position in this expansion — downstream (runPlan, the memo
+        // key) never needs to know reseed existed.
         if (spec.reseed)
           point.cfg.seed = sim::foldPointSeed(point.cfg.seed, plan.points.size());
         point.opts.warmupRecords = spec.warmup;

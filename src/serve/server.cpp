@@ -319,10 +319,12 @@ bool Server::openJournal() {
       journalLine("{\"mbserve\":1,\"tool\":\"" + jsonEscape(versionString()) + "\"}");
 
     for (const auto& id : order) {
+      const auto it = pending.find(id);
+      if (it == pending.end()) continue;  // finished before the restart
       analysis::DiagnosticEngine diags;
       JobSpec spec;
       auto job = std::make_shared<Job>();
-      if (!parseJobSpec(pending[id], &spec, diags) ||
+      if (!parseJobSpec(it->second, &spec, diags) ||
           !planJob(spec, &job->plan, diags)) {
         // The stored spec no longer validates (preset removed, version
         // semantics changed): journal it closed so restarts stop retrying.

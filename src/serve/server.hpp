@@ -5,8 +5,8 @@
 //     optional stdin/stdout connection (the latter doubles as the e2e test
 //     harness — drive the full protocol through a pipe, no socket needed);
 //   - a FairJobQueue feeding `inflight` worker threads, each of which runs
-//     one whole job at a time on a SweepRunner (per-job cancellation token,
-//     machine-readable progress);
+//     one whole job at a time through serve::runPlan's worker pool (per-job
+//     cancellation token, machine-readable progress);
 //   - a ResultCache: every finished point's canonical JSON report is stored
 //     content-addressed, and a submit first partitions its points into
 //     cache hits (served from disk, byte-identical to a cold run) and
@@ -64,7 +64,7 @@ struct ServerOptions {
   std::string journalPath;
   /// Concurrent jobs (worker threads).
   int inflight = 2;
-  /// SweepRunner workers per job; <= 0 derives
+  /// runPlan workers per job; <= 0 derives
   /// resolveJobs(0) / (inflight * shards) (at least 1) so the slots share
   /// the machine instead of oversubscribing.
   int jobsPerSweep = 0;

@@ -339,8 +339,9 @@ void ShardedEngine::runPhaseB(Tick t1) {
     try {
       std::rethrow_exception(ep);
     } catch (const CheckFailure& cf) {
-      // Re-dispatch on the calling thread so a trapped caller (SweepRunner)
-      // records it and an untrapped one aborts with the original message.
+      // Re-dispatch on the calling thread so a trapped caller (a runPlan
+      // worker) records it and an untrapped one aborts with the original
+      // message.
       mb::detail::raiseCheckFailure(cf.message);
     }
   }

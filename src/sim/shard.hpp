@@ -102,7 +102,7 @@ struct ShardEngineOptions {
 /// The conservative-window scheduler and the mailbox between shards.
 ///
 /// Thread model: run() executes on the calling thread ("main" below — in a
-/// sweep this is a SweepRunner worker). Phase A (CPU queue) and all mailbox
+/// sweep this is a serve::runPlan worker). Phase A (CPU queue) and all mailbox
 /// bookkeeping run on main; Phase B runs each channel queue on exactly one
 /// thread per window (share 0 on main, the other shares on the pool).
 /// postEnqueue is main-only (Phase A / restore);
@@ -159,7 +159,7 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   Tick maxNow() const;
 
   /// Checkpoint restore: jump every queue to the snapshot's capture time
-  /// (before ckpt::EventRestorer::replay re-arms pending events).
+  /// (before the components' reschedule() re-arms pending events).
   void restoreClocks(Tick now);
 
   /// ENG snapshot section: per-queue stamp counters and the buffered

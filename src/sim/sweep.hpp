@@ -1,33 +1,19 @@
-// Parallel sweep engine.
+// Sweep vocabulary: the point type, seed folding, worker-count resolution
+// and the stderr progress line.
 //
 // The paper's evaluation is built from dense grids of *independent*
 // simulations — 5x5 (nW, nB) points per workload in Figs. 8/9, one run per
 // representative config in Fig. 10 — and every simulation is a pure function
 // of (SystemConfig, WorkloadSpec): its own event queue, device state, and
-// seeded generators, with no shared mutable state. SweepRunner exploits that:
-// a bounded thread pool shards the points across workers while guaranteeing
-// results identical to a serial walk.
-//
-// Guarantees:
-//   - Determinism: outcomes depend only on the point list, never on worker
-//     count or completion order, so `jobs=N` is bit-identical to `jobs=1`.
-//     Every point runs with its own cfg.seed; statistical replicates fold
-//     foldPointSeed(seed, index) into that seed when the points are planned
-//     (serve::planJob), never at run time.
-//   - Ordered collection: outcome[i] always corresponds to points[i].
-//   - Failure isolation: an MB_CHECK that trips inside one point (or any
-//     exception it throws) is recorded as that point's error string; the
-//     remaining points still run and the process does not abort.
-//   - Progress: an optional stderr reporter prints completed/total and an
-//     ETA while the sweep runs (never on stdout, so piped metric output is
-//     unaffected by `jobs`).
+// seeded generators, with no shared mutable state. serve::runPlan
+// (serve/run_plan.hpp) is the one executor that runs such a point list on a
+// bounded worker pool; this header holds what it and its callers share.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/system.hpp"
 
@@ -55,22 +41,8 @@ struct SweepPoint {
   SystemConfig cfg;
   WorkloadSpec workload;
   /// Per-point run options (warmup snapshot reuse, checkpointing). The
-  /// warmupRestoreBuf target must outlive run().
+  /// warmupRestoreBuf target must outlive the run.
   RunOptions opts{};
-};
-
-/// Result slot for one point, in submission order.
-struct SweepOutcome {
-  std::size_t index = 0;
-  std::string label;
-  bool ok = false;
-  RunResult result;   // valid only when ok
-  std::string error;  // MB_CHECK / exception text when !ok
-  /// The point never ran because the sweep's cancel token tripped first.
-  /// Canceled points are recorded with ok=false (no result, nothing cached);
-  /// this flag lets live consumers (mbserve) tell a canceled point from a
-  /// genuinely failed one.
-  bool canceled = false;
 };
 
 /// Snapshot handed to SweepOptions::onProgress after every finished point —
@@ -79,44 +51,50 @@ struct SweepProgress {
   std::size_t done = 0;    // points finished so far (failures included)
   std::size_t total = 0;
   std::size_t failed = 0;  // of `done`, how many did not produce a result
-  std::size_t index = 0;   // submission index of the point that just finished
+  std::size_t index = 0;   // plan index of the point that just finished
   bool ok = false;         // that point's outcome
 };
 
 struct SweepOptions {
   /// Worker threads; <= 0 resolves via resolveJobs() (MB_JOBS, then
   /// hardware concurrency). 1 runs the points serially on the calling
-  /// thread — today's behavior, same outcomes.
+  /// thread — same outcomes.
   int jobs = 0;
   /// Print completed/total + ETA to stderr while running. The periodic ETA
   /// line only appears when stderr is a terminal — a piped or CI run gets
   /// no progress chatter (use onProgress for machine consumption); per-point
-  /// FAILURE lines still print unconditionally.
+  /// FAILED lines still print unconditionally.
   bool progress = false;
-  /// Invoked once per completed point, serialized under one mutex (safe to
-  /// store results from). Called in completion order, not index order.
-  std::function<void(const SweepOutcome&)> onPointDone;
-  /// Machine-readable progress: invoked after each finished point, under
-  /// the same mutex as onPointDone (and after it, so a consumer that
-  /// persists the outcome in onPointDone sees the persisted state counted).
+  /// Machine-readable progress: invoked after each finished point,
+  /// serialized under one mutex and after that point's result is stored.
   std::function<void(const SweepProgress&)> onProgress;
   /// Cooperative cancellation: when the pointed-at flag becomes true, points
-  /// that have not started are recorded as canceled outcomes (ok=false,
-  /// canceled=true) without running; in-flight points finish normally. The
-  /// token must outlive run(). nullptr: never canceled.
+  /// that have not started are recorded as canceled (and counted as failed)
+  /// without running; in-flight points finish normally. The token must
+  /// outlive the sweep. nullptr: never canceled.
   const std::atomic<bool>* cancel = nullptr;
 };
 
-class SweepRunner {
+/// The stderr side of SweepOptions::progress: a FAILED line per failed
+/// point and, when stderr is a terminal, a completed/total + ETA line at
+/// most once a second. Its wall clock lives in sweep.cpp and never feeds a
+/// result. Not thread-safe: callers serialize pointDone().
+class SweepEta {
  public:
-  explicit SweepRunner(SweepOptions opts = {}) : opts_(opts) {}
+  SweepEta(std::size_t total, int jobs, bool enabled);
 
-  /// Run all points; outcome[i] corresponds to points[i]. Never aborts on a
-  /// point failure (see header notes); the caller inspects `ok`.
-  std::vector<SweepOutcome> run(const std::vector<SweepPoint>& points) const;
+  /// Count one finished point; a non-empty `error` prints its FAILED line.
+  void pointDone(std::size_t index, const std::string& label,
+                 const std::string& error);
 
  private:
-  SweepOptions opts_;
+  std::size_t total_;
+  int jobs_;
+  bool enabled_;
+  bool tty_;
+  std::size_t done_ = 0;
+  double start_;          // seconds on sweep.cpp's monotonic clock
+  double lastPrint_ = 0;  // same clock
 };
 
 }  // namespace mb::sim

@@ -398,13 +398,12 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
   loadSection(snap, "ENG", label, [&](ckpt::Reader& r) { engine.load(r); });
 
   // Re-arm every pending event under its original stamp; the stamps ARE the
-  // merge order, so replay order itself carries no information.
+  // merge order, so the order the components re-arm in carries no
+  // information.
   engine.restoreClocks(snap.now);
-  ckpt::EventRestorer er;
-  for (auto& c : sys.cores) c->reschedule(er);
-  sys.hier->reschedule(er);
-  for (auto& mcPtr : sys.mcs) mcPtr->reschedule(er);
-  er.replay();
+  for (auto& c : sys.cores) c->reschedule();
+  sys.hier->reschedule();
+  for (auto& mcPtr : sys.mcs) mcPtr->reschedule();
 
   sys.coresDone = 0;
   for (const auto& c : sys.cores)

@@ -1,6 +1,6 @@
 // ScopedCheckTrap semantics: while a trap is alive on the current thread,
 // MB_CHECK failures throw CheckFailure instead of aborting; traps nest and
-// restore the previous state on destruction. SweepRunner leans on this to
+// restore the previous state on destruction. serve::runPlan leans on this to
 // record a failing sweep point and keep going, so the nesting contract is
 // load-bearing (a sweep point may itself construct a nested trap).
 #include "common/check.hpp"

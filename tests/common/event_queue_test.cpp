@@ -283,7 +283,7 @@ TEST(EventQueueDifferential, MatchesReferenceImplementation) {
 TEST(EventQueueDifferential, ReseedAfterDrainContinuesIdentically) {
   // Drain both queues fully, then keep scheduling from the drained state —
   // seq numbering and clock must keep advancing identically (the pattern a
-  // checkpoint-restored component relies on after its EventRestorer replay).
+  // checkpoint-restored component relies on after its reschedule()).
   DifferentialDriver<EventQueue> prod;
   DifferentialDriver<ReferenceEventQueue> ref;
   prod.runProgram(7);

@@ -140,55 +140,12 @@ TEST(TimeWeightedLevel, ZeroLengthWindowIsZero) {
   EXPECT_DOUBLE_EQ(l.average(10), 7.0);  // a real window still averages
 }
 
-TEST(StatRegistry, CountersAndAccumulatorsByName) {
-  StatRegistry reg;
-  reg.counter("a.hits").inc(3);
-  reg.accumulator("a.lat").add(4.0);
-  reg.accumulator("a.lat").add(6.0);
-  EXPECT_EQ(reg.counterValue("a.hits"), 3);
-  EXPECT_DOUBLE_EQ(reg.accumulatorMean("a.lat"), 5.0);
-  EXPECT_EQ(reg.counterValue("missing"), 0);
-  EXPECT_DOUBLE_EQ(reg.accumulatorMean("missing"), 0.0);
-}
-
-TEST(StatRegistry, SnapshotContainsAll) {
-  StatRegistry reg;
-  reg.counter("x").inc();
-  reg.accumulator("y").add(2.0);
-  const auto snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("x"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.at("y.mean"), 2.0);
-}
-
-TEST(StatRegistry, ResetClearsValues) {
-  StatRegistry reg;
-  reg.counter("x").inc(5);
-  reg.reset();
-  EXPECT_EQ(reg.counterValue("x"), 0);
-}
-
 // ---------------------------------------------------------------------------
 // Shard-order regression tests (MB-DET-005): per-channel stats reduced into
 // the report must not depend on the order worker threads finish. The
 // production reduction (runSimulation's collect loop, Histogram::merge
 // callers) walks channels in index order; these tests pin the pieces that
 // make that sufficient — and demonstrate why completion order would not be.
-
-// The registry is keyed by std::map, so snapshot order and content are a
-// function of the NAMES only, not of the order shards registered or bumped
-// them (simulated here by two mirror-image interleavings).
-TEST(StatsOrder, RegistrySnapshotIndependentOfRegistrationOrder) {
-  StatRegistry fwd, rev;
-  for (int ch = 0; ch < 4; ++ch) {
-    fwd.counter("mc" + std::to_string(ch) + ".acts").inc(ch * 7);
-    fwd.accumulator("mc" + std::to_string(ch) + ".lat").add(0.1 * (ch + 1));
-  }
-  for (int ch = 3; ch >= 0; --ch) {
-    rev.counter("mc" + std::to_string(ch) + ".acts").inc(ch * 7);
-    rev.accumulator("mc" + std::to_string(ch) + ".lat").add(0.1 * (ch + 1));
-  }
-  EXPECT_EQ(fwd.snapshot(), rev.snapshot());
-}
 
 // The mandated reduction: merge per-channel histograms in channel-index
 // order. The order shards COMPLETED (arrival) must be irrelevant because

@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "ckpt/restore.hpp"
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
 #include "common/rng.hpp"
@@ -402,9 +401,7 @@ TEST_F(ControllerTest, KickAndCompletionStateSurviveCheckpointRoundTrip) {
   ckpt::Reader r(w.str());
   mc2.load(r);
   ASSERT_TRUE(r.ok());
-  ckpt::EventRestorer er;
-  mc2.reschedule(er);
-  er.replay();
+  mc2.reschedule();
 
   // Exactly the saved wake-ups came back — no stale or duplicate entries.
   ASSERT_EQ(mc2.pendingKickEvents().size(), snapKicks.size());
@@ -446,9 +443,7 @@ TEST_F(ControllerTest, StaleKickEntryDiesOnRestoreIntoItsPast) {
   ckpt::Reader r(w.str());
   mc2.load(r);
   ASSERT_TRUE(r.ok());
-  ckpt::EventRestorer er;
-  mc2.reschedule(er);
-  EXPECT_DEATH(er.replay(), "check failed");
+  EXPECT_DEATH(mc2.reschedule(), "check failed");
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/experiment.hpp"
+
 namespace mb::serve {
 namespace {
 
@@ -140,6 +142,36 @@ TEST(RunPlan, NullCacheWritesNothing) {
     EXPECT_EQ(plain[i].json, memo[i].json) << i;
   }
   EXPECT_EQ(cache.entries(), 4u);
+}
+
+// A warm-up capture that trips an MB_CHECK is that point's failure: it runs
+// under the point's own trap, so the plan finishes, the healthy point still
+// runs, and progress still reaches the plan's total.
+TEST(RunPlan, FailedWarmupCaptureIsAFailedPoint) {
+  JobPlan plan;
+  for (const std::string name : {"trace:/nonexistent/mb_run_plan", "429.mcf"}) {
+    const auto workload = sim::workloadByName(name);
+    ASSERT_TRUE(workload.has_value()) << name;
+    sim::SweepPoint p;
+    p.label = name;
+    p.cfg = sim::tsiBaselineConfig();
+    p.cfg.core.maxInstrs = 3000;
+    p.workload = *workload;
+    sim::applyWorkloadShape(p.cfg, p.workload);
+    p.opts.warmupRecords = 100;
+    plan.points.push_back(std::move(p));
+  }
+  std::vector<sim::SweepProgress> progress;
+  sim::SweepOptions opts;
+  opts.onProgress = [&](const sim::SweepProgress& p) { progress.push_back(p); };
+  const auto outs = run(plan, nullptr, opts);
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_FALSE(outs[0].ok);
+  EXPECT_NE(outs[0].error.find("MB-TRC-001"), std::string::npos) << outs[0].error;
+  EXPECT_TRUE(outs[1].ok) << outs[1].error;
+  ASSERT_FALSE(progress.empty());
+  EXPECT_EQ(progress.back().done, 2u);
+  EXPECT_EQ(progress.back().failed, 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,12 @@ std::vector<std::string> linesWith(const std::string& text,
   return out;
 }
 
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 std::string freshDir(const char* tag) {
   const std::string dir = ::testing::TempDir() + "mbserve_cli_" + tag;
   std::system(("rm -rf " + shellQuote(dir)).c_str());
@@ -98,6 +105,7 @@ TEST(ServeCli, ColdThenCachedSessionsAreByteIdentical) {
 TEST(ServeCli, JournalRecordsAcceptAndCompletion) {
   const std::string cache = freshDir("journal");
   const std::string journal = cache + ".journal.jsonl";
+  std::remove(journal.c_str());
   runStdioSession({kSubmit}, cache, journal);
 
   std::ifstream in(journal);
@@ -112,10 +120,34 @@ TEST(ServeCli, JournalRecordsAcceptAndCompletion) {
   EXPECT_NE(line.find("\"completed\":\"j1\""), std::string::npos) << line;
 
   // A journal whose job completed has nothing to resume: a second daemon
-  // over the same journal accepts new work with no replays.
+  // over the same journal accepts new work with no replays, and neither
+  // re-closes the finished job nor writes anything else.
+  const std::string before = readFile(journal);
   const std::string out = runStdioSession({"{\"verb\":\"status\"}"}, cache, journal);
   EXPECT_NE(out.find("\"event\":\"status\""), std::string::npos);
   EXPECT_NE(out.find("\"queued\":0,\"running\":0"), std::string::npos) << out;
+  EXPECT_EQ(readFile(journal), before);
+}
+
+// A warm-up capture that fails (here: a trace file that does not exist) is
+// one failed point, not a daemon abort: both jobs finish, and the failed
+// one is journaled closed so a restart does not resume it.
+TEST(ServeCli, FailedWarmupCaptureFailsOnlyItsJob) {
+  const std::string cache = freshDir("warmup_fail");
+  const std::string journal = cache + ".journal.jsonl";
+  std::remove(journal.c_str());
+  const std::string out = runStdioSession(
+      {"{\"verb\":\"submit\",\"id\":\"w\",\"workload\":\"trace:/missing\","
+       "\"warmup\":100}",
+       kSubmit},
+      cache, journal);
+  ASSERT_EQ(linesWith(out, "\"event\":\"done\"").size(), 2u) << out;
+  EXPECT_EQ(linesWith(out, "\"event\":\"done\",\"id\":\"w\",\"ok\":false").size(), 1u)
+      << out;
+  EXPECT_EQ(linesWith(out, "\"event\":\"done\",\"id\":\"j1\",\"ok\":true").size(), 1u)
+      << out;
+  EXPECT_NE(out.find("MB-TRC-001"), std::string::npos) << out;
+  EXPECT_NE(readFile(journal).find("{\"completed\":\"w\"}"), std::string::npos);
 }
 
 TEST(ServeCli, ResumesUnfinishedJournaledJob) {
@@ -139,9 +171,7 @@ TEST(ServeCli, ResumesUnfinishedJournaledJob) {
   (void)out;
 
   // The resumed job must have completed and journaled its terminal line.
-  std::ifstream in(journal);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const std::string text = readFile(journal);
   EXPECT_NE(text.find("\"completed\":\"crashed\""), std::string::npos) << text;
 
   // And its points are now memoized: resubmitting simulates nothing.

@@ -10,43 +10,12 @@
 
 #include "common/check.hpp"
 #include "serve/job_spec.hpp"
+#include "serve/run_plan.hpp"
 #include "sim/experiment.hpp"
+#include "sim/journal.hpp"
 
 namespace mb::sim {
 namespace {
-
-// Exact (bitwise for every numeric field) equality of two RunResults: the
-// determinism contract is that worker count and completion order change
-// nothing at all, so comparisons use ==, never near-tolerances.
-void expectIdentical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.systemIpc, b.systemIpc);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.energy.processor, b.energy.processor);
-  EXPECT_EQ(a.energy.dramActPre, b.energy.dramActPre);
-  EXPECT_EQ(a.energy.dramStatic, b.energy.dramStatic);
-  EXPECT_EQ(a.energy.dramRdWr, b.energy.dramRdWr);
-  EXPECT_EQ(a.energy.io, b.energy.io);
-  EXPECT_EQ(a.invEdp, b.invEdp);
-  EXPECT_EQ(a.rowHitRate, b.rowHitRate);
-  EXPECT_EQ(a.predictorHitRate, b.predictorHitRate);
-  EXPECT_EQ(a.avgQueueOccupancy, b.avgQueueOccupancy);
-  EXPECT_EQ(a.avgReadLatencyNs, b.avgReadLatencyNs);
-  EXPECT_EQ(a.dataBusUtilization, b.dataBusUtilization);
-  EXPECT_EQ(a.dramReads, b.dramReads);
-  EXPECT_EQ(a.dramWrites, b.dramWrites);
-  EXPECT_EQ(a.activations, b.activations);
-  EXPECT_EQ(a.mapki, b.mapki);
-  EXPECT_EQ(a.hierarchy.accesses, b.hierarchy.accesses);
-  EXPECT_EQ(a.hierarchy.l1Hits, b.hierarchy.l1Hits);
-  EXPECT_EQ(a.hierarchy.l2Hits, b.hierarchy.l2Hits);
-  EXPECT_EQ(a.hierarchy.dramReads, b.hierarchy.dramReads);
-  EXPECT_EQ(a.hierarchy.dramWrites, b.hierarchy.dramWrites);
-  EXPECT_EQ(a.hierarchy.prefetchIssued, b.hierarchy.prefetchIssued);
-  EXPECT_EQ(a.hierarchy.prefetchUseful, b.hierarchy.prefetchUseful);
-  EXPECT_EQ(a.coreIpc, b.coreIpc);
-}
 
 /// The seeded 5x5 (nW, nB) grid of the paper's sweeps, on a tiny slice so
 /// 25 simulations stay test-sized.
@@ -141,23 +110,39 @@ TEST(ScopedCheckTrapDeath, AbortsOutsideTrap) {
   EXPECT_DEATH(MB_CHECK(false), "check failed");
 }
 
-TEST(SweepRunner, ParallelIsBitIdenticalToSerial) {
+// The sweep pool lives in serve::runPlan. These cases run it with no result
+// cache, so every point is a miss, and compare PointResult::json bytes: the
+// determinism contract is that worker count and completion order change
+// nothing at all. tools/ci.sh runs this suite under TSan.
+
+/// `points` through runPlan with no result cache; `lru` defaults to a fresh
+/// zero-budget one.
+std::vector<serve::PointResult> runPool(std::vector<SweepPoint> points,
+                                        const SweepOptions& opts,
+                                        serve::SnapshotLru* lru = nullptr) {
+  serve::JobPlan plan;
+  plan.points = std::move(points);
+  serve::SnapshotLru fresh(0);
+  return serve::runPlan(plan, nullptr, lru != nullptr ? *lru : fresh, opts,
+                        /*shards=*/1);
+}
+
+SweepOptions withJobs(int jobs) {
+  SweepOptions opts;
+  opts.jobs = jobs;
+  return opts;
+}
+
+TEST(RunPlanPool, ParallelIsBitIdenticalToSerial) {
   const auto points = seededGrid(0xfeedULL);
-  SweepOptions serial;
-  serial.jobs = 1;
-  SweepOptions parallel;
-  parallel.jobs = 8;
-  const auto a = SweepRunner(serial).run(points);
-  const auto b = SweepRunner(parallel).run(points);
+  const auto a = runPool(points, withJobs(1));
+  const auto b = runPool(points, withJobs(8));
   ASSERT_EQ(a.size(), points.size());
   ASSERT_EQ(b.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_TRUE(a[i].ok);
-    EXPECT_TRUE(b[i].ok);
-    EXPECT_EQ(a[i].index, i);
-    EXPECT_EQ(b[i].index, i);
-    EXPECT_EQ(a[i].label, points[i].label);
-    expectIdentical(a[i].result, b[i].result);
+    ASSERT_TRUE(a[i].ok) << a[i].error;
+    ASSERT_TRUE(b[i].ok) << b[i].error;
+    EXPECT_EQ(a[i].json, b[i].json) << points[i].label;
   }
 }
 
@@ -177,134 +162,151 @@ std::vector<SweepPoint> plannedReplicates(bool reseed) {
   return plan.points;
 }
 
-TEST(SweepRunner, ReseededParallelIsBitIdenticalToSerial) {
+TEST(RunPlanPool, ReseededParallelIsBitIdenticalToSerial) {
   // Reseeding happens at plan time: planJob folds foldPointSeed(seed,
-  // index) into each point's cfg.seed, so the runner only ever sees
+  // index) into each point's cfg.seed, so the pool only ever sees
   // effective seeds and worker count cannot change any run.
   const auto points = plannedReplicates(true);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_NE(points[0].cfg.seed, points[1].cfg.seed);
-  SweepOptions serial;
-  serial.jobs = 1;
-  SweepOptions parallel;
-  parallel.jobs = 8;
-  const auto a = SweepRunner(serial).run(points);
-  const auto b = SweepRunner(parallel).run(points);
+  const auto a = runPool(points, withJobs(1));
+  const auto b = runPool(points, withJobs(8));
   for (std::size_t i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(a[i].ok && b[i].ok);
-    expectIdentical(a[i].result, b[i].result);
+    EXPECT_EQ(a[i].json, b[i].json);
   }
   // Distinct folded seeds => the replicates are genuinely independent runs.
-  EXPECT_NE(a[0].result.elapsed, a[1].result.elapsed);
+  EXPECT_NE(a[0].json, a[1].json);
   // And without reseeding, replicates of one point are the identical run.
-  const auto same = SweepRunner(parallel).run(plannedReplicates(false));
+  const auto same = runPool(plannedReplicates(false), withJobs(8));
   ASSERT_TRUE(same[0].ok && same[1].ok);
-  expectIdentical(same[0].result, same[1].result);
+  EXPECT_EQ(same[0].json, same[1].json);
 }
 
-TEST(SweepRunner, FailingPointIsIsolated) {
+TEST(RunPlanPool, FailingPointIsIsolated) {
   auto points = seededGrid(0xfeedULL);
   points.resize(3);
   // nW=3 is rejected by geometry validation inside runSimulation with an
-  // MB_CHECK — under the sweep's per-point trap that must surface as a
+  // MB_CHECK — under the pool's per-point trap that must surface as a
   // recorded error on exactly this point, not a process abort.
   points[1].cfg.ubank = dram::UbankConfig{3, 1};
   points[1].label = "broken(3,1)";
-  SweepOptions opts;
-  opts.jobs = 2;
-  const auto outcomes = SweepRunner(opts).run(points);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_NE(outcomes[1].error.find("check failed"), std::string::npos);
-  EXPECT_TRUE(outcomes[2].ok);
+  const auto outs = runPool(points, withJobs(2));
+  ASSERT_EQ(outs.size(), 3u);
+  EXPECT_TRUE(outs[0].ok);
+  EXPECT_FALSE(outs[1].ok);
+  EXPECT_NE(outs[1].error.find("check failed"), std::string::npos);
+  EXPECT_TRUE(outs[2].ok);
   // The healthy points are unaffected by their broken neighbor.
-  const auto clean = SweepRunner(opts).run({points[0], points[2]});
-  expectIdentical(outcomes[0].result, clean[0].result);
-  expectIdentical(outcomes[2].result, clean[1].result);
+  const auto clean = runPool({points[0], points[2]}, withJobs(2));
+  EXPECT_EQ(outs[0].json, clean[0].json);
+  EXPECT_EQ(outs[2].json, clean[1].json);
 }
 
-TEST(SweepRunner, OnProgressReportsMonotoneSerializedCounts) {
+TEST(RunPlanPool, OnProgressReportsMonotoneSerializedCounts) {
   auto points = seededGrid(0x5eedULL);
   points.resize(6);
-  SweepOptions opts;
-  opts.jobs = 3;
+  SweepOptions opts = withJobs(3);
   std::vector<SweepProgress> seen;  // callback is serialized: plain vector
   opts.onProgress = [&seen](const SweepProgress& p) { seen.push_back(p); };
-  bool orderHolds = true;
-  std::size_t doneAtCallback = 0;
-  opts.onPointDone = [&](const SweepOutcome&) { ++doneAtCallback; };
-  const auto outcomes = SweepRunner(opts).run(points);
+  const auto outs = runPool(points, opts);
   ASSERT_EQ(seen.size(), points.size());
+  std::set<std::size_t> indices;
   for (std::size_t i = 0; i < seen.size(); ++i) {
     // done counts up 1..N in callback order regardless of which worker
-    // finished; total is constant; every reported index is in range.
-    orderHolds = orderHolds && seen[i].done == i + 1;
+    // finished; total is constant; every point is reported exactly once.
+    EXPECT_EQ(seen[i].done, i + 1);
     EXPECT_EQ(seen[i].total, points.size());
-    EXPECT_LT(seen[i].index, points.size());
     EXPECT_TRUE(seen[i].ok);
     EXPECT_EQ(seen[i].failed, 0u);
+    indices.insert(seen[i].index);
   }
-  EXPECT_TRUE(orderHolds);
-  // onProgress fires after onPointDone for the same point, so a consumer
-  // that persists in onPointDone sees its own write counted.
-  EXPECT_EQ(doneAtCallback, points.size());
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok);
+  EXPECT_EQ(indices.size(), points.size());
+  EXPECT_LT(*indices.rbegin(), points.size());
+  for (const auto& o : outs) EXPECT_TRUE(o.ok);
 }
 
-TEST(SweepRunner, ProgressCountsFailures) {
+TEST(RunPlanPool, ProgressCountsFailures) {
   auto points = seededGrid(0x5eedULL);
   points.resize(3);
   points[1].cfg.ubank = dram::UbankConfig{3, 1};  // fails inside the run
-  SweepOptions opts;
-  opts.jobs = 1;
-  std::size_t failedAtEnd = 0;
-  opts.onProgress = [&](const SweepProgress& p) { failedAtEnd = p.failed; };
-  (void)SweepRunner(opts).run(points);
-  EXPECT_EQ(failedAtEnd, 1u);
+  SweepOptions opts = withJobs(1);
+  SweepProgress last;
+  opts.onProgress = [&](const SweepProgress& p) { last = p; };
+  (void)runPool(points, opts);
+  EXPECT_EQ(last.done, 3u);
+  EXPECT_EQ(last.failed, 1u);
 }
 
-TEST(SweepRunner, CancelTokenMarksUnstartedPointsCanceled) {
+TEST(RunPlanPool, CancelTokenMarksUnstartedPointsCanceled) {
   auto points = seededGrid(0xabcULL);
   points.resize(8);
   std::atomic<bool> cancel{false};
-  SweepOptions opts;
-  opts.jobs = 1;  // serial: cancelling after point 2 leaves 3.. unstarted
+  // Serial: cancelling after point 2 leaves 3.. unstarted.
+  SweepOptions opts = withJobs(1);
   opts.cancel = &cancel;
-  std::size_t finished = 0;
-  opts.onPointDone = [&](const SweepOutcome&) {
-    if (++finished == 2) cancel.store(true);
+  std::vector<SweepProgress> seen;
+  opts.onProgress = [&](const SweepProgress& p) {
+    seen.push_back(p);
+    if (p.done == 2) cancel.store(true);
   };
-  const auto outcomes = SweepRunner(opts).run(points);
-  ASSERT_EQ(outcomes.size(), points.size());
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_TRUE(outcomes[1].ok);
-  EXPECT_FALSE(outcomes[0].canceled);
-  EXPECT_FALSE(outcomes[1].canceled);
-  for (std::size_t i = 2; i < outcomes.size(); ++i) {
+  const auto outs = runPool(points, opts);
+  ASSERT_EQ(outs.size(), points.size());
+  EXPECT_TRUE(outs[0].ok);
+  EXPECT_TRUE(outs[1].ok);
+  EXPECT_FALSE(outs[0].canceled);
+  EXPECT_FALSE(outs[1].canceled);
+  for (std::size_t i = 2; i < outs.size(); ++i) {
     // Canceled points are distinguishable from failed ones (ok=false on
     // both, canceled only here) and slot into their original indices.
-    EXPECT_FALSE(outcomes[i].ok) << i;
-    EXPECT_TRUE(outcomes[i].canceled) << i;
-    EXPECT_EQ(outcomes[i].index, i);
-    EXPECT_EQ(outcomes[i].label, points[i].label);
+    EXPECT_FALSE(outs[i].ok) << i;
+    EXPECT_TRUE(outs[i].canceled) << i;
+    EXPECT_TRUE(outs[i].error.empty()) << i;
   }
   // Progress still counted every point (canceled ones count as done+failed
   // so a consumer's done/total reaches total and terminates).
+  ASSERT_EQ(seen.size(), points.size());
+  EXPECT_EQ(seen.back().done, points.size());
+  EXPECT_EQ(seen.back().total, points.size());
+  EXPECT_EQ(seen.back().failed, points.size() - 2);
 }
 
-TEST(SweepRunner, CancelBeforeStartCancelsEverythingQuickly) {
+TEST(RunPlanPool, CancelBeforeStartCancelsEverythingQuickly) {
   auto points = seededGrid(0x77ULL);
   points.resize(5);
-  std::atomic<bool> cancel{true};  // tripped before run() begins
-  SweepOptions opts;
-  opts.jobs = 2;
+  std::atomic<bool> cancel{true};  // tripped before the plan runs
+  SweepOptions opts = withJobs(2);
   opts.cancel = &cancel;
-  const auto outcomes = SweepRunner(opts).run(points);
-  for (const auto& o : outcomes) {
+  SweepProgress last;
+  opts.onProgress = [&](const SweepProgress& p) { last = p; };
+  const auto outs = runPool(points, opts);
+  for (const auto& o : outs) {
     EXPECT_FALSE(o.ok);
     EXPECT_TRUE(o.canceled);
-    EXPECT_NE(o.error.find("canceled"), std::string::npos);
+  }
+  EXPECT_EQ(last.done, points.size());
+  EXPECT_EQ(last.failed, points.size());
+}
+
+// Two workers that need the same warm-up snapshot at once: the LRU runs one
+// capture while the other worker waits for it, and both restored runs equal
+// a run that replays the warm-up itself.
+TEST(RunPlanPool, WorkersShareOneWarmupCapture) {
+  constexpr std::int64_t kWarmup = 2000;
+  auto points = seededGrid(0xfeedULL);
+  points = {points[0], points[points.size() - 1]};  // (1,1) and (16,16)
+  for (auto& p : points) p.opts.warmupRecords = kWarmup;
+  ASSERT_EQ(warmupKeyHash(points[0].cfg, points[0].workload, kWarmup),
+            warmupKeyHash(points[1].cfg, points[1].workload, kWarmup));
+  serve::SnapshotLru lru(0);
+  const auto outs = runPool(points, withJobs(2), &lru);
+  EXPECT_EQ(lru.stats().misses, 1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(outs[i].ok) << outs[i].error;
+    RunOptions replay;
+    replay.warmupRecords = kWarmup;
+    const RunResult cold = runSimulation(points[i].cfg, points[i].workload, replay);
+    EXPECT_EQ(outs[i].json, runResultToJson(cold)) << points[i].label;
   }
 }
 

@@ -55,14 +55,16 @@ echo "== build sim_tests for TSan =="
 cmake --build "$build_tsan" -j"$(nproc)" --target sim_tests
 
 echo "== parallel-sweep and shard tests under TSan =="
-# The SweepRunner worker pool and the channel-sharded engine (ShardedEngine
-# worker pool, DESIGN.md §14) are the only intentionally multithreaded code
-# paths; any report here is a real race. ShardWindow drives the engine's
+# The sweep worker pool in serve::runPlan (DESIGN.md §8) and the
+# channel-sharded engine (ShardedEngine worker pool, §14) are the only
+# intentionally multithreaded code paths; any report here is a real race.
+# RunPlanPool runs the pool with a null result cache, including two workers
+# that wait on one shared warm-up capture; ShardWindow drives the engine's
 # barrier directly with two threads (the caller plus one pool thread);
 # ShardDifferential runs whole sharded simulations against serial ones.
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$build_tsan" --output-on-failure \
-    -R 'SweepRunner|ShardWindow|ShardDifferential'
+    -R 'RunPlanPool|ShardWindow|ShardDifferential'
 
 echo "== one preset at --shards=4 under TSan =="
 # End-to-end sharded run through the real mbsim binary: 16 channels over 4

@@ -17,9 +17,12 @@
 //   --nw=N --nb=N --phy=KIND --policy=KIND --scheduler=KIND --ib=N
 //   --queue=N --channels=N --xor-bank-hash --per-bank-refresh
 //   --scale-act-window
+// A numeric value that is not a whole decimal int ("4x", "1.5") is a usage
+// error (exit 2); the lint itself reports an int out of range.
 //
 // `--version` prints the tool + format versions; JSON output embeds the
 // same string in a top-level "tool" field.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,6 +48,15 @@ bool matchFlag(const std::string& arg, const std::string& name, std::string* val
   if (!startsWith(arg, prefix)) return false;
   *value = arg.substr(prefix.size());
   return true;
+}
+
+/// `value` as a whole decimal int; anything else is a usage error. The
+/// lint itself judges the range.
+int intFlag(const std::string& value, const char* flag) {
+  const auto v = parseInt(value, INT_MIN, INT_MAX);
+  if (!v)
+    usage((std::string(flag) + " expects an integer, got \"" + value + "\"").c_str());
+  return static_cast<int>(*v);
 }
 
 /// Lint one config under a display name; prints findings, returns clean?.
@@ -94,10 +106,10 @@ int main(int argc, char** argv) {
       if (value.empty()) usage("--preset requires a name (try --list-presets)");
       presetName = value;
     } else if (matchFlag(arg, "nw", &value)) {
-      cfg.ubank.nW = std::atoi(value.c_str());
+      cfg.ubank.nW = intFlag(value, "--nw");
       adHoc = true;
     } else if (matchFlag(arg, "nb", &value)) {
-      cfg.ubank.nB = std::atoi(value.c_str());
+      cfg.ubank.nB = intFlag(value, "--nb");
       adHoc = true;
     } else if (matchFlag(arg, "phy", &value)) {
       if (value == "ddr3-pcb") cfg.phy = interface::PhyKind::Ddr3Pcb;
@@ -123,13 +135,13 @@ int main(int argc, char** argv) {
       else usage("unknown --scheduler");
       adHoc = true;
     } else if (matchFlag(arg, "ib", &value)) {
-      cfg.interleaveBaseBit = std::atoi(value.c_str());
+      cfg.interleaveBaseBit = intFlag(value, "--ib");
       adHoc = true;
     } else if (matchFlag(arg, "queue", &value)) {
-      cfg.queueDepth = std::atoi(value.c_str());
+      cfg.queueDepth = intFlag(value, "--queue");
       adHoc = true;
     } else if (matchFlag(arg, "channels", &value)) {
-      cfg.channels = std::atoi(value.c_str());
+      cfg.channels = intFlag(value, "--channels");
       adHoc = true;
     } else if (arg == "--xor-bank-hash") {
       cfg.xorBankHash = true;

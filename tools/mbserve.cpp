@@ -21,7 +21,7 @@
 //   --cache-dir=DIR         memoized-result store (default: mbserve-cache)
 //   --journal=PATH          accept journal; existing file auto-resumes
 //   --inflight=N            concurrent jobs (default 2)
-//   --sweep-jobs=N          SweepRunner workers per job (default: share
+//   --sweep-jobs=N          sweep workers per job (default: share
 //                           MB_JOBS / host CPUs across the slots
 //                           and the per-simulation shard workers)
 //   --shards=N              threads inside each simulation, its own
@@ -37,6 +37,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,12 +65,10 @@ bool matchFlag(const std::string& arg, const std::string& name, std::string* val
   return true;
 }
 
-long parsePositive(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || v <= 0)
-    usage((std::string(flag) + " needs a positive integer").c_str());
-  return v;
+int parsePositive(const std::string& value, const char* flag) {
+  const auto v = parseInt(value, 1, INT_MAX);
+  if (!v) usage((std::string(flag) + " needs a positive integer").c_str());
+  return static_cast<int>(*v);
 }
 
 /// An event line's terminality decides when the one-shot client may exit:
@@ -179,15 +178,14 @@ int main(int argc, char** argv) {
     } else if (matchFlag(arg, "journal", &value)) {
       opts.journalPath = value;
     } else if (matchFlag(arg, "inflight", &value)) {
-      opts.inflight = static_cast<int>(parsePositive(value, "--inflight"));
+      opts.inflight = parsePositive(value, "--inflight");
     } else if (matchFlag(arg, "sweep-jobs", &value)) {
-      opts.jobsPerSweep = static_cast<int>(parsePositive(value, "--sweep-jobs"));
+      opts.jobsPerSweep = parsePositive(value, "--sweep-jobs");
     } else if (matchFlag(arg, "shards", &value)) {
-      opts.shards = static_cast<int>(parsePositive(value, "--shards"));
+      opts.shards = parsePositive(value, "--shards");
     } else if (matchFlag(arg, "snapshot-budget-mb", &value)) {
-      opts.snapshotBudget = static_cast<std::size_t>(
-                                parsePositive(value, "--snapshot-budget-mb"))
-                            << 20;
+      opts.snapshotBudget =
+          static_cast<std::size_t>(parsePositive(value, "--snapshot-budget-mb")) << 20;
     } else if (matchFlag(arg, "spec", &value)) {
       specs.push_back(value);
     } else {

@@ -41,6 +41,12 @@
 //                     trades threads for wall-clock only
 //   --version         print tool + MBTRACE1/MBCMDT1/MBCKPT1 format versions
 //
+// Every numeric flag takes a whole decimal integer ("1e5", "7x" or a count
+// below its minimum exit 2 with a usage message): --instrs, --warmup,
+// --jobs and --shards are >= 1, --seed and --checkpoint-at >= 0, and the
+// config knobs (--nw, --nb, --ib, --queue) any int, range-checked by the
+// pre-flight lint.
+//
 // Checkpoint / restore (MBCKPT1 snapshots, see src/ckpt/snapshot.hpp):
 //   --checkpoint-at=PS  capture a full-run snapshot at the first event
 //                     boundary at or after PS picoseconds of sim time
@@ -86,6 +92,8 @@
 // A preset that fails mid-simulation is reported as an ERROR row (exit 1)
 // after the rest of the sweep completes — not a process abort.
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -115,6 +123,19 @@ bool matchFlag(const std::string& arg, const std::string& name, std::string* val
   if (!startsWith(arg, prefix)) return false;
   *value = arg.substr(prefix.size());
   return true;
+}
+
+/// `value` as a whole decimal integer in [lo, hi]; anything else is a usage
+/// error. Config knobs take any int here and are range-checked by the lint.
+std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,
+                     std::int64_t hi = INT_MAX) {
+  const auto v = parseInt(value, lo, hi);
+  if (!v) {
+    std::string msg = std::string(flag) + " expects an integer";
+    if (lo != INT_MIN) msg += " >= " + std::to_string(lo);
+    usage((msg + ", got \"" + value + "\"").c_str());
+  }
+  return *v;
 }
 
 /// "tsi-ubank(4,4)" -> "tsi-ubank-4-4-": a preset label safe inside a file
@@ -257,11 +278,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--reseed") {
       reseed = true;
     } else if (matchFlag(arg, "jobs", &value)) {
-      jobs = std::atoi(value.c_str());
-      if (jobs < 1) usage("--jobs expects a positive integer");
+      jobs = static_cast<int>(intFlag(value, "--jobs", 1));
     } else if (matchFlag(arg, "shards", &value)) {
-      runOpts.shards = std::atoi(value.c_str());
-      if (runOpts.shards < 1) usage("--shards expects a positive integer");
+      runOpts.shards = static_cast<int>(intFlag(value, "--shards", 1));
     } else if (matchFlag(arg, "workload", &value)) {
       workload = value;
     } else if (matchFlag(arg, "preset", &value)) {
@@ -278,9 +297,9 @@ int main(int argc, char** argv) {
       }
       if (!found) usage(("unknown preset: " + value).c_str());
     } else if (matchFlag(arg, "nw", &value)) {
-      cfg.ubank.nW = std::atoi(value.c_str());
+      cfg.ubank.nW = static_cast<int>(intFlag(value, "--nw", INT_MIN));
     } else if (matchFlag(arg, "nb", &value)) {
-      cfg.ubank.nB = std::atoi(value.c_str());
+      cfg.ubank.nB = static_cast<int>(intFlag(value, "--nb", INT_MIN));
     } else if (matchFlag(arg, "phy", &value)) {
       if (value == "ddr3-pcb") cfg.phy = interface::PhyKind::Ddr3Pcb;
       else if (value == "ddr3-tsi") cfg.phy = interface::PhyKind::Ddr3Tsi;
@@ -302,13 +321,13 @@ int main(int argc, char** argv) {
       else if (value == "parbs") cfg.scheduler = mc::SchedulerKind::ParBs;
       else usage("unknown --scheduler");
     } else if (matchFlag(arg, "ib", &value)) {
-      cfg.interleaveBaseBit = std::atoi(value.c_str());
+      cfg.interleaveBaseBit = static_cast<int>(intFlag(value, "--ib", INT_MIN));
     } else if (matchFlag(arg, "instrs", &value)) {
-      cfg.core.maxInstrs = std::atoll(value.c_str());
+      cfg.core.maxInstrs = intFlag(value, "--instrs", 1, INT64_MAX);
     } else if (matchFlag(arg, "queue", &value)) {
-      cfg.queueDepth = std::atoi(value.c_str());
+      cfg.queueDepth = static_cast<int>(intFlag(value, "--queue", INT_MIN));
     } else if (matchFlag(arg, "seed", &value)) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      cfg.seed = static_cast<std::uint64_t>(intFlag(value, "--seed", 0, INT64_MAX));
     } else if (arg == "--xor-bank-hash") {
       cfg.xorBankHash = true;
     } else if (arg == "--per-bank-refresh") {
@@ -325,8 +344,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--audit") {
       audit = true;
     } else if (matchFlag(arg, "checkpoint-at", &value)) {
-      runOpts.checkpointAt = std::atoll(value.c_str());
-      if (runOpts.checkpointAt < 0) usage("--checkpoint-at expects picoseconds >= 0");
+      runOpts.checkpointAt = intFlag(value, "--checkpoint-at", 0, INT64_MAX);
     } else if (matchFlag(arg, "checkpoint", &value)) {
       if (value.empty()) usage("--checkpoint expects a file path");
       runOpts.checkpointPath = value;
@@ -334,8 +352,7 @@ int main(int argc, char** argv) {
       if (value.empty()) usage("--restore-from expects a file path");
       runOpts.restorePath = value;
     } else if (matchFlag(arg, "warmup", &value)) {
-      runOpts.warmupRecords = std::atoll(value.c_str());
-      if (runOpts.warmupRecords < 1) usage("--warmup expects a positive record count");
+      runOpts.warmupRecords = intFlag(value, "--warmup", 1, INT64_MAX);
     } else if (matchFlag(arg, "warmup-save", &value)) {
       if (value.empty()) usage("--warmup-save expects a file path");
       warmupSave = value;
