@@ -55,9 +55,10 @@ constexpr const char* kClockTypes[] = {
     "steady_clock", "system_clock", "high_resolution_clock"};
 constexpr const char* kBeginNames[] = {"begin", "cbegin", "rbegin", "crbegin"};
 /// Path suffixes where MB-DET-003 is sanctioned without per-line
-/// suppressions: the one blessed randomness source and the perf-harness
-/// wall-timing code.
-constexpr const char* kClockAllowlist[] = {"common/rng.hpp", "bench/perf_harness.cpp"};
+/// suppressions: the one blessed randomness source. Host timing lives in
+/// mbbench, outside the scanned tree, or under an MB_DET_ALLOW with its
+/// reason (the sweep ETA clock).
+constexpr const char* kClockAllowlist[] = {"common/rng.hpp"};
 
 template <typename Arr>
 bool inList(const Arr& arr, const std::string& s) {
@@ -211,7 +212,7 @@ void checkFile(const std::string& path, const std::vector<Tok>& t,
           add(out, "MB-DET-003",
               "use of '" + tok.text +
                   "' — nondeterministic source; use common/rng.hpp streams "
-                  "(wall timing belongs in the perf harness)",
+                  "(host timing belongs in mbbench)",
               path, tok.line, {{"source", tok.text}});
           continue;
         }

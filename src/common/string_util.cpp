@@ -50,4 +50,11 @@ std::optional<std::int64_t> parseInt(const std::string& text, std::int64_t lo,
   return v;
 }
 
+bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
+  const std::string prefix = "--" + name + "=";
+  if (!startsWith(arg, prefix)) return false;
+  *value = arg.substr(prefix.size());
+  return true;
+}
+
 }  // namespace mb

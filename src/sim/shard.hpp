@@ -151,7 +151,7 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   /// Events fired across all queues. Note: one logical completion is an
   /// event on the channel queue (slot release) plus one on the CPU queue
   /// (data delivery), so this exceeds the legacy single-queue count; it
-  /// feeds mbperf only, never the canonical report.
+  /// feeds mbbench's sim.events only, never the canonical report.
   std::uint64_t processedCount() const;
 
   /// Latest queue clock — the capture time a snapshot records (equals the
@@ -233,7 +233,7 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   MB_SNAP_TRANSIENT(cpuArena_, "empty at every window boundary (delivered messages fire within their window), and snapshots only cut at boundaries");
 
   std::uint64_t events_ = 0;         // fired on main (CPU phase + inline B)
-  MB_SNAP_TRANSIENT(events_, "runaway guard only; per-queue processed counts feed mbperf and restart at zero");
+  MB_SNAP_TRANSIENT(events_, "runaway guard only; per-queue processed counts feed mbbench and restart at zero");
   std::uint64_t eventsBase_ = 0;     // events_ at the current window's start
   MB_SNAP_TRANSIENT(eventsBase_, "per-window scratch for the event-cap guard");
   std::vector<std::uint64_t> shareEvents_;  // per share, current window

@@ -125,7 +125,10 @@ cpu::HierarchyConfig resolvedHierConfig(const SystemConfig& cfg,
   return hierCfg;
 }
 
-void buildMemorySystem(const SystemConfig& cfg, int channels, BuiltSystem& sys) {
+void buildMemorySystem(const SystemConfig& cfg, const WorkloadSpec& workload,
+                       BuiltSystem& sys) {
+  const int channels = resolvedChannels(cfg, workload);
+  MB_CHECK(channels >= 1);
   const auto phy = interface::PhyModel::make(cfg.phy);
   sys.geom = geometryFor(cfg, channels);
   const int baseBit = resolvedBaseBit(cfg, sys.geom);
@@ -141,15 +144,9 @@ void buildMemorySystem(const SystemConfig& cfg, int channels, BuiltSystem& sys) 
 
   const dram::TimingParams timing = effectiveTiming(cfg);
 
-  if (!cfg.recordCmdsPath.empty()) {
-    mc::CmdTraceConfig tc;
-    tc.geom = sys.geom;
-    tc.timing = timing;
-    tc.energy = phy.energy;
-    tc.interleaveBaseBit = baseBit;
-    tc.xorBankHash = cfg.xorBankHash;
-    sys.cmdLog = std::make_unique<mc::CommandLogWriter>(cfg.recordCmdsPath, tc);
-  }
+  if (!cfg.recordCmdsPath.empty())
+    sys.cmdLog = std::make_unique<mc::CommandLogWriter>(
+        cfg.recordCmdsPath, cmdTraceConfigFor(cfg, workload));
 
   // Shard decomposition: channel c stamps with shard id c, the CPU queue
   // with id nChannels. The ids pin the (unreachable in running simulations)
@@ -174,12 +171,9 @@ void buildMemorySystem(const SystemConfig& cfg, int channels, BuiltSystem& sys) 
 std::unique_ptr<BuiltSystem> buildSystem(const SystemConfig& cfg,
                                          const WorkloadSpec& workload) {
   const cpu::HierarchyConfig hierCfg = resolvedHierConfig(cfg, workload);
-  const int channels = resolvedChannels(cfg, workload);
-  MB_CHECK(channels >= 1);
-
   auto sys = std::make_unique<BuiltSystem>();
   sys->hierCfg = hierCfg;
-  buildMemorySystem(cfg, channels, *sys);
+  buildMemorySystem(cfg, workload, *sys);
   sys->hier = std::make_unique<cpu::MemoryHierarchy>(hierCfg, sys->mcs, sys->eq);
 
   // ---- Workload placement -------------------------------------------------
@@ -711,7 +705,8 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   act.cores = numCores;
   act.l2Slices = sys->hierCfg.numClusters();
   act.elapsed = r.elapsed;
-  e.processor = power::processorEnergy(cfg.procEnergy, act);
+  // §III-B's McPAT reduction (200 pJ/op); no experiment varies it.
+  e.processor = power::processorEnergy(power::ProcessorEnergyParams{}, act);
 
   r.energy = e;
   const double edp = power::energyDelayProduct(e.total(), r.elapsed);

@@ -62,7 +62,6 @@ struct SystemConfig {
 
   cpu::HierarchyConfig hier;
   cpu::CoreParams core;
-  power::ProcessorEnergyParams procEnergy;
   std::uint64_t seed = 12345;
 };
 
@@ -122,10 +121,10 @@ struct RunResult {
   cpu::HierarchyStats hierarchy;
   std::vector<double> coreIpc;
 
-  // Host-side observability (mbperf): events the queue dispatched during
-  // this run. Deliberately NOT part of the canonical JSON report — it
-  // measures the engine, not the simulated machine, and the golden-identity
-  // corpus hashes the report.
+  // Host-side observability (mbbench's sim.events): events the queue
+  // dispatched during this run. Deliberately NOT part of the canonical JSON
+  // report — it measures the engine, not the simulated machine, and the
+  // golden-identity corpus hashes the report.
   std::uint64_t eventsProcessed = 0;
 };
 

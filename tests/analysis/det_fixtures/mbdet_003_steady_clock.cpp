@@ -1,5 +1,5 @@
 // Fixture: reading a std::chrono clock must trip MB-DET-003 (wall time
-// belongs in the perf harness, not in simulated behaviour).
+// belongs in mbbench, not in simulated behaviour).
 #include <chrono>
 
 long long stampNow() {

@@ -151,7 +151,7 @@ TEST(DetLint, ClockAllowlistSuppresses003ByPathSuffix) {
   const std::string src = "long long f() { return std::chrono::steady_clock::now()"
                           ".time_since_epoch().count(); }";
   const auto flagged = lint({{"src/other.cpp", src}});
-  const auto allowed = lint({{"bench/perf_harness.cpp", src}});
+  const auto allowed = lint({{"src/common/rng.hpp", src}});
   EXPECT_EQ(countCode(flagged, "MB-DET-003"), 1);
   EXPECT_TRUE(allowed.engine.empty());
 }

@@ -93,6 +93,37 @@ TEST(TraceAudit, RecordingDoesNotPerturbTheSimulation) {
   EXPECT_DOUBLE_EQ(plain.energy.total(), recorded.energy.total());
 }
 
+// A recording carries exactly the header mbaudit --geometry expects,
+// cmdTraceConfigFor(cfg, workload), also where it differs from the
+// single-spec case above: a multithreaded run takes the PHY's channel count,
+// and the scaled activation window and the bank hash reach the header.
+TEST(TraceAudit, RecordedHeaderIsCmdTraceConfigForTheWorkload) {
+  sim::SystemConfig cfg;
+  cfg.ubank = {4, 2};
+  cfg.scaleActWindowWithRowSize = true;
+  cfg.xorBankHash = true;
+  cfg.hier.numCores = 8;
+  cfg.hier.coresPerCluster = 4;
+  cfg.core.maxInstrs = 2000;
+  const auto path = tmpTracePath("header");
+  cfg.recordCmdsPath = path;
+  const auto workload = sim::WorkloadSpec::mt(trace::MtKind::TpcH);
+  sim::runSimulation(cfg, workload);
+  DiagnosticEngine readDiags;
+  const auto trace = readCmdTrace(path, readDiags);
+  std::remove(path.c_str());
+  ASSERT_TRUE(trace.has_value()) << readDiags.renderText();
+
+  const CmdTraceConfig expect = sim::cmdTraceConfigFor(cfg, workload);
+  EXPECT_GT(expect.geom.channels, 1);
+  TraceAuditOptions opts;
+  opts.expectConfig = &expect;
+  DiagnosticEngine diags;
+  const auto res = auditCmdTrace(*trace, diags, opts);
+  EXPECT_FALSE(diags.hasErrors()) << diags.renderText();
+  EXPECT_GT(res.activations, 0);
+}
+
 TEST(TraceAudit, ConfigMismatchIsAud021) {
   const auto trace = recordTrace(sim::SystemConfig{}, "cfgmismatch", 4000);
   ASSERT_TRUE(trace.has_value());

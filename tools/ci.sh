@@ -3,9 +3,9 @@
 # assertions on), a TSan pass over the parallel sweep tests, the
 # channel-sharded engine tests, and one sharded preset run, the static
 # analyses (mblint, mbstatic), end-to-end audit / checkpoint / warm-up file /
-# sweep-resume / mbserve stages, a recorded (non-gating) perf-harness run and
-# a bench --jobs invariance check in an unsanitized build tree, then
-# clang-tidy over src/.
+# sweep-resume / mbserve stages, the mbbench self-test plus one recorded
+# (uncompared) mbbench run and a bench --jobs invariance check in unsanitized
+# build trees, then clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -327,34 +327,34 @@ grep -q '"simulated":0' "$srv_dir/sweep2.jsonl" || {
 rm -rf "$srv_dir"
 echo "mbserve SIGKILL + journal resume ok"
 
-echo "== perf harness (recorded, non-gating) =="
-# Host-throughput trajectory: build mbperf WITHOUT sanitizers (ASan skews
-# throughput ~5-10x, which would drown any real regression in the diff
-# against the committed baseline) in its own build tree, emit
-# BENCH_PERF.json next to it, and diff events/sec against
-# bench/perf_baseline.txt. Warn-only by design: shared CI hosts are noisy;
-# a WARN line in the log is the signal to investigate, not a gate failure.
-build_perf="${build}-perf"
-cmake -B "$build_perf" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_perf" -j"$(nproc)" --target mbperf
-# --serve records the mbserve memo-cache cold/cached latencies and the
-# snapshot-LRU hit rate into the same MBPERF1 record (a "serve" block).
-# --shard-bench records serial vs --shards=4 wall clock on the multicore
-# fig.8 configuration (a "shard" block), with the host's hardware thread
-# count alongside so the ratio is interpretable — a box with no free cores
-# cannot show a speedup and that is not a regression.
-"$build_perf/bench/mbperf" --out="$build_perf/BENCH_PERF.json" \
-  --baseline="$repo/bench/perf_baseline.txt" --serve --shard-bench=4
-echo "perf record: $build_perf/BENCH_PERF.json"
+echo "== mbbench self-test and one recorded run =="
+# mbbench (BENCHMARK.json, mbbench/README.md) is the repository's perf
+# harness. It is a CMake package of its own; build it WITHOUT sanitizers
+# (ASan skews throughput 5-10x) into <build-dir>-bench, so the checkout's
+# .bench_build/ is never written. The self-test is fatal: it checks the
+# pinned report hashes and the metric names BENCHMARK.json declares, not
+# speed. The short spec-mcf run is recorded and compared with nothing (a
+# 2-second window on a shared host is noise); it fails only when one of its
+# output checks does. Perf claims cite alternating pairs of run.py runs.
+build_bench="${build}-bench"
+cmake -B "$build_bench" -S "$repo/mbbench" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "$build_bench" -j"$(nproc)" --target mbbench mbserve
+"$build_bench/mbbench" --self-test="$repo/BENCHMARK.json"
+"$build_bench/mbbench" --workload=spec-mcf --seconds=2 \
+  --out="$build_bench/spec-mcf.json"
+echo "perf record: $build_bench/spec-mcf.json"
 
 echo "== bench stdout is the same at every --jobs =="
 # bench/bench_util.hpp promises identical stdout for every worker count.
-# fig8 with a warm-up covers the shared snapshots too. Gating, unlike the
-# perf record above: the output is deterministic, only wall clock varies.
-cmake --build "$build_perf" -j"$(nproc)" --target fig8_ipc_sweep
-"$build_perf/bench/fig8_ipc_sweep" --warmup=2000 --jobs=1 > "$build_perf/fig8.j1.txt"
-"$build_perf/bench/fig8_ipc_sweep" --warmup=2000 --jobs=4 > "$build_perf/fig8.j4.txt"
-cmp "$build_perf/fig8.j1.txt" "$build_perf/fig8.j4.txt" || {
+# fig8 with a warm-up covers the shared snapshots too. The output is
+# deterministic, only wall clock varies; an unsanitized tree keeps the two
+# sweeps short.
+build_nosan="${build}-nosan"
+cmake -B "$build_nosan" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "$build_nosan" -j"$(nproc)" --target fig8_ipc_sweep
+"$build_nosan/bench/fig8_ipc_sweep" --warmup=2000 --jobs=1 > "$build_nosan/fig8.j1.txt"
+"$build_nosan/bench/fig8_ipc_sweep" --warmup=2000 --jobs=4 > "$build_nosan/fig8.j4.txt"
+cmp "$build_nosan/fig8.j1.txt" "$build_nosan/fig8.j4.txt" || {
   echo "FAIL: fig8_ipc_sweep stdout differs between --jobs=1 and --jobs=4" >&2
   exit 1; }
 echo "fig8 --jobs=1 and --jobs=4 stdout identical"

@@ -23,6 +23,7 @@
 //
 // Exit status: 0 clean audit, 1 audit found violations, 2 usage error /
 // unreadable or malformed trace / inapplicable mutation.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,13 +43,6 @@ using namespace mb;
                "[--geometry=PRESET] [--mutate=KIND] [--seed=N]\n",
                msg);
   std::exit(2);
-}
-
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
 }
 
 void printJson(const std::string& path, const mc::TraceAuditResult& res,
@@ -116,7 +110,9 @@ int main(int argc, char** argv) {
     } else if (matchFlag(arg, "mutate", &value)) {
       mutate = value;
     } else if (matchFlag(arg, "seed", &value)) {
-      seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      const auto v = parseInt(value, 0, INT64_MAX);
+      if (!v) usage(("--seed expects an integer >= 0, got \"" + value + "\"").c_str());
+      seed = static_cast<std::uint64_t>(*v);
     } else if (!startsWith(arg, "--") && path.empty()) {
       path = arg;
     } else {

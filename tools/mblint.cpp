@@ -43,13 +43,6 @@ using namespace mb;
   std::exit(2);
 }
 
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 /// `value` as a whole decimal int; anything else is a usage error. The
 /// lint itself judges the range.
 int intFlag(const std::string& value, const char* flag) {

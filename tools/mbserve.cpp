@@ -58,13 +58,6 @@ using namespace mb;
   std::exit(2);
 }
 
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 int parsePositive(const std::string& value, const char* flag) {
   const auto v = parseInt(value, 1, INT_MAX);
   if (!v) usage((std::string(flag) + " needs a positive integer").c_str());

@@ -118,13 +118,6 @@ using namespace mb;
   std::exit(2);
 }
 
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 /// `value` as a whole decimal integer in [lo, hi]; anything else is a usage
 /// error. Config knobs take any int here and are range-checked by the lint.
 std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,

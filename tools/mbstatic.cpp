@@ -58,13 +58,6 @@ using analysis::SourceFile;
   std::exit(2);
 }
 
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 bool isError(analysis::Severity s) {
   return s == analysis::Severity::Error || s == analysis::Severity::Fatal;
 }

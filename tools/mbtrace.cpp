@@ -8,6 +8,8 @@
 //
 //   mbtrace --app=429.mcf --out=/tmp/mcf --records=200000 --cores=4 --seed=1
 //   mbsim   --workload=trace:/tmp/mcf
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -29,11 +31,23 @@ using namespace mb;
   std::exit(2);
 }
 
-bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!startsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
+/// `value` as a whole decimal integer in [lo, hi]; anything else is a usage
+/// error.
+std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,
+                     std::int64_t hi = INT64_MAX) {
+  const auto v = parseInt(value, lo, hi);
+  if (!v) {
+    std::string msg = std::string(flag) + " expects an integer >= " + std::to_string(lo);
+    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
+    usage((msg + ", got \"" + value + "\"").c_str());
+  }
+  return *v;
+}
+
+bool knownApp(const std::string& name) {
+  for (const auto& p : trace::specProfiles())
+    if (p.name == name) return true;
+  return false;
 }
 
 }  // namespace
@@ -56,18 +70,18 @@ int main(int argc, char** argv) {
     } else if (matchFlag(arg, "out", &value)) {
       out = value;
     } else if (matchFlag(arg, "records", &value)) {
-      records = std::atoll(value.c_str());
+      records = intFlag(value, "--records", 1);
     } else if (matchFlag(arg, "cores", &value)) {
-      cores = std::atoi(value.c_str());
+      cores = static_cast<int>(intFlag(value, "--cores", 1, INT_MAX));
     } else if (matchFlag(arg, "seed", &value)) {
-      seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      seed = static_cast<std::uint64_t>(intFlag(value, "--seed", 0));
     } else {
       usage(("unrecognized argument: " + arg).c_str());
     }
   }
   if (app.empty()) usage("--app is required");
+  if (!knownApp(app)) usage(("unknown --app: " + app).c_str());
   if (out.empty()) usage("--out is required");
-  if (records <= 0 || cores <= 0) usage("--records and --cores must be positive");
 
   for (int c = 0; c < cores; ++c) {
     trace::SyntheticParams p = trace::specProfile(app).params;
