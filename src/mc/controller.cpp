@@ -60,9 +60,7 @@ void MemoryController::enqueue(MemRequest req) {
   if (req.write) {
     writes_.inc();
     // Coalesce with an already-buffered write to the same line.
-    for (const ReqHandle h : writeQ_) {
-      if (pool_.ref(h).req.addr == req.addr) return;
-    }
+    if (holdsWrite(req.addr)) return;
     Pending p;
     p.req = std::move(req);
     p.flat = flat;
@@ -75,15 +73,13 @@ void MemoryController::enqueue(MemRequest req) {
     reads_.inc();
     // Forward from a buffered write to the same line: the data is newer
     // than DRAM and available immediately after a queue lookup.
-    for (const ReqHandle h : writeQ_) {
-      if (pool_.ref(h).req.addr == req.addr) {
-        forwarded_.inc();
-        if (req.onComplete) {
-          const Tick done = eq_.now() + channel_.timing().tCMD;
-          scheduleCompletion(std::move(req.onComplete), done, req.addr, req.core);
-        }
-        return;
+    if (holdsWrite(req.addr)) {
+      forwarded_.inc();
+      if (req.onComplete) {
+        const Tick done = eq_.now() + channel_.timing().tCMD;
+        scheduleCompletion(std::move(req.onComplete), done, req.addr, req.core);
       }
+      return;
     }
     Pending p;
     p.req = std::move(req);
@@ -101,6 +97,12 @@ void MemoryController::enqueue(MemRequest req) {
                      static_cast<double>(readQ_.size() + overflowQ_.size()));
   }
   kick();
+}
+
+bool MemoryController::holdsWrite(std::uint64_t addr) const {
+  for (const ReqHandle h : writeQ_)
+    if (pool_.ref(h).req.addr == addr) return true;
+  return false;
 }
 
 void MemoryController::resolveSpeculation(std::int64_t flat, int ub,

@@ -105,6 +105,13 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// immediately from the caller's perspective (posted).
   void enqueue(MemRequest req);
 
+  /// True when the write queue holds a write to `addr`. The one forward
+  /// rule: a write to `addr` coalesces with it, and a read of `addr` is
+  /// forwarded from it, completing one command transfer (tCMD) after
+  /// admission. The sharded engine asks it to cut a window short where such
+  /// a read can land (DESIGN.md §14).
+  bool holdsWrite(std::uint64_t addr) const;
+
   /// Number of requests (read + write) not yet fully serviced.
   int outstanding() const {
     return static_cast<int>(readQ_.size() + overflowQ_.size() + writeQ_.size());

@@ -24,8 +24,11 @@ ShardedEngine::ShardedEngine(EventQueue& cpuQueue,
                              std::vector<EventQueue*> channelQueues,
                              const ShardEngineOptions& opts)
     : cpuQ_(cpuQueue), chQs_(std::move(channelQueues)), opts_(opts) {
-  MB_CHECK_MSG(opts_.lookahead > 0, "lookahead=%lld",
-               static_cast<long long>(opts_.lookahead));
+  MB_CHECK_MSG(opts_.lookahead > 0 && opts_.forwardLatency > 0 &&
+                   opts_.forwardLatency <= opts_.lookahead,
+               "lookahead=%lld forwardLatency=%lld",
+               static_cast<long long>(opts_.lookahead),
+               static_cast<long long>(opts_.forwardLatency));
   MB_CHECK(!chQs_.empty());
   lanes_.resize(chQs_.size());
   startWorkers();
@@ -47,8 +50,9 @@ void ShardedEngine::postCompletion(ChannelId fromChannel, Tick due,
   MB_CHECK(fromChannel >= 0 &&
            static_cast<std::size_t>(fromChannel) < chQs_.size());
   // A completion due before the current window's end would mean the channel
-  // can reach the CPU faster than the configured lookahead — the conservative
-  // window would have executed CPU events it shouldn't have.
+  // can reach the CPU faster than the window allows — a lookahead above the
+  // real CAS → data latency, or a forwarded read the cut missed — and the
+  // conservative window would have executed CPU events it shouldn't have.
   MB_CHECK_MSG(due >= windowEnd_.load(std::memory_order_relaxed),
                "completion due=%lldps inside the lookahead horizon (window end "
                "%lldps) — lookahead exceeds the channel->CPU latency",
@@ -63,9 +67,48 @@ void ShardedEngine::postEnqueue(ChannelId toChannel, Tick due,
                                 const EventStamp& st, std::uint64_t lineAddr,
                                 CoreId core, bool isWrite) {
   MB_CHECK(toChannel >= 0 && static_cast<std::size_t>(toChannel) < chQs_.size());
-  Lane& lane = lanes_[static_cast<std::size_t>(toChannel)];
+  const auto ch = static_cast<std::size_t>(toChannel);
+  Lane& lane = lanes_[ch];
+  // Phase A: an admission due inside the window can make a read forwardable
+  // there. A read may meet a buffered write; a write may be due before a
+  // buffered read of its line (a read's due includes the request link hop,
+  // a writeback's does not).
+  const Tick end = windowEnd_.load(std::memory_order_relaxed);
+  if (due < end) {
+    if (!isWrite) {
+      if (mayForward(ch, lineAddr)) cutWindow(due + opts_.forwardLatency);
+    } else {
+      for (const ChannelMsg& m : lane.inbox)
+        if (!m.write && m.lineAddr == lineAddr && m.due < end)
+          cutWindow(m.due + opts_.forwardLatency);
+    }
+  }
   if (due < lane.inboxMinDue) lane.inboxMinDue = due;
   lane.inbox.push_back(ChannelMsg{due, st, lineAddr, core, isWrite});
+}
+
+bool ShardedEngine::mayForward(std::size_t ch, std::uint64_t lineAddr) const {
+  if (writeQuery_ && writeQuery_(static_cast<ChannelId>(ch), lineAddr)) return true;
+  for (const ChannelMsg& m : lanes_[ch].inbox)
+    if (m.write && m.lineAddr == lineAddr) return true;
+  return false;
+}
+
+Tick ShardedEngine::forwardCut(Tick t1) const {
+  // A cut at due + forwardLatency can only lower t1 for a read due before
+  // the current t1, so filtering on the running t1 gives the minimum.
+  for (std::size_t ch = 0; ch < lanes_.size(); ++ch) {
+    if (lanes_[ch].inboxMinDue >= t1) continue;
+    for (const ChannelMsg& m : lanes_[ch].inbox)
+      if (!m.write && m.due < t1 && mayForward(ch, m.lineAddr))
+        t1 = m.due + opts_.forwardLatency;
+  }
+  return t1;
+}
+
+void ShardedEngine::cutWindow(Tick end) {
+  if (end < windowEnd_.load(std::memory_order_relaxed))
+    windowEnd_.store(end, std::memory_order_relaxed);
 }
 
 Tick ShardedEngine::minNextTime() const {
@@ -78,7 +121,7 @@ Tick ShardedEngine::minNextTime() const {
 }
 
 void ShardedEngine::deliverToCpu(Tick t1) {
-  cpuArena_.clear();
+  if (arenaLive_ == 0) cpuArena_.clear();
   for (Lane& lane : lanes_) {
     if (lane.outboxMinDue >= t1) continue;  // nothing deliverable this window
     auto& buf = lane.outbox;
@@ -89,8 +132,11 @@ void ShardedEngine::deliverToCpu(Tick t1) {
         const std::uint32_t idx = static_cast<std::uint32_t>(cpuArena_.size());
         const Tick due = buf[i].due;
         cpuArena_.push_back(std::move(buf[i].cb));
-        cpuQ_.scheduleStamped(due, buf[i].stamp,
-                              [this, idx, due] { cpuArena_[idx](due); });
+        ++arenaLive_;
+        cpuQ_.scheduleStamped(due, buf[i].stamp, [this, idx, due] {
+          --arenaLive_;
+          cpuArena_[idx](due);
+        });
       } else {
         if (buf[i].due < keptMin) keptMin = buf[i].due;
         if (kept != i) buf[kept] = std::move(buf[i]);
@@ -401,15 +447,20 @@ void ShardedEngine::run(Tick checkpointAt,
       onCheckpoint();
       ckptPending = false;
     }
-    Tick t1 = t0 + opts_.lookahead;
-    if (ckptPending && checkpointAt < t1) t1 = checkpointAt;
+    Tick uncut = t0 + opts_.lookahead;
+    if (ckptPending && checkpointAt < uncut) uncut = checkpointAt;
+    const Tick t1 = forwardCut(uncut);
     deliverToCpu(t1);
 
     // Phase A: the CPU hierarchy runs serially to completion first, so
     // zero-latency CPU -> channel admissions still land inside this window.
+    // postEnqueue may lower windowEnd_ under the loop (the forward cut);
+    // every CPU event run so far precedes the cut, which is after the
+    // posting event's tick.
+    windowEnd_.store(t1, std::memory_order_relaxed);
     phaseHasStop_ = false;
     bool stopped = false;
-    while (cpuQ_.nextEventTime() < t1) {
+    while (cpuQ_.nextEventTime() < windowEnd_.load(std::memory_order_relaxed)) {
       const Tick when = cpuQ_.nextEventTime();
       const EventStamp st = *cpuQ_.peekStamp();
       cpuQ_.step();
@@ -428,10 +479,12 @@ void ShardedEngine::run(Tick checkpointAt,
       }
     }
 
-    // Phase B: channels, in parallel. windowEnd_ arms the lookahead guard in
-    // postCompletion before any channel event can run.
-    windowEnd_.store(t1, std::memory_order_relaxed);
-    runPhaseB(t1);
+    // Phase B: channels, in parallel, up to the final window end, which
+    // the lookahead guard in postCompletion checks against.
+    const Tick end = windowEnd_.load(std::memory_order_relaxed);
+    ++windows_;
+    if (end < uncut) ++windowsCut_;
+    runPhaseB(end);
     drainCommands();
     if (stopped) break;
   }

@@ -6,21 +6,26 @@
 // bounded window [t0, t1):
 //
 //   t0 = earliest pending work anywhere (queue heads and buffered messages),
-//   t1 = t0 + lookahead, clamped to a pending checkpoint tick.
+//   t1 = t0 + lookahead, clamped to a pending checkpoint tick, and cut to
+//        t_d + forwardLatency where a read admission due at t_d inside the
+//        window may be forwarded from a buffered write.
 //
-// The lookahead is the minimum latency of any channel → CPU interaction
-// (tCMD: even a forwarded read costs one command transfer), so nothing a
-// channel does inside a window can affect the CPU side before t1. CPU →
-// channel latency may be zero, which is legal because the CPU phase (A) runs
-// to completion *before* the channel phase (B) within every window; an
-// admission posted during A with due < t1 is delivered and executed in the
-// same window's B. Cross-window messages are buffered in the mailbox until
-// the window whose span covers their due tick, then materialized on the
-// destination queue under the EventStamp minted at post time — merge order
-// is fixed by the sender, never by delivery timing or worker scheduling, so
-// reports, command traces, and snapshots are byte-identical at any
-// --shards value (the golden corpus and the differential property test pin
-// this).
+// The lookahead is the CAS → data latency (tAA + tBURST): a CAS-served read
+// posts its completion at CAS issue, due when its burst ends. The one faster
+// channel → CPU path is a read forwarded from the write queue, which
+// completes one command transfer (tCMD, the forward latency) after its
+// admission; the cut covers it. So nothing a channel does inside a window
+// can affect the CPU side before t1. CPU → channel latency may be zero,
+// which is legal because the CPU phase (A) runs to completion *before* the
+// channel phase (B) within every window; an admission posted during A with
+// due < t1 is delivered and executed in the same window's B, and one that
+// may be forwarded lowers t1 while A runs. Cross-window messages are
+// buffered in the mailbox until the window whose span covers their due
+// tick, then materialized on the destination queue under the EventStamp
+// minted at post time — merge order is fixed by the sender, never by
+// delivery timing or worker scheduling, so reports, command traces, and
+// snapshots are byte-identical at any --shards value (the golden corpus and
+// the differential property test pin this).
 //
 // Phase B splits channels into `participants` shares (channel -> share =
 // ch % participants). The calling thread runs share 0 itself; a persistent
@@ -88,8 +93,13 @@ class MB_CROSS_CHANNEL BufferedCommandLog final : public mc::CommandLog {
 
 struct ShardEngineOptions {
   /// Conservative window span; must be positive and no larger than the
-  /// minimum channel → CPU latency (tCMD for this system).
+  /// minimum latency of a CAS-served read from CAS issue to its data
+  /// (tAA + tBURST for this system).
   Tick lookahead = 1;
+  /// Latency of a read forwarded from the write queue, from admission to
+  /// data (tCMD); in (0, lookahead]. A window that may hold such a read ends
+  /// this long after the read's admission.
+  Tick forwardLatency = 1;
   /// Threads sharing the channel phase, the calling thread included
   /// (clamped to the channel count): N starts a pool of N - 1 threads.
   /// 1 = fully inline (no pool).
@@ -119,6 +129,12 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
       std::function<void(ChannelId ch, Tick due, std::uint64_t lineAddr,
                          CoreId core, bool isWrite)>;
 
+  /// Forward query: true when channel `ch`'s write queue holds a write to
+  /// `lineAddr`, so a read of it admitted now would be forwarded. Called on
+  /// the calling thread only, at window start and in Phase A, while no
+  /// channel runs. Unset means no channel forwards.
+  using WriteQueryFn = std::function<bool(ChannelId ch, std::uint64_t lineAddr)>;
+
   ShardedEngine(EventQueue& cpuQueue, std::vector<EventQueue*> channelQueues,
                 const ShardEngineOptions& opts);
   ~ShardedEngine() override;
@@ -126,6 +142,7 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   void setDeliverEnqueue(DeliverEnqueueFn fn) { deliverEnqueue_ = std::move(fn); }
+  void setWriteQuery(WriteQueryFn fn) { writeQuery_ = std::move(fn); }
 
   /// Enable command capture: `buffers[ch]` is the sink controller `ch` feeds;
   /// drained into `sink` once per window in deterministic merge order.
@@ -153,6 +170,12 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   /// (data delivery), so this exceeds the legacy single-queue count; it
   /// feeds mbbench's sim.events only, never the canonical report.
   std::uint64_t processedCount() const;
+
+  /// Windows run so far, and those of them the forward rule cut short.
+  /// Deterministic (a function of the simulated run, not of the host or the
+  /// worker count); they feed RunResult, never the canonical report.
+  std::uint64_t windowsRun() const { return windows_; }
+  std::uint64_t windowsCut() const { return windowsCut_; }
 
   /// Latest queue clock — the capture time a snapshot records (equals the
   /// tick of the last fired event, which is shard-invariant).
@@ -184,6 +207,14 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   };
 
   Tick minNextTime() const;
+  /// Whether a read of `lineAddr` admitted to `ch` may be forwarded: the
+  /// channel's write queue holds the line, or the lane's inbox carries a
+  /// write to it.
+  bool mayForward(std::size_t ch, std::uint64_t lineAddr) const;
+  /// `t1` cut for the buffered reads due before it that may be forwarded.
+  Tick forwardCut(Tick t1) const;
+  /// Lower the current window's end to `end` if that is earlier (Phase A).
+  void cutWindow(Tick end);
   void deliverToCpu(Tick t1);
   void deliverToChannel(std::size_t ch, Tick t1);
   void runChannelWindow(std::size_t ch, std::uint64_t* events);
@@ -204,6 +235,8 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   MB_SNAP_TRANSIENT(opts_, "run-shaping knobs; a snapshot must restore under any worker count");
   DeliverEnqueueFn deliverEnqueue_;
   MB_SNAP_TRANSIENT(deliverEnqueue_, "wiring callback, rebuilt by the system on every construction");
+  WriteQueryFn writeQuery_;
+  MB_SNAP_TRANSIENT(writeQuery_, "wiring callback, rebuilt by the system on every construction");
   std::vector<BufferedCommandLog*> cmdBufs_;
   MB_SNAP_TRANSIENT(cmdBufs_, "command recording is rejected on checkpointing runs (MB_CHECK in runSimulation)");
   mc::CommandLog* cmdSink_ = nullptr;
@@ -224,13 +257,17 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
     Tick outboxMinDue = kTickNever;
   };
   std::vector<Lane> lanes_;  // [ch]
-  /// Completion callbacks being delivered in the current window. Parked here
-  /// so the CPU-queue delivery closure captures only {this, index, due} and
-  /// stays within InlineFunction's inline buffer (a full CompletionFn nested
-  /// inside a closure would spill to the heap on every completion). Always
-  /// empty at window boundaries: a delivered message fires within its window.
+  /// Completion callbacks delivered to the CPU queue. Parked here so the
+  /// CPU-queue delivery closure captures only {this, index, due} and stays
+  /// within InlineFunction's inline buffer (a full CompletionFn nested
+  /// inside a closure would spill to the heap on every completion). A
+  /// message is delivered at the start of the window its due tick falls in,
+  /// but a Phase-A cut can end that window before it fires, so the arena is
+  /// recycled only once arenaLive_ says every entry has fired.
   std::vector<mc::CompletionFn> cpuArena_;
-  MB_SNAP_TRANSIENT(cpuArena_, "empty at every window boundary (delivered messages fire within their window), and snapshots only cut at boundaries");
+  MB_SNAP_TRANSIENT(cpuArena_, "no live entry at a checkpoint: a delivered message is due before its window's end, which is at or before the checkpoint tick, so it has fired when the checkpoint's window starts");
+  std::size_t arenaLive_ = 0;  // delivered entries that have not fired yet
+  MB_SNAP_TRANSIENT(arenaLive_, "zero at a checkpoint, like cpuArena_");
 
   std::uint64_t events_ = 0;         // fired on main (CPU phase + inline B)
   MB_SNAP_TRANSIENT(events_, "runaway guard only; per-queue processed counts feed mbbench and restart at zero");
@@ -238,6 +275,10 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   MB_SNAP_TRANSIENT(eventsBase_, "per-window scratch for the event-cap guard");
   std::vector<std::uint64_t> shareEvents_;  // per share, current window
   MB_SNAP_TRANSIENT(shareEvents_, "per-window scratch, zeroed before every parallel phase");
+  std::uint64_t windows_ = 0;     // windows run
+  MB_SNAP_TRANSIENT(windows_, "engine counter for RunResult; a restored run counts its own windows");
+  std::uint64_t windowsCut_ = 0;  // of those, cut short by the forward rule
+  MB_SNAP_TRANSIENT(windowsCut_, "engine counter for RunResult; a restored run counts its own windows");
 
   // Worker pool: generation barrier that stays awake for a run. Main
   // publishes the window (phaseT1_, stop key, windowEnd_, eventsBase_),
@@ -288,11 +329,13 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   MB_SNAP_TRANSIENT(stopWhen_, "per-window scratch for the stop-key cut");
   EventStamp stopStamp_{};
   MB_SNAP_TRANSIENT(stopStamp_, "per-window scratch for the stop-key cut");
-  /// End of the window currently executing; postCompletion checks its due
-  /// against this (a completion inside the lookahead horizon would mean the
-  /// lookahead is larger than the real channel → CPU latency). Atomic only
-  /// so restore-time posts from main and window-time posts from workers are
-  /// race-free; initialized to 0 so restore posts (due >= 0) always pass.
+  /// End of the window currently executing. Phase A's loop reads it and
+  /// postEnqueue lowers it (the forward cut); in Phase B postCompletion
+  /// checks every due against it (a completion inside the horizon would
+  /// mean the channel reached the CPU faster than the window allows).
+  /// Atomic only so restore-time posts from main and window-time posts from
+  /// workers are race-free; initialized to 0 so restore posts (due >= 0)
+  /// always pass and never cut.
   std::atomic<Tick> windowEnd_{0};
   MB_SNAP_TRANSIENT(windowEnd_, "lookahead guard horizon; 0 between runs so restore-time posts always pass");
 };

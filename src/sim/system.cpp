@@ -555,10 +555,15 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   // mailbox merge order are identical at any worker count, which is what
   // makes the results byte-identical by construction (DESIGN.md §14).
   ShardEngineOptions eopts;
-  // Lookahead: the cheapest channel -> CPU interaction is a forwarded read,
-  // one command transfer (tCMD). CPU -> channel can be zero-latency, which
-  // is safe because the CPU phase precedes the channel phase in a window.
-  eopts.lookahead = effectiveTiming(cfg).tCMD;
+  // Lookahead: a CAS-served read reaches the CPU no sooner than tAA + tBURST
+  // after its CAS. The one faster channel -> CPU path, a read forwarded from
+  // the write queue one command transfer (tCMD) after its admission, cuts
+  // its window short (the write query below). CPU -> channel can be
+  // zero-latency, which is safe because the CPU phase precedes the channel
+  // phase in a window.
+  const dram::TimingParams timing = effectiveTiming(cfg);
+  eopts.lookahead = timing.tAA + timing.tBURST;
+  eopts.forwardLatency = timing.tCMD;
   eopts.workers = std::clamp(opts.shards, 1, channels);
   std::vector<EventQueue*> chQs;
   for (auto& q : sys->chQs) chQs.push_back(q.get());
@@ -568,6 +573,9 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
                                  std::uint64_t lineAddr, CoreId core,
                                  bool isWrite) {
     raw->hier->deliverEnqueue(ch, lineAddr, core, isWrite);
+  });
+  engine.setWriteQuery([raw](ChannelId ch, std::uint64_t lineAddr) {
+    return raw->mcs[static_cast<std::size_t>(ch)]->holdsWrite(lineAddr);
   });
   sys->hier->setMailbox(&engine);
   for (auto& mcPtr : sys->mcs) mcPtr->setMailbox(&engine);
@@ -618,6 +626,8 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   RunResult r;
   r.workload = workload.name;
   r.eventsProcessed = engine.processedCount();
+  r.windows = engine.windowsRun();
+  r.windowsCut = engine.windowsCut();
   Tick elapsed = 0;
   for (const auto& corePtr : sys->cores) {
     elapsed = std::max(elapsed, corePtr->finishTick());

@@ -126,6 +126,11 @@ struct RunResult {
   // report — it measures the engine, not the simulated machine, and the
   // golden-identity corpus hashes the report.
   std::uint64_t eventsProcessed = 0;
+  // Engine windows run, and those the forward rule cut short (DESIGN.md
+  // §14). Deterministic, and out of the canonical report like
+  // eventsProcessed.
+  std::uint64_t windows = 0;
+  std::uint64_t windowsCut = 0;
 };
 
 /// Derive the DRAM geometry a SystemConfig implies.

@@ -50,13 +50,17 @@ class EngineRigTest : public ::testing::Test {
     hier_ = std::make_unique<MemoryHierarchy>(hcfg_, mcs_, *cpuQ_);
 
     sim::ShardEngineOptions eopts;
-    eopts.lookahead = timing.tCMD;
+    eopts.lookahead = timing.tAA + timing.tBURST;
+    eopts.forwardLatency = timing.tCMD;
     engine_ = std::make_unique<sim::ShardedEngine>(*cpuQ_, std::move(chQs), eopts);
     MemoryHierarchy* hier = hier_.get();
     engine_->setDeliverEnqueue([hier](ChannelId ch, Tick /*due*/,
                                       std::uint64_t lineAddr, CoreId core,
                                       bool isWrite) {
       hier->deliverEnqueue(ch, lineAddr, core, isWrite);
+    });
+    engine_->setWriteQuery([this](ChannelId ch, std::uint64_t lineAddr) {
+      return mcs_[static_cast<std::size_t>(ch)]->holdsWrite(lineAddr);
     });
     hier_->setMailbox(engine_.get());
     for (auto& mc : mcs_) mc->setMailbox(engine_.get());

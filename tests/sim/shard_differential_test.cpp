@@ -6,7 +6,9 @@
 // system, more shards than channels, a workload that leaves almost every
 // channel with zero requests, and checkpoint/restore cut mid-window across
 // shard counts (including restoring a sharded-written snapshot serially and
-// vice versa).
+// vice versa). One longer point where the forward rule cuts windows short is
+// pinned against hashes taken from an engine whose every window was one
+// command transfer wide, so no read could ever be forwarded inside one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/serialize.hpp"
+#include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "sim/system.hpp"
 #include "trace/trace_file.hpp"
@@ -188,6 +192,22 @@ TEST(ShardDifferential, MidRunCheckpointBytesAndRestoresMatch) {
     std::remove(serialCkpt.c_str());
     std::remove(shardCkpt.c_str());
   }
+}
+
+// tsi-baseline 429.mcf at 300 k instructions: reads meet buffered writes
+// often enough that the forward rule cuts windows (the golden corpus's 10 k
+// slice never does). The report and the MBCMDT1 bytes must be those of the
+// tCMD-wide windows, which needed no cut.
+TEST(ShardDifferential, ForwardCutPointIsPinned) {
+  const std::string trace = ::testing::TempDir() + "mb_sdiff_fwd.mbcmd";
+  SystemConfig cfg = tsiBaselineConfig();
+  cfg.core.maxInstrs = 300000;
+  cfg.recordCmdsPath = trace;
+  const RunResult r = runSimulation(cfg, WorkloadSpec::spec("429.mcf"));
+  EXPECT_GE(r.windowsCut, 1u) << "the point no longer exercises the forward cut";
+  EXPECT_EQ(ckpt::fnv1a64(runResultToJson(r)), 0xc327cb9d8c5134daull);
+  EXPECT_EQ(ckpt::fnv1a64(readFileBytes(trace)), 0x59b0b7ccec972275ull);
+  std::remove(trace.c_str());
 }
 
 // Adversarial: one channel. The pool never engages (workers clamp to

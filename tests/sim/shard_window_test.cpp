@@ -1,5 +1,6 @@
 // ShardedEngine window mechanics, driven by a scripted two-channel fixture
-// (no controllers, no cores — bare queues and hand-posted messages):
+// (no controllers, no cores — bare queues, hand-posted messages, and a
+// stand-in write queue per channel):
 //
 //  * completions posted AT the lookahead horizon and one tick AFTER it are
 //    buffered and merged into the CPU queue in stamp order, never reordered
@@ -9,6 +10,14 @@
 //    path, through a pool thread (the ferried-exception path), and on the
 //    calling thread's own share while the pool is mid-phase (the barrier
 //    completes before the re-raise);
+//  * the forward cut: a read admission that may be forwarded from a held
+//    write ends its window one forward latency after the read, whether the
+//    engine learns it in Phase A or at window start, from the write query
+//    or from a write still in the mailbox, and the forwarded completion,
+//    due exactly at the cut, passes the guard; with the write query
+//    answering "no" the same script trips it;
+//  * completions delivered at a window's start and due past a Phase-A cut
+//    stay live across the window boundary and fire once, in stamp order;
 //  * a window where channels have zero events (pure CPU work) drains
 //    cleanly, as does an entirely empty channel side.
 //
@@ -19,7 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +42,7 @@ namespace mb::sim {
 namespace {
 
 constexpr Tick kLookahead = 10;
+constexpr Tick kForward = 2;
 
 /// Two channel queues + one CPU queue wired to a ShardedEngine.
 struct Fixture {
@@ -42,9 +54,42 @@ struct Fixture {
     ch[1]->setShardId(1);
     ShardEngineOptions opts;
     opts.lookahead = kLookahead;
+    opts.forwardLatency = kForward;
     opts.workers = workers;
     engine = std::make_unique<ShardedEngine>(
         cpu, std::vector<EventQueue*>{ch[0].get(), ch[1].get()}, opts);
+    // A stand-in write queue per channel: a delivered write is held for
+    // good, and a delivered read of a held line is forwarded, completing
+    // one forward latency after admission. Any other read completes one
+    // lookahead later, like a CAS issued on admission.
+    engine->setDeliverEnqueue([this](ChannelId c, Tick /*due*/,
+                                     std::uint64_t line, CoreId /*core*/,
+                                     bool isWrite) {
+      EventQueue& q = *ch[c];
+      const std::string tag = (isWrite ? "w" : "r") + std::to_string(line);
+      chLog[c].push_back("admit." + tag + "@" + std::to_string(q.now()));
+      if (isWrite) {
+        held[c].insert(line);
+        return;
+      }
+      const Tick due = q.now() + (held[c].count(line) != 0 ? kForward : kLookahead);
+      engine->postCompletion(c, due, q.issueStamp(),
+                             mc::CompletionFn([this, tag](Tick at) {
+                               cpuLog.push_back("done." + tag + "@" +
+                                                std::to_string(at));
+                             }));
+    });
+    engine->setWriteQuery([this](ChannelId c, std::uint64_t line) {
+      return !queryAnswersNo && held[c].count(line) != 0;
+    });
+  }
+
+  /// CPU event at `when` that posts an admission of `line` to channel `c`,
+  /// due `due`.
+  void cpuPosts(Tick when, int c, Tick due, std::uint64_t line, bool isWrite) {
+    cpu.scheduleAt(when, [this, c, due, line, isWrite] {
+      engine->postEnqueue(c, due, cpu.issueStamp(), line, 0, isWrite);
+    });
   }
 
   /// Channel event at `when` that posts a completion due `due`. The channel
@@ -70,6 +115,8 @@ struct Fixture {
   std::unique_ptr<ShardedEngine> engine;
   std::vector<std::string> cpuLog;
   std::vector<std::string> chLog[2];
+  std::set<std::uint64_t> held[2];  // held[c]: written by channel c's thread
+  bool queryAnswersNo = false;      // the write query hides every held line
 };
 
 struct ScriptResult {
@@ -164,6 +211,102 @@ TEST(ShardWindow, FailureOnMainsShareWaitsForThePoolThenReraises) {
   const std::vector<std::string> expect = {"slow@0", "slow@1", "slow@2", "slow@3"};
   EXPECT_EQ(f.chLog[1], expect) << "re-raised before the pool finished its share";
   EXPECT_EQ(f.chLog[0], (std::vector<std::string>{"post.bad@0"}));
+}
+
+/// Window [0, 10) admits a write of line 7 to channel 0 and of line 8 to
+/// channel 1. At 20 the CPU posts reads of both lines due 23, which only the
+/// write query can show to be forwardable (Phase A), and a read of line 7
+/// due 35, past that window, which the start of a later window checks.
+ScriptResult scriptForwardedReads(int workers, bool queryAnswersNo,
+                                  std::uint64_t* windows = nullptr,
+                                  std::uint64_t* cut = nullptr) {
+  Fixture f(workers);
+  f.queryAnswersNo = queryAnswersNo;
+  f.cpuPosts(0, 0, 0, 7, true);
+  f.cpuPosts(0, 1, 0, 8, true);
+  f.cpuPosts(20, 0, 23, 7, false);
+  f.cpuPosts(20, 1, 23, 8, false);
+  f.cpuPosts(20, 0, 35, 7, false);
+  f.run();
+  if (windows != nullptr) *windows = f.engine->windowsRun();
+  if (cut != nullptr) *cut = f.engine->windowsCut();
+  return ScriptResult{f.cpuLog, f.chLog[0], f.chLog[1]};
+}
+
+TEST(ShardWindow, ForwardableReadCutsTheWindowAndItsCompletionAtTheCutPasses) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::uint64_t windows = 0, cut = 0;
+    const ScriptResult r = scriptForwardedReads(workers, false, &windows, &cut);
+    // [20, 30) is cut to 25 in Phase A, and [35, 45) to 37 at its start;
+    // both channels are busy in the first cut window (the pool runs it).
+    EXPECT_EQ(r.cpuLog, (std::vector<std::string>{"done.r7@25", "done.r8@25",
+                                                  "done.r7@37"}));
+    EXPECT_EQ(r.chLog0, (std::vector<std::string>{"admit.w7@0", "admit.r7@23",
+                                                  "admit.r7@35"}));
+    EXPECT_EQ(r.chLog1, (std::vector<std::string>{"admit.w8@0", "admit.r8@23"}));
+    EXPECT_EQ(windows, 5u);  // [0,10) [20,25) [25,35) [35,37) [37,47)
+    EXPECT_EQ(cut, 2u);
+  }
+}
+
+TEST(ShardWindow, ForwardMissedByTheWriteQueryIsCaughtInline) {
+  ScopedCheckTrap trap;
+  try {
+    scriptForwardedReads(1, true);
+    FAIL() << "forward inside the window not detected";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(e.message.find("lookahead"), std::string::npos) << e.message;
+  }
+}
+
+TEST(ShardWindow, ForwardMissedByTheWriteQueryIsCaughtThroughWorkers) {
+  ScopedCheckTrap trap;
+  try {
+    scriptForwardedReads(2, true);  // both channels forward in [20, 30)
+    FAIL() << "forward inside the window not detected through the worker pool";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(e.message.find("lookahead"), std::string::npos) << e.message;
+  }
+}
+
+// A writeback is due when it is posted, a read one request-link hop later,
+// so a write posted after a read can reach the channel first and forward
+// it. Posting the write must cut the window for the buffered read.
+TEST(ShardWindow, WriteDueBeforeABufferedReadCutsTheWindow) {
+  for (const int workers : {1, 2}) {
+    Fixture f(workers);
+    f.cpuPosts(0, 0, 6, 9, false);
+    f.cpuPosts(0, 0, 2, 9, true);
+    f.run();
+    EXPECT_EQ(f.cpuLog, (std::vector<std::string>{"done.r9@8"})) << workers;
+    EXPECT_EQ(f.engine->windowsRun(), 2u);  // [0,8) [8,18)
+    EXPECT_EQ(f.engine->windowsCut(), 1u);
+  }
+}
+
+// Completions are delivered to the CPU queue at the start of the window
+// their due tick falls in; a Phase-A cut can then end that window before
+// they fire. They must survive into the next window's delivery and fire
+// there exactly once, merged in stamp order with what it delivers.
+TEST(ShardWindow, CompletionsDeliveredBeforeAPhaseACutFireInTheNextWindow) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Fixture f(workers);
+    // [0, 10): both channels post completions due 12.
+    f.channelPostsCompletion(0, 0, 12, "a0");
+    f.channelPostsCompletion(1, 0, 12, "a1");
+    // [10, 20) delivers both, then the CPU posts a write and a read of line
+    // 5 due 10: the read meets the write in the mailbox, so the window is
+    // cut to 12 with a0 and a1 still pending on the CPU queue.
+    f.cpuPosts(10, 0, 10, 5, true);
+    f.cpuPosts(10, 0, 10, 5, false);
+    f.run();
+    EXPECT_EQ(f.cpuLog, (std::vector<std::string>{"done.a0@12", "done.a1@12",
+                                                  "done.r5@12"}));
+    EXPECT_EQ(f.engine->windowsRun(), 3u);  // [0,10) [10,12) [12,22)
+    EXPECT_EQ(f.engine->windowsCut(), 1u);
+  }
 }
 
 TEST(ShardWindow, PureCpuWindowsDrainWithIdleChannels) {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
 # assertions on), a TSan pass over the parallel sweep tests, the
-# channel-sharded engine tests, and one sharded preset run, the static
+# channel-sharded engine tests, and two sharded mbsim runs, the static
 # analyses (mblint, mbstatic), end-to-end audit / checkpoint / warm-up file /
 # sweep-resume / mbserve stages, the mbbench self-test plus one recorded
-# (uncompared) mbbench run and a bench --jobs invariance check in unsanitized
-# build trees, then clang-tidy over src/.
+# (uncompared) mbbench run, a bench --jobs invariance check and a --shards
+# invariance check of a forward-cut point in unsanitized build trees, then
+# clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -66,15 +67,21 @@ TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$build_tsan" --output-on-failure \
     -R 'RunPlanPool|ShardWindow|ShardDifferential'
 
-echo "== one preset at --shards=4 under TSan =="
-# End-to-end sharded run through the real mbsim binary: 16 channels over 4
+echo "== two mbsim runs at --shards=4 under TSan =="
+# End-to-end sharded runs through the real mbsim binary: 16 channels over 4
 # threads (the caller plus 3 pool threads), long enough to cross thousands
 # of window barriers. --timing-check gives every controller its protocol
 # auditor, which runs on the shard workers with the controller it checks.
+# mix-high at 100 k instructions is the multi-channel point where the
+# engine cuts windows short for forwarded reads while the pool is awake
+# (DESIGN.md §14); it takes about 35 s under TSan on a 4-vCPU VM.
 cmake --build "$build_tsan" -j"$(nproc)" --target mbsim
 TSAN_OPTIONS=halt_on_error=1 \
   "$build_tsan/tools/mbsim" --preset=tsi-baseline --workload=RADIX \
     --instrs=20000 --shards=4 --timing-check > /dev/null
+TSAN_OPTIONS=halt_on_error=1 \
+  "$build_tsan/tools/mbsim" --workload=mix-high --instrs=100000 --shards=4 \
+    --timing-check > /dev/null
 
 echo "== mblint conformance =="
 "$build/tools/mblint" --all-presets
@@ -358,6 +365,24 @@ cmp "$build_nosan/fig8.j1.txt" "$build_nosan/fig8.j4.txt" || {
   echo "FAIL: fig8_ipc_sweep stdout differs between --jobs=1 and --jobs=4" >&2
   exit 1; }
 echo "fig8 --jobs=1 and --jobs=4 stdout identical"
+
+echo "== a forward-cut point is the same at every --shards =="
+# The TSan stage's mix-high point, unsanitized: its report and its MBCMDT1
+# command trace must be the same bytes at --shards=1 and --shards=4, with
+# windows cut short for forwarded reads while the pool runs.
+cmake --build "$build_nosan" -j"$(nproc)" --target mbsim
+fwd=("$build_nosan/tools/mbsim" --workload=mix-high --instrs=100000 --timing-check)
+for n in 1 4; do
+  "${fwd[@]}" --shards="$n" --record-cmds="$build_nosan/fwd.s$n.mbc" \
+    > "$build_nosan/fwd.s$n.txt"
+done
+cmp "$build_nosan/fwd.s1.txt" "$build_nosan/fwd.s4.txt" || {
+  echo "FAIL: mix-high report differs between --shards=1 and --shards=4" >&2
+  exit 1; }
+cmp "$build_nosan/fwd.s1.mbc" "$build_nosan/fwd.s4.mbc" || {
+  echo "FAIL: mix-high command trace differs between --shards=1 and --shards=4" >&2
+  exit 1; }
+echo "mix-high --shards=1 and --shards=4 report and command trace identical"
 
 echo "== clang-tidy over src/ =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -42,10 +42,10 @@
 //   --version         print tool + MBTRACE1/MBCMDT1/MBCKPT1 format versions
 //
 // Every numeric flag takes a whole decimal integer ("1e5", "7x" or a count
-// below its minimum exit 2 with a usage message): --instrs, --warmup,
-// --jobs and --shards are >= 1, --seed and --checkpoint-at >= 0, and the
-// config knobs (--nw, --nb, --ib, --queue) any int, range-checked by the
-// pre-flight lint.
+// outside its range exit 2 with a usage message naming the range): --instrs,
+// --warmup, --jobs and --shards are >= 1, --seed and --checkpoint-at >= 0,
+// and the config knobs (--nw, --nb, --ib, --queue) any int, range-checked by
+// the pre-flight lint.
 //
 // Checkpoint / restore (MBCKPT1 snapshots, see src/ckpt/snapshot.hpp):
 //   --checkpoint-at=PS  capture a full-run snapshot at the first event
@@ -119,13 +119,14 @@ using namespace mb;
 }
 
 /// `value` as a whole decimal integer in [lo, hi]; anything else is a usage
-/// error. Config knobs take any int here and are range-checked by the lint.
+/// error naming the range. Config knobs take any int here and are
+/// range-checked by the lint.
 std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,
                      std::int64_t hi = INT_MAX) {
   const auto v = parseInt(value, lo, hi);
   if (!v) {
-    std::string msg = std::string(flag) + " expects an integer";
-    if (lo != INT_MIN) msg += " >= " + std::to_string(lo);
+    std::string msg = std::string(flag) + " expects an integer >= " + std::to_string(lo);
+    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
     usage((msg + ", got \"" + value + "\"").c_str());
   }
   return *v;
