@@ -280,32 +280,18 @@ bool ConfigLinter::lintSystem(const sim::SystemConfig& cfg) {
         .with("specCopies", static_cast<std::int64_t>(cfg.specCopies));
   }
 
-  // Derive the geometry exactly as sim::geometryFor does, but without its
-  // aborting MB_CHECK — producing diagnostics is the whole point here.
-  const int channels =
-      std::max(1, cfg.channels < 0 ? phy.channels : cfg.channels);
-  dram::Geometry g;
-  g.channels = channels;
-  g.ranksPerChannel = phy.ranksPerChannel;
-  g.banksPerRank = 8;
-  g.ubank = cfg.ubank;
-  g.rowBytes = 8 * kKiB;
-  g.capacityBytes = std::max<std::int64_t>(4 * kGiB, 4 * kGiB * channels);
-
+  // The run's own derivations, without geometryFor's aborting MB_CHECK:
+  // producing diagnostics is the whole point here.
+  const dram::Geometry g = sim::deriveGeometry(
+      cfg, std::max(1, cfg.channels < 0 ? phy.channels : cfg.channels));
   bool ok = sink.clean();
   ok = lintGeometry(g) && ok;
   ok = lintAddressMap(g, cfg.interleaveBaseBit, cfg.xorBankHash) && ok;
 
   // Interface timing: Table I conformance of the base set, then sanity of
-  // the derived set after the μbank activation-window scaling the builder
-  // applies (tRRD' = max(tRRD / nW, tCMD), tFAW' = max(tFAW / nW, 4 tRRD')).
+  // the set the controllers run with (the μbank-scaled activation window).
   ok = lintTableI(phy.timing, cfg.phy) && ok;
-  dram::TimingParams timing = phy.timing;
-  if (cfg.scaleActWindowWithRowSize && cfg.ubank.nW > 1) {
-    timing.tRRD = std::max<Tick>(timing.tRRD / cfg.ubank.nW, timing.tCMD);
-    timing.tFAW = std::max<Tick>(timing.tFAW / cfg.ubank.nW, 4 * timing.tRRD);
-  }
-  ok = lintTiming(timing) && ok;
+  ok = lintTiming(sim::effectiveTiming(cfg)) && ok;
   return ok;
 }
 

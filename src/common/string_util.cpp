@@ -50,6 +50,13 @@ std::optional<std::int64_t> parseInt(const std::string& text, std::int64_t lo,
   return v;
 }
 
+std::string intFlagError(const std::string& flag, const std::string& value,
+                         std::int64_t lo, std::int64_t hi) {
+  std::string msg = flag + " expects an integer >= " + std::to_string(lo);
+  if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
+  return msg + ", got \"" + value + "\"";
+}
+
 bool matchFlag(const std::string& arg, const std::string& name, std::string* value) {
   const std::string prefix = "--" + name + "=";
   if (!startsWith(arg, prefix)) return false;

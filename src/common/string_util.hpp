@@ -20,6 +20,12 @@ std::string trimString(const std::string& s);
 std::optional<std::int64_t> parseInt(const std::string& text, std::int64_t lo,
                                      std::int64_t hi);
 
+/// Usage message for a numeric flag whose `value` parseInt rejected:
+/// `FLAG expects an integer >= LO and <= HI, got "VALUE"` (an upper bound of
+/// INT64_MAX goes unsaid).
+std::string intFlagError(const std::string& flag, const std::string& value,
+                         std::int64_t lo, std::int64_t hi);
+
 /// True when `arg` is `--name=VALUE`; VALUE (possibly empty) goes to *value.
 /// The command-line tools read every valued flag through this.
 bool matchFlag(const std::string& arg, const std::string& name, std::string* value);

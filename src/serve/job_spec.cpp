@@ -214,10 +214,9 @@ bool planJob(const JobSpec& spec, JobPlan* out, DiagnosticEngine& diags) {
     bases = sim::shippedPresets();
   } else {
     const std::string want = spec.preset.empty() ? kDefaultPreset : spec.preset;
-    for (const auto& p : sim::shippedPresets())
-      if (p.name == want) bases.push_back(p);
-    if (bases.empty())
-      return reject(diags, "MB-SRV-006", "unknown preset \"" + want + "\"");
+    const auto cfg = sim::presetByName(want);
+    if (!cfg) return reject(diags, "MB-SRV-006", "unknown preset \"" + want + "\"");
+    bases.push_back({want, *cfg});
   }
 
   // 0 on an axis: keep that base config's own value (no grid override).

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
+#include "sim/knobs.hpp"
 
 namespace mb::sim {
 
@@ -26,52 +28,40 @@ SystemConfig ddr3PcbConfig() {
   return cfg;
 }
 
-std::vector<NamedConfig> shippedPresets() {
-  std::vector<NamedConfig> out;
-  out.push_back({"tsi-baseline", tsiBaselineConfig()});
-  out.push_back({"ddr3-pcb", ddr3PcbConfig()});
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.phy = interface::PhyKind::Ddr3Tsi;
-    out.push_back({"ddr3-tsi", c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.phy = interface::PhyKind::Hmc;
-    out.push_back({"hmc", c});
-  }
-  for (const auto& nc : representativeConfigs()) {
-    SystemConfig c = tsiBaselineConfig();
-    c.ubank = dram::UbankConfig{nc.nW, nc.nB};
-    out.push_back({"tsi-ubank" + nc.label, c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.pagePolicy = core::PolicyKind::Close;
-    out.push_back({"tsi-close-page", c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.interleaveBaseBit = 6;
-    out.push_back({"tsi-line-interleave", c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.xorBankHash = true;
-    out.push_back({"tsi-xor-bank-hash", c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.perBankRefresh = true;
-    out.push_back({"tsi-per-bank-refresh", c});
-  }
-  {
-    SystemConfig c = tsiBaselineConfig();
-    c.ubank = dram::UbankConfig{4, 4};
-    c.scaleActWindowWithRowSize = true;
-    out.push_back({"tsi-ubank(4,4)-scaled-act-window", c});
-  }
-  return out;
+const std::vector<NamedConfig>& shippedPresets() {
+  // Each preset is the TSI baseline with knob flags applied (sim/knobs.hpp).
+  static const std::vector<NamedConfig> presets = [] {
+    const std::pair<const char*, std::vector<std::string>> flags[] = {
+        {"tsi-baseline", {}},
+        {"ddr3-pcb", {"--phy=ddr3-pcb"}},
+        {"ddr3-tsi", {"--phy=ddr3-tsi"}},
+        {"hmc", {"--phy=hmc"}},
+        {"tsi-ubank(1,1)", {"--nw=1", "--nb=1"}},
+        {"tsi-ubank(2,8)", {"--nw=2", "--nb=8"}},
+        {"tsi-ubank(4,4)", {"--nw=4", "--nb=4"}},
+        {"tsi-ubank(8,2)", {"--nw=8", "--nb=2"}},
+        {"tsi-close-page", {"--policy=close"}},
+        {"tsi-line-interleave", {"--ib=6"}},
+        {"tsi-xor-bank-hash", {"--xor-bank-hash"}},
+        {"tsi-per-bank-refresh", {"--per-bank-refresh"}},
+        {"tsi-ubank(4,4)-scaled-act-window", {"--nw=4", "--nb=4", "--scale-act-window"}},
+    };
+    std::vector<NamedConfig> out;
+    for (const auto& [name, knobs] : flags) {
+      out.push_back({name, tsiBaselineConfig()});
+      const KnobArgs parsed = parseKnobs(knobs, out.back().cfg);
+      MB_CHECK_MSG(parsed.error.empty() && parsed.rest.empty(),
+                   "preset %s is not a list of valid knob flags", name);
+    }
+    return out;
+  }();
+  return presets;
+}
+
+std::optional<SystemConfig> presetByName(const std::string& name) {
+  for (const auto& p : shippedPresets())
+    if (p.name == name) return p.cfg;
+  return std::nullopt;
 }
 
 SlicePreset slicePresetFromEnv(SlicePreset fallback) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,10 @@ struct NamedConfig {
   std::string name;
   SystemConfig cfg;
 };
-std::vector<NamedConfig> shippedPresets();
+const std::vector<NamedConfig>& shippedPresets();
+
+/// The shipped preset called `name`, or nullopt.
+std::optional<SystemConfig> presetByName(const std::string& name);
 
 /// Instruction-slice presets. The full-size runs use more instructions for
 /// tighter statistics; benches default to `Fast` to keep the whole suite

@@ -553,4 +553,51 @@ void ShardedEngine::load(ckpt::Reader& r) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Wiring
+
+namespace {
+
+std::vector<EventQueue*> queuePointers(
+    const std::vector<std::unique_ptr<EventQueue>>& queues) {
+  std::vector<EventQueue*> out;
+  for (const auto& q : queues) out.push_back(q.get());
+  return out;
+}
+
+ShardEngineOptions runOptions(const dram::TimingParams& timing, int workers,
+                              std::size_t channels) {
+  ShardEngineOptions opts;
+  // Lookahead: a CAS-served read reaches the CPU no sooner than tAA + tBURST
+  // after its CAS. The one faster channel -> CPU path, a read forwarded from
+  // the write queue one command transfer (tCMD) after its admission, cuts
+  // its window short (the write query). CPU -> channel can be zero-latency,
+  // which is safe because the CPU phase precedes the channel phase in a
+  // window.
+  opts.lookahead = timing.tAA + timing.tBURST;
+  opts.forwardLatency = timing.tCMD;
+  opts.workers = std::clamp(workers, 1, static_cast<int>(channels));
+  return opts;
+}
+
+}  // namespace
+
+ShardedEngine::ShardedEngine(
+    EventQueue& cpuQueue, const std::vector<std::unique_ptr<EventQueue>>& channelQueues,
+    cpu::MemoryHierarchy& hier,
+    const std::vector<std::unique_ptr<mc::MemoryController>>& mcs,
+    const dram::TimingParams& timing, int workers)
+    : ShardedEngine(cpuQueue, queuePointers(channelQueues),
+                    runOptions(timing, workers, channelQueues.size())) {
+  setDeliverEnqueue([h = &hier](ChannelId ch, Tick /*due*/, std::uint64_t lineAddr,
+                                CoreId core, bool isWrite) {
+    h->deliverEnqueue(ch, lineAddr, core, isWrite);
+  });
+  setWriteQuery([m = &mcs](ChannelId ch, std::uint64_t lineAddr) {
+    return (*m)[static_cast<std::size_t>(ch)]->holdsWrite(lineAddr);
+  });
+  hier.setMailbox(this);
+  for (const auto& mc : mcs) mc->setMailbox(this);
+}
+
 }  // namespace mb::sim

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,6 +56,8 @@
 #include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/types.hpp"
+#include "cpu/hierarchy.hpp"
+#include "dram/timing.hpp"
 #include "mc/command_log.hpp"
 #include "mc/request.hpp"
 
@@ -137,6 +140,15 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
 
   ShardedEngine(EventQueue& cpuQueue, std::vector<EventQueue*> channelQueues,
                 const ShardEngineOptions& opts);
+  /// The engine of a run, wired to the hierarchy on `cpuQueue` and to
+  /// controller c on `channelQueues[c]`, with windows sized from the
+  /// controllers' `timing` and `workers` clamped to [1, channels]. Command
+  /// capture (setCommandMerge) is left to the caller.
+  ShardedEngine(EventQueue& cpuQueue,
+                const std::vector<std::unique_ptr<EventQueue>>& channelQueues,
+                cpu::MemoryHierarchy& hier,
+                const std::vector<std::unique_ptr<mc::MemoryController>>& mcs,
+                const dram::TimingParams& timing, int workers);
   ~ShardedEngine() override;
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;

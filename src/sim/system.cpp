@@ -14,15 +14,19 @@
 
 namespace mb::sim {
 
-dram::Geometry geometryFor(const SystemConfig& cfg, int channels) {
-  const auto phy = interface::PhyModel::make(cfg.phy);
+dram::Geometry deriveGeometry(const SystemConfig& cfg, int channels) {
   dram::Geometry g;
   g.channels = channels;
-  g.ranksPerChannel = phy.ranksPerChannel;
+  g.ranksPerChannel = interface::PhyModel::make(cfg.phy).ranksPerChannel;
   g.banksPerRank = 8;  // 8 banks per channel-die (§IV-B)
   g.ubank = cfg.ubank;
   g.rowBytes = 8 * kKiB;
   g.capacityBytes = std::max<std::int64_t>(4 * kGiB, 4 * kGiB * channels);
+  return g;
+}
+
+dram::Geometry geometryFor(const SystemConfig& cfg, int channels) {
+  const dram::Geometry g = deriveGeometry(cfg, channels);
   MB_CHECK_MSG(g.valid(),
                "derived geometry invalid (run mblint): ch=%d rk=%d nW=%d nB=%d",
                g.channels, g.ranksPerChannel, g.ubank.nW, g.ubank.nB);
@@ -547,38 +551,15 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
 
   auto sys = buildSystem(cfg, workload);
   const int numCores = sys->numCores;
-  const int channels = static_cast<int>(sys->mcs.size());
 
   // ---- Sharded engine -------------------------------------------------------
   // Used at every --shards value (1 included): the decomposition into one
   // queue per channel plus the CPU queue, the conservative windows, and the
   // mailbox merge order are identical at any worker count, which is what
   // makes the results byte-identical by construction (DESIGN.md §14).
-  ShardEngineOptions eopts;
-  // Lookahead: a CAS-served read reaches the CPU no sooner than tAA + tBURST
-  // after its CAS. The one faster channel -> CPU path, a read forwarded from
-  // the write queue one command transfer (tCMD) after its admission, cuts
-  // its window short (the write query below). CPU -> channel can be
-  // zero-latency, which is safe because the CPU phase precedes the channel
-  // phase in a window.
-  const dram::TimingParams timing = effectiveTiming(cfg);
-  eopts.lookahead = timing.tAA + timing.tBURST;
-  eopts.forwardLatency = timing.tCMD;
-  eopts.workers = std::clamp(opts.shards, 1, channels);
-  std::vector<EventQueue*> chQs;
-  for (auto& q : sys->chQs) chQs.push_back(q.get());
-  ShardedEngine engine(sys->eq, std::move(chQs), eopts);
+  ShardedEngine engine(sys->eq, sys->chQs, *sys->hier, sys->mcs, effectiveTiming(cfg),
+                       opts.shards);
   BuiltSystem* raw = sys.get();
-  engine.setDeliverEnqueue([raw](ChannelId ch, Tick /*due*/,
-                                 std::uint64_t lineAddr, CoreId core,
-                                 bool isWrite) {
-    raw->hier->deliverEnqueue(ch, lineAddr, core, isWrite);
-  });
-  engine.setWriteQuery([raw](ChannelId ch, std::uint64_t lineAddr) {
-    return raw->mcs[static_cast<std::size_t>(ch)]->holdsWrite(lineAddr);
-  });
-  sys->hier->setMailbox(&engine);
-  for (auto& mcPtr : sys->mcs) mcPtr->setMailbox(&engine);
   if (sys->cmdLog) {
     std::vector<BufferedCommandLog*> bufs;
     for (auto& b : sys->cmdBufs) bufs.push_back(b.get());

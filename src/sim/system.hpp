@@ -133,7 +133,11 @@ struct RunResult {
   std::uint64_t windowsCut = 0;
 };
 
-/// Derive the DRAM geometry a SystemConfig implies.
+/// The DRAM geometry a SystemConfig implies on `channels` channels,
+/// unchecked: the config lint derives it from configs it has not vetted.
+dram::Geometry deriveGeometry(const SystemConfig& cfg, int channels);
+
+/// deriveGeometry for a run: an invalid geometry fails MB_CHECK.
 dram::Geometry geometryFor(const SystemConfig& cfg, int channels);
 
 /// Channel population a run of (cfg, workload) uses: single-threaded

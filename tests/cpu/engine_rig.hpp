@@ -1,8 +1,8 @@
 // Shared fixture of the cpu tests: a MemoryHierarchy over real controllers,
-// each on its own channel queue behind a sim::ShardedEngine, wired the way
-// runSimulation wires a run (sim/system.cpp). Misses leave the hierarchy
-// through the engine's mailbox and completions come back through it, so a
-// test exercises the one path every simulation runs.
+// each on its own channel queue behind a sim::ShardedEngine, built by the
+// constructor that wires every run. Misses leave the hierarchy through the
+// engine's mailbox and completions come back through it, so a test
+// exercises the one path every simulation runs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -38,32 +38,16 @@ class EngineRigTest : public ::testing::Test {
     cfg.refreshEnabled = false;
     cpuQ_ = std::make_unique<EventQueue>();
     cpuQ_->setShardId(geom_.channels);
-    std::vector<EventQueue*> chQs;
     for (int ch = 0; ch < geom_.channels; ++ch) {
       chQs_.push_back(std::make_unique<EventQueue>());
       chQs_.back()->setShardId(ch);
-      chQs.push_back(chQs_.back().get());
       mcs_.push_back(std::make_unique<mc::MemoryController>(
           ch, geom_, timing, dram::EnergyParams::lpddrTsi(), map, cfg,
           *chQs_.back()));
     }
     hier_ = std::make_unique<MemoryHierarchy>(hcfg_, mcs_, *cpuQ_);
-
-    sim::ShardEngineOptions eopts;
-    eopts.lookahead = timing.tAA + timing.tBURST;
-    eopts.forwardLatency = timing.tCMD;
-    engine_ = std::make_unique<sim::ShardedEngine>(*cpuQ_, std::move(chQs), eopts);
-    MemoryHierarchy* hier = hier_.get();
-    engine_->setDeliverEnqueue([hier](ChannelId ch, Tick /*due*/,
-                                      std::uint64_t lineAddr, CoreId core,
-                                      bool isWrite) {
-      hier->deliverEnqueue(ch, lineAddr, core, isWrite);
-    });
-    engine_->setWriteQuery([this](ChannelId ch, std::uint64_t lineAddr) {
-      return mcs_[static_cast<std::size_t>(ch)]->holdsWrite(lineAddr);
-    });
-    hier_->setMailbox(engine_.get());
-    for (auto& mc : mcs_) mc->setMailbox(engine_.get());
+    engine_ =
+        std::make_unique<sim::ShardedEngine>(*cpuQ_, chQs_, *hier_, mcs_, timing, 1);
   }
 
   /// Clock of the CPU queue, where the hierarchy and the cores run.

@@ -33,6 +33,14 @@ TEST(GeometryFor, UbankPassedThrough) {
   EXPECT_TRUE(g.valid());
 }
 
+TEST(GeometryFor, DeriveGeometryLeavesAnInvalidConfigToTheLint) {
+  SystemConfig cfg;
+  cfg.ubank = {3, 1};
+  const auto g = deriveGeometry(cfg, 1);  // geometryFor would fail MB_CHECK
+  EXPECT_EQ(g.ubank.nW, 3);
+  EXPECT_FALSE(g.valid());
+}
+
 TEST(RunSimulation, SingleSpecProducesSaneMetrics) {
   const auto r = runSimulation(fastConfig(), WorkloadSpec::spec("462.libquantum"));
   EXPECT_GT(r.systemIpc, 0.0);

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       mutate = value;
     } else if (matchFlag(arg, "seed", &value)) {
       const auto v = parseInt(value, 0, INT64_MAX);
-      if (!v) usage(("--seed expects an integer >= 0, got \"" + value + "\"").c_str());
+      if (!v) usage(intFlagError("--seed", value, 0, INT64_MAX).c_str());
       seed = static_cast<std::uint64_t>(*v);
     } else if (!startsWith(arg, "--") && path.empty()) {
       path = arg;
@@ -154,16 +154,11 @@ int main(int argc, char** argv) {
   mc::TraceAuditOptions opts;
   mc::CmdTraceConfig expect;
   if (!preset.empty()) {
-    bool found = false;
-    for (const auto& p : sim::shippedPresets()) {
-      if (p.name != preset) continue;
-      // Single-threaded run shape (one populated channel, §VI-A) — the
-      // shape tools/ci.sh and the audit tests record presets with.
-      expect = sim::cmdTraceConfigFor(p.cfg, sim::WorkloadSpec::spec(""));
-      found = true;
-      break;
-    }
-    if (!found) usage(("unknown preset: " + preset).c_str());
+    const auto cfg = sim::presetByName(preset);
+    if (!cfg) usage(("unknown preset: " + preset).c_str());
+    // Single-threaded run shape (one populated channel, §VI-A) — the shape
+    // tools/ci.sh and the audit tests record presets with.
+    expect = sim::cmdTraceConfigFor(*cfg, sim::WorkloadSpec::spec(""));
     opts.expectConfig = &expect;
   }
 

@@ -7,24 +7,17 @@
 //   mbsim --workload=TPC-H --phy=ddr3-pcb --policy=close --scheduler=frfcfs
 //   mbsim --workload=mix-high --instrs=500000 --ib=6 --seed=7
 //
-// Flags (all optional):
+// The configuration comes from the knobs of src/sim/knobs.hpp, which mblint
+// takes too: --preset=NAME starts from a shipped preset instead of the TSI
+// baseline, wherever it stands, and knob flags (--nw, --phy, --instrs,
+// --seed, --timing-check, ...) override it. A usage error prints the knob
+// table.
+//
+// Flags of mbsim itself (all optional):
 //   --workload=NAME   SPEC app ("429.mcf"), mix ("mix-high"/"mix-blend"),
 //                     a kernel ("RADIX"/"FFT"/"canneal"/"TPC-C"/"TPC-H"),
 //                     or recorded traces ("trace:PREFIX" -> PREFIX.<core>.mbt,
 //                     written by tools/mbtrace)
-//   --preset=NAME     start from a shipped preset configuration instead of
-//                     the TSI baseline (mblint --list-presets names them);
-//                     later flags still override individual knobs
-//   --nw=N --nb=N     μbank partitioning (powers of two, 1..16)
-//   --phy=KIND        ddr3-pcb | ddr3-tsi | lpddr-tsi | hmc
-//   --policy=KIND     open|close|minimalist|local|global|tournament|perfect
-//   --scheduler=KIND  fcfs | frfcfs | parbs
-//   --ib=N            interleaving base bit (6 = cache line; default page)
-//   --instrs=N        instruction slice per core
-//   --queue=N         scheduler-visible request window
-//   --seed=N          workload seed
-//   --xor-bank-hash   permutation-based bank-index hashing
-//   --per-bank-refresh, --no-refresh, --no-prefetch, --timing-check
 //   --record-cmds=PATH  stream every DRAM command to an MBCMDT1 trace
 //                     (offline re-verification: tools/mbaudit). Under
 //                     --sweep, one trace per preset: PATH gains a
@@ -42,10 +35,9 @@
 //   --version         print tool + MBTRACE1/MBCMDT1/MBCKPT1 format versions
 //
 // Every numeric flag takes a whole decimal integer ("1e5", "7x" or a count
-// outside its range exit 2 with a usage message naming the range): --instrs,
-// --warmup, --jobs and --shards are >= 1, --seed and --checkpoint-at >= 0,
-// and the config knobs (--nw, --nb, --ib, --queue) any int, range-checked by
-// the pre-flight lint.
+// outside its range exit 2 with a usage message naming the range): --warmup,
+// --jobs and --shards are >= 1 and --checkpoint-at >= 0; a knob's range is
+// in its table row.
 //
 // Checkpoint / restore (MBCKPT1 snapshots, see src/ckpt/snapshot.hpp):
 //   --checkpoint-at=PS  capture a full-run snapshot at the first event
@@ -72,7 +64,9 @@
 //
 //   --sweep           run all shipped presets (tools/mblint --all-presets
 //                     lints the same list), planned and run exactly as an
-//                     mbserve sweep submit (serve::planJob + serve::runPlan)
+//                     mbserve sweep submit (serve::planJob + serve::runPlan):
+//                     the presets own the architecture, and only the
+//                     --instrs and --seed knobs carry over
 //   --jobs=N          worker threads (default: MB_JOBS, then hardware
 //                     concurrency; 1 = serial, identical output)
 //   --reseed          derive each point's seed as foldPointSeed(seed, index)
@@ -107,28 +101,25 @@
 #include "serve/run_plan.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "sim/knobs.hpp"
 
 namespace {
 
 using namespace mb;
 
 [[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "mbsim: %s\n(see the header of tools/mbsim.cpp for flags)\n",
-               msg);
+  std::fprintf(stderr,
+               "mbsim: %s\n(see the header of tools/mbsim.cpp for its own flags)\n%s",
+               msg, sim::knobHelp().c_str());
   std::exit(2);
 }
 
 /// `value` as a whole decimal integer in [lo, hi]; anything else is a usage
-/// error naming the range. Config knobs take any int here and are
-/// range-checked by the lint.
+/// error naming the range.
 std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,
                      std::int64_t hi = INT_MAX) {
   const auto v = parseInt(value, lo, hi);
-  if (!v) {
-    std::string msg = std::string(flag) + " expects an integer >= " + std::to_string(lo);
-    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
-    usage((msg + ", got \"" + value + "\"").c_str());
-  }
+  if (!v) usage(intFlagError(flag, value, lo, hi).c_str());
   return *v;
 }
 
@@ -251,6 +242,8 @@ int runPresetSweep(const sim::SystemConfig& userCfg, const std::string& workload
 
 int main(int argc, char** argv) {
   sim::SystemConfig cfg = sim::tsiBaselineConfig();
+  const sim::KnobArgs knobs = sim::parseKnobs({argv + 1, argv + argc}, cfg);
+  if (!knobs.error.empty()) usage(knobs.error.c_str());
   std::string workload = "429.mcf";
   std::string value;
   bool sweep = false;
@@ -262,8 +255,7 @@ int main(int argc, char** argv) {
   std::string warmupSave;
   std::string cacheDir;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (const std::string& arg : knobs.rest) {
     if (arg == "--version") {
       std::printf("%s", versionBanner("mbsim").c_str());
       return 0;
@@ -277,61 +269,6 @@ int main(int argc, char** argv) {
       runOpts.shards = static_cast<int>(intFlag(value, "--shards", 1));
     } else if (matchFlag(arg, "workload", &value)) {
       workload = value;
-    } else if (matchFlag(arg, "preset", &value)) {
-      bool found = false;
-      for (const auto& p : sim::shippedPresets()) {
-        if (p.name != value) continue;
-        const auto keepInstrs = cfg.core.maxInstrs;
-        const auto keepSeed = cfg.seed;
-        cfg = p.cfg;
-        cfg.core.maxInstrs = keepInstrs;
-        cfg.seed = keepSeed;
-        found = true;
-        break;
-      }
-      if (!found) usage(("unknown preset: " + value).c_str());
-    } else if (matchFlag(arg, "nw", &value)) {
-      cfg.ubank.nW = static_cast<int>(intFlag(value, "--nw", INT_MIN));
-    } else if (matchFlag(arg, "nb", &value)) {
-      cfg.ubank.nB = static_cast<int>(intFlag(value, "--nb", INT_MIN));
-    } else if (matchFlag(arg, "phy", &value)) {
-      if (value == "ddr3-pcb") cfg.phy = interface::PhyKind::Ddr3Pcb;
-      else if (value == "ddr3-tsi") cfg.phy = interface::PhyKind::Ddr3Tsi;
-      else if (value == "lpddr-tsi") cfg.phy = interface::PhyKind::LpddrTsi;
-      else if (value == "hmc") cfg.phy = interface::PhyKind::Hmc;
-      else usage("unknown --phy");
-    } else if (matchFlag(arg, "policy", &value)) {
-      if (value == "open") cfg.pagePolicy = core::PolicyKind::Open;
-      else if (value == "close") cfg.pagePolicy = core::PolicyKind::Close;
-      else if (value == "minimalist") cfg.pagePolicy = core::PolicyKind::MinimalistOpen;
-      else if (value == "local") cfg.pagePolicy = core::PolicyKind::LocalBimodal;
-      else if (value == "global") cfg.pagePolicy = core::PolicyKind::GlobalBimodal;
-      else if (value == "tournament") cfg.pagePolicy = core::PolicyKind::Tournament;
-      else if (value == "perfect") cfg.pagePolicy = core::PolicyKind::Perfect;
-      else usage("unknown --policy");
-    } else if (matchFlag(arg, "scheduler", &value)) {
-      if (value == "fcfs") cfg.scheduler = mc::SchedulerKind::Fcfs;
-      else if (value == "frfcfs") cfg.scheduler = mc::SchedulerKind::FrFcfs;
-      else if (value == "parbs") cfg.scheduler = mc::SchedulerKind::ParBs;
-      else usage("unknown --scheduler");
-    } else if (matchFlag(arg, "ib", &value)) {
-      cfg.interleaveBaseBit = static_cast<int>(intFlag(value, "--ib", INT_MIN));
-    } else if (matchFlag(arg, "instrs", &value)) {
-      cfg.core.maxInstrs = intFlag(value, "--instrs", 1, INT64_MAX);
-    } else if (matchFlag(arg, "queue", &value)) {
-      cfg.queueDepth = static_cast<int>(intFlag(value, "--queue", INT_MIN));
-    } else if (matchFlag(arg, "seed", &value)) {
-      cfg.seed = static_cast<std::uint64_t>(intFlag(value, "--seed", 0, INT64_MAX));
-    } else if (arg == "--xor-bank-hash") {
-      cfg.xorBankHash = true;
-    } else if (arg == "--per-bank-refresh") {
-      cfg.perBankRefresh = true;
-    } else if (arg == "--no-refresh") {
-      cfg.refresh = false;
-    } else if (arg == "--no-prefetch") {
-      cfg.hier.enablePrefetch = false;
-    } else if (arg == "--timing-check") {
-      cfg.timingCheck = true;
     } else if (matchFlag(arg, "record-cmds", &value)) {
       if (value.empty()) usage("--record-cmds expects a file path");
       recordCmds = value;

@@ -36,11 +36,7 @@ using namespace mb;
 std::int64_t intFlag(const std::string& value, const char* flag, std::int64_t lo,
                      std::int64_t hi = INT64_MAX) {
   const auto v = parseInt(value, lo, hi);
-  if (!v) {
-    std::string msg = std::string(flag) + " expects an integer >= " + std::to_string(lo);
-    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
-    usage((msg + ", got \"" + value + "\"").c_str());
-  }
+  if (!v) usage(intFlagError(flag, value, lo, hi).c_str());
   return *v;
 }
 
