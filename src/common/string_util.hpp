@@ -4,14 +4,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace mb {
 
-std::vector<std::string> splitString(const std::string& s, char sep);
-std::string joinStrings(const std::vector<std::string>& parts, const std::string& sep);
 bool startsWith(const std::string& s, const std::string& prefix);
-std::string trimString(const std::string& s);
 
 /// `text` as a whole decimal integer in [lo, hi]; nullopt for anything else
 /// (empty, a sign alone, trailing characters such as "1e5" or "7x", out of

@@ -1,6 +1,7 @@
 #include "cpu/hierarchy.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 
@@ -13,13 +14,28 @@ namespace {
 /// rejects them.
 constexpr std::uint8_t kHopKind = 2;
 
+/// How many directory entries load() decodes ahead of the one it inserts,
+/// so each entry's slot is prefetched before its insert touches it.
+constexpr std::uint64_t kDirLoadWindow = 16;
+
+/// The directory's bound: every line the L2s hold, plus the line
+/// onDramData registers before fillLine evicts that cluster's victim.
+std::size_t directoryBound(const HierarchyConfig& cfg) {
+  return static_cast<std::size_t>(cfg.numClusters()) *
+             static_cast<std::size_t>(cfg.l2Bytes / kCacheLineBytes) +
+         1;
+}
+
 }  // namespace
 
 MemoryHierarchy::MemoryHierarchy(
     const HierarchyConfig& config,
     std::vector<std::unique_ptr<mc::MemoryController>>& controllers,
     EventQueue& eventQueue)
-    : cfg_(config), mcs_(controllers), eq_(eventQueue) {
+    : cfg_(config),
+      mcs_(controllers),
+      eq_(eventQueue),
+      directory_(directoryBound(config)) {
   MB_CHECK(cfg_.numCores % cfg_.coresPerCluster == 0);
   MB_CHECK(!mcs_.empty());
   l1s_.reserve(static_cast<size_t>(cfg_.numCores));
@@ -40,7 +56,7 @@ void MemoryHierarchy::issuePrefetch(CoreId core, std::uint64_t lineAddr, Tick at
   if (pending_.count(key) != 0) return;
   // Lines cached anywhere else would need coherence actions a speculative
   // prefetch should not trigger.
-  if (directory_.count(lineAddr) != 0) return;
+  if (directory_.contains(lineAddr)) return;
   PendingFill fill;
   fill.prefetch = true;
   pending_.emplace(key, std::move(fill));
@@ -211,11 +227,10 @@ void MemoryHierarchy::evictFromL2(int cluster, std::uint64_t lineAddr, bool dirt
   bool l1Dirty = false;
   invalidateClusterL1s(cluster, lineAddr, &l1Dirty);
   // Directory bookkeeping.
-  auto it = directory_.find(lineAddr);
-  if (it != directory_.end()) {
-    it->second.sharers &= ~(1u << cluster);
-    if (it->second.owner == cluster) it->second.owner = -1;
-    if (it->second.sharers == 0 && it->second.owner < 0) directory_.erase(it);
+  if (DirEntry* entry = directory_.find(lineAddr); entry != nullptr) {
+    entry->sharers &= ~(1u << cluster);
+    if (entry->owner == cluster) entry->owner = -1;
+    if (entry->sharers == 0 && entry->owner < 0) directory_.erase(lineAddr);
   }
   if (dirty || l1Dirty) postDramWrite(lineAddr, cluster * cfg_.coresPerCluster, at);
 }
@@ -385,10 +400,9 @@ MemoryHierarchy::AccessResult MemoryHierarchy::access(CoreId core, std::uint64_t
 
   // ---- Directory: remote clusters --------------------------------------
   const int home = homeCluster(lineAddr);
-  auto dirIt = directory_.find(lineAddr);
-  if (dirIt != directory_.end() &&
-      (dirIt->second.owner >= 0 || dirIt->second.sharers != 0)) {
-    DirEntry& entry = dirIt->second;
+  DirEntry* dirEntry = directory_.find(lineAddr);
+  if (dirEntry != nullptr && (dirEntry->owner >= 0 || dirEntry->sharers != 0)) {
+    DirEntry& entry = *dirEntry;
     Tick lat = l2Lat + nocLatency(cluster, home) + cycles(cfg_.dirLatCycles);
 
     if (entry.owner >= 0 && entry.owner != cluster) {
@@ -556,16 +570,38 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
   }
   for (auto& c : l2s_) c->load(r);
 
+  // Keys must be line-aligned (so none is the table's empty marker) and
+  // strictly ascending (save writes them sorted, so a repeat is tampering),
+  // and no more than the table's bound: past it, an insert fails its
+  // MB_CHECK, and a full table would make a probe loop forever.
   directory_.clear();
   const std::uint64_t nDir = r.count(16);
-  directory_.reserve(static_cast<std::size_t>(nDir));
+  if (nDir > directory_.bound()) {
+    r.fail();
+    return;
+  }
+  // Key order scatters over the table, so each entry's slot is prefetched
+  // kDirLoadWindow entries before its insert.
+  std::array<CoherenceDirectory::Slot, kDirLoadWindow> window{};
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < nDir && r.ok(); ++i) {
     const auto key = static_cast<std::uint64_t>(r.i64());
     DirEntry e;
     e.sharers = r.u32();
     e.owner = r.i32();
-    directory_.emplace(key, e);
+    if (l1s_.front()->lineBase(key) != key || (i > 0 && key <= prev)) {
+      r.fail();
+      return;
+    }
+    prev = key;
+    auto& slot = window[i % kDirLoadWindow];
+    if (i >= kDirLoadWindow) directory_[slot.line] = slot.entry;
+    slot = {key, e};
+    directory_.prefetch(key);
   }
+  if (!r.ok()) return;
+  for (std::uint64_t i = nDir > kDirLoadWindow ? nDir - kDirLoadWindow : 0; i < nDir; ++i)
+    directory_[window[i % kDirLoadWindow].line] = window[i % kDirLoadWindow].entry;
   pending_.clear();
   const std::uint64_t nPend = r.count(18);
   for (std::uint64_t i = 0; i < nPend && r.ok(); ++i) {

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/restore.hpp"
@@ -30,6 +29,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "cpu/cache.hpp"
+#include "cpu/directory.hpp"
 #include "mc/controller.hpp"
 
 namespace mb::cpu {
@@ -149,10 +149,7 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   void reschedule();
 
  private:
-  struct DirEntry {
-    std::uint32_t sharers = 0;  // bitset over clusters
-    int owner = -1;             // cluster holding the line Modified
-  };
+  using DirEntry = CoherenceDirectory::Entry;
   struct Waiter {
     CoreId core;
     bool write;
@@ -215,11 +212,13 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   std::vector<std::unique_ptr<Cache>> l1s_;  // per core
   std::vector<std::unique_ptr<Cache>> l2s_;  // per cluster
   // One entry per line resident in some L2, so it is the largest and
-  // hottest map in the hierarchy: hashed, and touched only through find /
-  // count / operator[] / erase (never walked, so MB-DET-001 has nothing to
-  // see, and no iterator is held across an insert). save() writes it
-  // through ckpt::saveMapSorted, so the snapshot bytes are key-ordered.
-  std::unordered_map<std::uint64_t, DirEntry> directory_;
+  // hottest map in the hierarchy: a flat table sized at construction for
+  // every L2 line plus the one onDramData adds before fillLine evicts (see
+  // cpu/directory.hpp). An erase shifts later entries back, so no entry
+  // reference is held across a call that can evict (evictFromL2). save()
+  // writes it through ckpt::saveMapSorted, so the snapshot bytes are
+  // key-ordered.
+  CoherenceDirectory directory_;
   // Pending DRAM fills keyed by (cluster, lineAddr); bounded by the
   // outstanding-miss window, so sorted flat storage is cheap.
   FlatMap<std::uint64_t, PendingFill> pending_;

@@ -121,7 +121,7 @@ KnobArgs parseKnobs(const std::vector<std::string>& args, SystemConfig& cfg) {
       if (!matchFlag(arg, "preset", &value)) out.rest.push_back(arg);
       continue;
     }
-    ++out.knobsSet;
+    out.knobsSet.push_back(k->flag);
     if (k->kind == K::Switch) {
       k->set(cfg, 1);
       continue;

@@ -38,10 +38,11 @@ struct Knob {
 const std::vector<Knob>& knobTable();
 
 struct KnobArgs {
-  std::string preset;             // the --preset applied, or empty
-  int knobsSet = 0;               // knob flags applied on top of it
-  std::vector<std::string> rest;  // the arguments no knob took, in order
-  std::string error;              // the first usage error, or empty
+  std::string preset;                 // the --preset applied, or empty
+  std::vector<std::string> knobsSet;  // the knob flags applied on top of
+                                      // it, in order, without the "--"
+  std::vector<std::string> rest;      // the arguments no knob took, in order
+  std::string error;                  // the first usage error, or empty
 };
 
 /// Apply `args` to `cfg`: --preset=NAME first, wherever it stands (the last

@@ -7,33 +7,11 @@
 namespace mb {
 namespace {
 
-TEST(SplitString, BasicSplit) {
-  EXPECT_EQ(splitString("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SplitString, EmptyFields) {
-  EXPECT_EQ(splitString(",a,", ','), (std::vector<std::string>{"", "a", ""}));
-  EXPECT_EQ(splitString("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(JoinStrings, RoundTripsWithSplit) {
-  const std::vector<std::string> parts{"x", "y", "z"};
-  EXPECT_EQ(splitString(joinStrings(parts, "-"), '-'), parts);
-}
-
-TEST(JoinStrings, EmptyVector) { EXPECT_EQ(joinStrings({}, ","), ""); }
-
 TEST(StartsWith, Cases) {
   EXPECT_TRUE(startsWith("hello", "he"));
   EXPECT_TRUE(startsWith("hello", ""));
   EXPECT_FALSE(startsWith("he", "hello"));
   EXPECT_FALSE(startsWith("hello", "lo"));
-}
-
-TEST(TrimString, RemovesSurroundingWhitespace) {
-  EXPECT_EQ(trimString("  a b \n"), "a b");
-  EXPECT_EQ(trimString("\t\r\n "), "");
-  EXPECT_EQ(trimString("x"), "x");
 }
 
 TEST(MatchFlag, TakesTheValueOfItsOwnFlag) {

@@ -9,8 +9,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ckpt/serialize.hpp"
 #include "ckpt/snapshot.hpp"
@@ -265,6 +267,107 @@ TEST(Checkpoint, RejectsMalformedSectionPayload) {
   const std::string msg = restoreFailure(cfg, workload, path);
   EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
   std::remove(path.c_str());
+}
+
+/// One coherence-directory record of a HIER payload.
+struct DirRecord {
+  std::uint64_t line;
+  std::uint32_t sharers;
+  std::int32_t owner;
+};
+
+/// Decode the coherence directory out of `s`'s HIER section, let `edit`
+/// change its records, and write them back in place. HIER opens with the L1
+/// and then the L2 caches (a u64 cache count, then per cache a u64 line
+/// count, 18 bytes per line and a u64 LRU clock); the directory follows as
+/// a u64 count of 16-byte records (i64 line, u32 sharers, i32 owner).
+void editDirectory(ckpt::Snapshot& s,
+                   const std::function<void(std::vector<DirRecord>&)>& edit) {
+  for (auto& sec : s.sections) {
+    if (sec.name != "HIER") continue;
+    ckpt::Reader r(sec.payload);
+    for (int level = 0; level < 2; ++level) {
+      const std::uint64_t caches = r.u64();
+      for (std::uint64_t c = 0; c < caches; ++c) {
+        (void)r.view(r.u64() * 18);
+        (void)r.u64();
+      }
+    }
+    const std::size_t dirAt = sec.payload.size() - r.remaining();
+    std::vector<DirRecord> dir(r.u64());
+    for (auto& d : dir) {
+      d.line = r.u64();
+      d.sharers = r.u32();
+      d.owner = r.i32();
+    }
+    ASSERT_TRUE(r.ok());
+    ASSERT_GE(dir.size(), 2u);
+    const std::size_t dirEnd = sec.payload.size() - r.remaining();
+    edit(dir);
+    ckpt::Writer w;
+    w.u64(dir.size());
+    for (const auto& d : dir) {
+      w.u64(d.line);
+      w.u32(d.sharers);
+      w.i32(d.owner);
+    }
+    sec.payload = sec.payload.substr(0, dirAt) + w.str() + sec.payload.substr(dirEnd);
+    return;
+  }
+  FAIL() << "checkpoint had no HIER section";
+}
+
+/// Restore a 429.mcf checkpoint whose directory `edit` rewrote (CRCs
+/// recomputed) and return the failure text. The file is named after the
+/// running test, since ctest runs the tests as parallel processes.
+std::string directoryTamperFailure(
+    const std::function<void(std::vector<DirRecord>&)>& edit) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  const SystemConfig cfg = presetFast(shippedPresets().front());
+  const std::string path = ::testing::TempDir() + "mb_ckpt_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".mbk";
+  writeCheckpoint(cfg, workload, path);
+  analysis::DiagnosticEngine diags;
+  auto snap = ckpt::readSnapshotFile(path, diags);
+  if (!snap) return "unreadable checkpoint: " + diags.renderText();
+  editDirectory(*snap, edit);
+  if (!ckpt::writeSnapshotFile(*snap, path, diags))
+    return "unwritable checkpoint: " + diags.renderText();
+  const std::string msg = restoreFailure(cfg, workload, path);
+  std::remove(path.c_str());
+  return msg;
+}
+
+// save() writes the directory in ascending key order, so a repeated key is
+// tampering. The hash table kept the first copy and restored silently; the
+// flat table must not take two slots for one line.
+TEST(Checkpoint, RejectsARepeatedDirectoryKey) {
+  const std::string msg = directoryTamperFailure([](std::vector<DirRecord>& dir) {
+    dir.insert(dir.begin() + 1, dir.front());
+  });
+  EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
+}
+
+// A directory key is a line address. One that is not line-aligned names no
+// line a cache can hold, and could collide with the table's empty marker.
+TEST(Checkpoint, RejectsAnUnalignedDirectoryKey) {
+  const std::string msg = directoryTamperFailure([](std::vector<DirRecord>& dir) {
+    dir.front().line += 1;  // still below the next key, so still ascending
+  });
+  EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
+}
+
+// The directory holds at most one entry per L2 line (a single-app run has
+// one L2) plus one in flight. More entries than that, each well-formed, must
+// be rejected before they reach the flat table.
+TEST(Checkpoint, RejectsADirectoryPastItsBound) {
+  const SystemConfig cfg = presetFast(shippedPresets().front());
+  const auto bound = static_cast<std::size_t>(cfg.hier.l2Bytes / kCacheLineBytes) + 1;
+  const std::string msg = directoryTamperFailure([bound](std::vector<DirRecord>& dir) {
+    while (dir.size() <= bound) dir.push_back({dir.back().line + 64, 1, -1});
+  });
+  EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
 }
 
 // The hmc preset's serial link gives the hierarchy its one event of its own:

@@ -152,7 +152,7 @@ TEST(KnobTable, EveryKnobMovesTheConfigHash) {
     SystemConfig cfg = base;
     const KnobArgs parsed = parseKnobs({arg}, cfg);
     EXPECT_EQ(parsed.error, "") << arg;
-    EXPECT_EQ(parsed.knobsSet, 1) << arg;
+    EXPECT_EQ(parsed.knobsSet, std::vector<std::string>{flag}) << arg;
     EXPECT_TRUE(parsed.rest.empty()) << arg;
     for (const char* workload : {"429.mcf", "TPC-H"}) {
       EXPECT_NE(shapedHash(cfg, workload), shapedHash(base, workload))
@@ -195,7 +195,7 @@ TEST(ParseKnobs, PresetAppliesFirstWhereverItStands) {
   const KnobArgs b = parseKnobs({"--preset=hmc", "--nw=4", "--instrs=2000"}, after);
   EXPECT_EQ(a.error, "");
   EXPECT_EQ(a.preset, "hmc");
-  EXPECT_EQ(a.knobsSet, 2);
+  EXPECT_EQ(a.knobsSet, (std::vector<std::string>{"nw", "instrs"}));
   EXPECT_EQ(before.phy, interface::PhyKind::Hmc);
   EXPECT_EQ(before.ubank.nW, 4);
   EXPECT_EQ(before.core.maxInstrs, 2000);
@@ -223,7 +223,7 @@ TEST(ParseKnobs, LeavesOtherArgumentsInOrder) {
   const KnobArgs parsed = parseKnobs(
       {"--workload=TPC-H", "--nw=2", "--json", "--xor-bank-hash=1", "--nw"}, cfg);
   EXPECT_EQ(parsed.error, "");
-  EXPECT_EQ(parsed.knobsSet, 1);
+  EXPECT_EQ(parsed.knobsSet, std::vector<std::string>{"nw"});
   // A switch given a value and a valued knob given none are not knob flags.
   EXPECT_EQ(parsed.rest, (std::vector<std::string>{"--workload=TPC-H", "--json",
                                                    "--xor-bank-hash=1", "--nw"}));

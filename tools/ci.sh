@@ -157,6 +157,23 @@ while read -r preset; do
   echo "warm-up load ok: $preset"
 done < <("$build/tools/mblint" --list-presets)
 
+# 429.mcf runs one cluster, so its directory never sees another cluster. A
+# 64-core TPC-H warm-up saves cross-cluster coherence state (16 L2s and
+# their directory), and its restore must print the replay's report in the
+# serial engine and in the sharded one.
+"$build/tools/mbsim" --workload=TPC-H --warmup=2000 \
+  --warmup-save="$ckpt_dir/tpch.mbk" >/dev/null
+"$build/tools/mbsim" --workload=TPC-H --instrs=2000 --warmup=2000 \
+  > "$ckpt_dir/replay.txt"
+for shards in 1 3; do
+  "$build/tools/mbsim" --workload=TPC-H --instrs=2000 --warmup=2000 \
+    --warmup-load="$ckpt_dir/tpch.mbk" --shards="$shards" > "$ckpt_dir/load.txt"
+  cmp "$ckpt_dir/replay.txt" "$ckpt_dir/load.txt" || {
+    echo "FAIL: TPC-H --warmup-load at --shards=$shards diverged from the replayed warm-up" >&2
+    exit 1; }
+  echo "warm-up load ok: TPC-H at --shards=$shards"
+done
+
 rm -rf "$ckpt_dir"
 
 echo "== resumable sweep through the result cache =="

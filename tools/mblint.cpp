@@ -16,9 +16,9 @@
 //
 // The configuration comes from the knobs of src/sim/knobs.hpp, the ones
 // mbsim takes: --preset=NAME first, wherever it stands, then each knob flag
-// overrides it. --all-presets takes no knob flag (usage error, exit 2). A
-// usage error prints the knob table; the lint itself reports a value out of
-// range.
+// overrides it. --all-presets takes neither --preset nor a knob flag (usage
+// error, exit 2). A usage error prints the knob table; the lint itself
+// reports a value out of range.
 //
 // `--version` prints the tool + format versions; JSON output embeds the
 // same string in a top-level "tool" field.
@@ -91,14 +91,14 @@ int main(int argc, char** argv) {
 
   std::vector<sim::NamedConfig> toLint;
   if (allPresets) {
-    if (knobs.knobsSet > 0)
-      usage("--all-presets lints the presets as shipped; drop the knob flags");
+    if (!knobs.preset.empty() || !knobs.knobsSet.empty())
+      usage("--all-presets lints the presets as shipped; drop --preset and the knob flags");
     toLint = sim::shippedPresets();
   } else {
     // The preset (the TSI baseline when none was named, which doubles as a
     // self-check) with the knob flags applied.
     std::string name = knobs.preset.empty() ? "tsi-baseline" : knobs.preset;
-    if (knobs.knobsSet > 0)
+    if (!knobs.knobsSet.empty())
       name = knobs.preset.empty() ? "<command line>" : name + " + <command line>";
     toLint.push_back({name, cfg});
   }

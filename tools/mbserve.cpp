@@ -36,6 +36,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <climits>
 #include <cstdio>
@@ -190,5 +193,15 @@ int main(int argc, char** argv) {
   if (!specs.empty()) usage("--spec is only valid with --client");
   if (opts.socketPath.empty() && !opts.stdio)
     usage("server mode needs --socket=PATH and/or --stdio");
+#if defined(__GLIBC__)
+  // The daemon builds and frees a whole system per point. Freeing the
+  // first point's large arrays (L2 line arrays, the coherence directory)
+  // would raise glibc's adaptive mmap threshold past them, so every later
+  // point would take them from a worker's heap, and that heap grows by a
+  // whole array whenever a small allocation lands in the hole the last one
+  // left, at points set by thread timing. A fixed threshold (glibc's
+  // initial one) maps each large array for its point and unmaps it after.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   return serve::Server(std::move(opts)).run();
 }

@@ -66,7 +66,9 @@
 //                     lints the same list), planned and run exactly as an
 //                     mbserve sweep submit (serve::planJob + serve::runPlan):
 //                     the presets own the architecture, and only the
-//                     --instrs and --seed knobs carry over
+//                     --instrs and --seed knobs carry over. Every point runs
+//                     cold from the start, so --preset, any other knob flag,
+//                     and the warm-up and checkpoint flags are usage errors
 //   --jobs=N          worker threads (default: MB_JOBS, then hardware
 //                     concurrency; 1 = serial, identical output)
 //   --reseed          derive each point's seed as foldPointSeed(seed, index)
@@ -297,10 +299,26 @@ int main(int argc, char** argv) {
       usage(("unrecognized argument: " + arg).c_str());
     }
   }
+  // A sweep runs every preset from a cold start; a flag it would drop is a
+  // usage error rather than a silently different run.
+  const auto notInSweep = [&](bool given, const std::string& flag) {
+    if (sweep && given)
+      usage((flag + " does not apply to --sweep, which runs every preset cold "
+                    "and takes only --instrs and --seed of the knobs")
+                .c_str());
+  };
+  notInSweep(!knobs.preset.empty(), "--preset");
+  for (const std::string& flag : knobs.knobsSet)
+    notInSweep(flag != "instrs" && flag != "seed", "--" + flag);
+  notInSweep(runOpts.warmupRecords > 0, "--warmup");
+  notInSweep(!warmupSave.empty(), "--warmup-save");
+  notInSweep(!runOpts.warmupRestorePath.empty(), "--warmup-load");
+  notInSweep(runOpts.checkpointAt >= 0, "--checkpoint-at");
+  notInSweep(!runOpts.checkpointPath.empty(), "--checkpoint");
+  notInSweep(!runOpts.restorePath.empty(), "--restore-from");
+
   // Pre-flight static analysis: reject an invalid configuration with
-  // structured diagnostics before any simulation tick runs. This fires in
-  // sweep mode too — the presets own the architecture there, but a config
-  // flag bad enough to fail lint is a user error, not something to ignore.
+  // structured diagnostics before any simulation tick runs.
   {
     analysis::DiagnosticEngine engine;
     analysis::ConfigLinter linter(engine);
