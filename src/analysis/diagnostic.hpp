@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/ownership.hpp"
 
 namespace mb::analysis {
 
@@ -85,7 +84,7 @@ std::string jsonEscape(const std::string& s);
 
 /// Collector shared by all analysis producers. Cheap to construct; not
 /// thread-safe (one engine per simulation / lint invocation).
-class MB_CROSS_CHANNEL DiagnosticEngine {
+class DiagnosticEngine {
  public:
   /// Record one diagnostic. The stored list is capped at `maxStored` (the
   /// per-severity counters keep exact totals beyond the cap, so a runaway

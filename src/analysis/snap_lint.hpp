@@ -1,47 +1,18 @@
-// Save/load symmetry & serialization-completeness static analysis
-// (`mbstatic snap`).
+// MB-SNP-005, the source-level snapshot rule the runtime gates do not cover
+// (`mbstatic`, DESIGN.md §12): a load path that sizes a counted loop or a
+// resize/reserve from a raw u32/u64 read, with no fail() guard in the same
+// body. A corrupt snapshot whose section CRCs still check reaches that load
+// with any count it likes and drives an unbounded allocation; a count read
+// through Reader::count() is bounded by the bytes left in the section. The
+// restore tests only feed loads the bytes a save wrote, so no runtime test
+// reaches this path.
 //
-// PR 4 gave every stateful component a save(ckpt::Writer&)/load(ckpt::Reader&)
-// pair and the checkpoint work since then relies on the snapshot-compatibility
-// rule (refactors keep MBCKPT1 bytes identical) — but nothing statically
-// enforced it: add a member, forget to serialize it, and restore-vs-cold
-// identity breaks only if some test happens to exercise that field. SnapLinter
-// closes that gap the way DetLinter closes the determinism gap: an in-repo,
-// dependency-free lexical pass (shared tokenizer: analysis/cxx_lexer.hpp),
-// heuristic by design, with a mandatory-reason suppression trail.
-//
-// For every class with a save/load pair it extracts the *ordered stream* of
-// Writer/Reader primitive calls (u8/b/u32/u64/i32/i64/f64/str/bytes, with
-// Reader::count() normalizing to the u64 the writer emitted), nested
-// sub-object save/load calls, save*/load* helper calls, and saveMapSorted
-// expansions — then compares the two streams element-by-element. Registry
-// (DESIGN.md §"Snapshot completeness analysis"):
-//
-//   MB-SNP-001  save/load streams asymmetric (order, type, or count)
-//   MB-SNP-002  snapshot section name appears on only one side of
-//               addSection(...) / loadSection(...)/.section(...)
-//   MB-SNP-003  non-static data member mutated outside save/load/ctors but
-//               never serialized and not declared MB_SNAP_TRANSIENT —
-//               the "forgot to serialize the new field" bug
-//   MB-SNP-004  format-fingerprint drift: a pair's save-stream fingerprint
-//               differs from the committed baseline without a
-//               kSnapshotVersion bump (--write-baseline regenerates)
-//   MB-SNP-005  load path sizes a loop/container from a raw u32/u64 read
-//               with no fail() guard in the body (use Reader::count())
-//   MB-SNP-006  (warning) member rebuilt in load() but absent from save()
-//               without an MB_SNAP_TRANSIENT declaration
-//   MB-SNP-007  malformed annotation (missing reason, unknown code,
-//               MB_SNAP_TRANSIENT naming no declared member)
-//   MB-SNP-008  (warning) unused suppression, or MB_SNAP_TRANSIENT on a
-//               member that save() actually writes
-//
-// Annotations are defined in common/ownership.hpp and recognized lexically
-// in code or comments by the marker scanner and suppression matcher shared
-// with det_lint (cxx_lexer.hpp).
+// Lexical and heuristic, like its front end (analysis/cxx_lexer.hpp): a
+// load*(…Reader& r…) definition is scanned for `x = r.u32()` / `x = r.u64()`
+// followed by a counted `for` or a resize/reserve that names x. Any
+// `r.fail()` in the body counts as a guard, wherever it stands.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "analysis/cxx_lexer.hpp"
@@ -49,64 +20,8 @@
 
 namespace mb::analysis {
 
-struct SnapLintOptions {
-  /// The MBCKPT1 container format version the scanned tree declares
-  /// (ckpt::kSnapshotVersion). A fingerprint-baseline mismatch is only an
-  /// error (MB-SNP-004) while the version matches the baseline's recorded
-  /// version: bumping the version legitimizes the drift. Negative means
-  /// "unknown" (no baseline semantics; 004 never fires).
-  int snapshotVersion = -1;
-  /// Contents of the committed fingerprint baseline (empty: no baseline,
-  /// 004 reports every pair as unbaselined at Warning severity only when
-  /// a baseline was supplied — so fresh checkouts without one stay quiet).
-  std::string baselineContents;
-  bool haveBaseline = false;
-};
-
-/// One matched (or half-matched) save/load pair and its canonical streams,
-/// exposed for the fingerprint baseline and the tools' reporting.
-struct SnapPair {
-  std::string key;        // "Class::Suffix" ("Class" for the bare pair,
-                          //  "::saveRng"-style "::Suffix" for free helpers)
-  std::string saveFile;
-  int saveLine = 0;
-  std::string loadFile;
-  int loadLine = 0;
-  bool hasSave = false;
-  bool hasLoad = false;
-  std::string saveStream;  // canonical comma-joined op spelling
-  std::string loadStream;
-  std::uint64_t fingerprint = 0;  // FNV-1a64 of saveStream
-};
-
-class SnapLinter {
- public:
-  explicit SnapLinter(DiagnosticEngine& engine, SnapLintOptions opts = {});
-
-  /// Analyze the given files as one program. Diagnostics land in the engine
-  /// sorted by (file, line, code).
-  void run(const std::vector<SourceFile>& files);
-
-  const std::vector<SnapPair>& pairs() const { return pairs_; }
-  const std::vector<Suppression>& suppressions() const { return suppressions_; }
-
-  /// Render the fingerprint baseline for --write-baseline: a version line
-  /// followed by one `key fingerprint-hex` line per pair, sorted by key.
-  std::string renderBaseline() const;
-
- private:
-  DiagnosticEngine& engine_;
-  SnapLintOptions opts_;
-  std::vector<SnapPair> pairs_;
-  std::vector<Suppression> suppressions_;
-};
-
-/// A fingerprint as the baseline and the JSON output spell it: 16
-/// lower-case hex digits.
-std::string hex16(std::uint64_t v);
-
-/// Parse `kSnapshotVersion = N` out of the snapshot header's text; -1 when
-/// absent (the tool feeds this into SnapLintOptions::snapshotVersion).
-int parseSnapshotVersion(const std::string& headerText);
+/// Report every MB-SNP-005 finding in `files` to `engine`, sorted by
+/// (file, line, code).
+void lintLoadLengths(const std::vector<SourceFile>& files, DiagnosticEngine& engine);
 
 }  // namespace mb::analysis

@@ -27,7 +27,8 @@ struct CheckFailure {
 
 namespace detail {
 
-// MB_DET_ALLOW(MB-DET-004, "per-thread trap flag for ScopedCheckTrap; never crosses threads or affects simulated state")
+// Per-thread trap flag for ScopedCheckTrap; never crosses threads or
+// affects simulated state.
 inline thread_local bool g_checkTrapActive = false;
 
 [[noreturn]] inline void raiseCheckFailure(std::string message) {

@@ -30,7 +30,6 @@
 
 #include "common/check.hpp"
 #include "common/inline_function.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 
 namespace mb {
@@ -80,7 +79,7 @@ inline bool stampBefore(const EventStamp& a, const EventStamp& b) {
   return a.srcShard < b.srcShard;
 }
 
-class MB_CROSS_CHANNEL EventQueue {
+class EventQueue {
  public:
   using Callback = InlineCallback;
 

@@ -9,8 +9,8 @@
 // event queue per channel, merged by (when,seq)). FlatMap stores its entries
 // as a vector sorted by key, so iteration order is the key order by
 // construction: a walk over a FlatMap can feed reports, serialization, or
-// scheduling decisions without an extra sort, and `mbstatic det` (MB-DET-001)
-// does not need to reason about whether a given loop is observable.
+// scheduling decisions without an extra sort; a hash-ordered walk there is
+// what ShardDifferentialGrid's restore-vs-cold checks catch.
 //
 // Shape: binary-searched sorted vector. O(log n) find, O(n) insert/erase
 // (memmove). The simulator's maps are small (tens of batch marks, one entry

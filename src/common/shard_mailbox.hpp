@@ -12,20 +12,19 @@
 // sender, not by delivery timing, and the execution order is independent of
 // the shard count and of worker scheduling.
 //
-// This is a deliberate, declared cross-channel seam: `mbstatic det` counts the
-// MB_CHANNEL_IFACE reference in MemoryController against this class.
+// It is the controllers' one way out of their channel; ShardDifferentialGrid
+// and the golden reports at --shards 2 and nChannels hold its order.
 #pragma once
 
 #include <cstdint>
 
 #include "common/event_queue.hpp"
 #include "common/inline_function.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 
 namespace mb {
 
-class MB_CROSS_CHANNEL ShardMailbox {
+class ShardMailbox {
  public:
   virtual ~ShardMailbox() = default;
 

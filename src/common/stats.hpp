@@ -84,7 +84,7 @@ class Histogram {
   /// a double and FP addition is non-associative — callers reducing
   /// per-channel histograms MUST merge in channel-index order, never in
   /// shard completion order, or mean() becomes scheduling-dependent
-  /// (MB-DET-005; see the StatsOrder tests).
+  /// (see the StatsOrder and ShardDifferential tests).
   void merge(const Histogram& other) {
     MB_CHECK_MSG(other.bucketWidth_ == bucketWidth_ &&
                      other.buckets_.size() == buckets_.size(),

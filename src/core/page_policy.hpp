@@ -23,7 +23,6 @@
 
 #include "ckpt/serialize.hpp"
 #include "common/flat_map.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 
 namespace mb::core {
@@ -68,7 +67,7 @@ class TwoBitCounter {
 };
 
 /// Interface consulted by the memory controller.
-class MB_CHANNEL_LOCAL PagePolicy {
+class PagePolicy {
  public:
   virtual ~PagePolicy() = default;
 
@@ -94,8 +93,8 @@ class MB_CHANNEL_LOCAL PagePolicy {
 
   /// Serializable protocol. Open/Close/Perfect are stateless; the
   /// predictive policies keep their counters in key-sorted FlatMaps, so the
-  /// serialized bytes are key-ordered by construction (MB-DET-001: no
-  /// hash-order walk can reach a snapshot or report).
+  /// serialized bytes are key-ordered by construction (no hash-order walk
+  /// reaches a snapshot or report; ShardDifferentialGrid checks restores).
   virtual void save(ckpt::Writer&) const {}
   virtual void load(ckpt::Reader&) {}
 };
@@ -104,14 +103,14 @@ class MB_CHANNEL_LOCAL PagePolicy {
 std::unique_ptr<PagePolicy> makePagePolicy(PolicyKind kind);
 
 /// Static open-page: always bet on a future row hit.
-class MB_CHANNEL_LOCAL OpenPagePolicy final : public PagePolicy {
+class OpenPagePolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t, ThreadId) override { return PageDecision::KeepOpen; }
   PolicyKind kind() const override { return PolicyKind::Open; }
 };
 
 /// Static close-page: always precharge when idle.
-class MB_CHANNEL_LOCAL ClosePagePolicy final : public PagePolicy {
+class ClosePagePolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t, ThreadId) override { return PageDecision::Close; }
   PolicyKind kind() const override { return PolicyKind::Close; }
@@ -119,7 +118,7 @@ class MB_CHANNEL_LOCAL ClosePagePolicy final : public PagePolicy {
 
 /// Minimalist-open (Kaseridis et al.): allow a small budget of row hits per
 /// activation, then close.
-class MB_CHANNEL_LOCAL MinimalistOpenPolicy final : public PagePolicy {
+class MinimalistOpenPolicy final : public PagePolicy {
  public:
   explicit MinimalistOpenPolicy(int hitBudget = 4) : hitBudget_(hitBudget) {}
 
@@ -154,7 +153,7 @@ class MB_CHANNEL_LOCAL MinimalistOpenPolicy final : public PagePolicy {
 };
 
 /// Local prediction: one bimodal counter per μbank (§V: "per bank history").
-class MB_CHANNEL_LOCAL LocalBimodalPolicy final : public PagePolicy {
+class LocalBimodalPolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t flatUbank, ThreadId) override {
     return counters_[flatUbank].predictsOpen() ? PageDecision::KeepOpen
@@ -183,7 +182,7 @@ class MB_CHANNEL_LOCAL LocalBimodalPolicy final : public PagePolicy {
 };
 
 /// Global prediction: one bimodal counter per requesting thread.
-class MB_CHANNEL_LOCAL GlobalBimodalPolicy final : public PagePolicy {
+class GlobalBimodalPolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t, ThreadId thread) override {
     return counters_[thread].predictsOpen() ? PageDecision::KeepOpen
@@ -215,7 +214,7 @@ class MB_CHANNEL_LOCAL GlobalBimodalPolicy final : public PagePolicy {
 /// candidates (§V treats the static policies as static predictors). Each
 /// candidate keeps a small saturating accuracy score; the current best
 /// candidate's prediction wins.
-class MB_CHANNEL_LOCAL TournamentPolicy final : public PagePolicy {
+class TournamentPolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t flatUbank, ThreadId thread) override;
   void observeOutcome(std::int64_t flatUbank, ThreadId thread, bool sameRow) override;
@@ -243,7 +242,7 @@ class MB_CHANNEL_LOCAL TournamentPolicy final : public PagePolicy {
 };
 
 /// Perfect (oracle) management: the controller resolves it lazily.
-class MB_CHANNEL_LOCAL PerfectPolicy final : public PagePolicy {
+class PerfectPolicy final : public PagePolicy {
  public:
   PageDecision decide(std::int64_t, ThreadId) override { return PageDecision::Lazy; }
   PolicyKind kind() const override { return PolicyKind::Perfect; }

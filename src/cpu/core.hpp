@@ -25,7 +25,6 @@
 #include "ckpt/restore.hpp"
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "cpu/hierarchy.hpp"
 #include "trace/generator.hpp"
@@ -98,12 +97,11 @@ class RobCore {
 
   CoreId id_;
   CoreParams p_;
+  // Wiring, not saved: the trace source and the hierarchy save their own
+  // sections, and reschedule() re-arms the pending step event.
   trace::TraceSource& trace_;
-  MB_SNAP_TRANSIENT(trace_, "wiring reference; the source saves its own cursor/RNG state in the TRACE section");
   MemoryHierarchy& hier_;
-  MB_SNAP_TRANSIENT(hier_, "wiring reference; the hierarchy owns the HIER section");
   EventQueue& eq_;
-  MB_SNAP_TRANSIENT(eq_, "wiring reference; the pending step event is re-armed by reschedule()");
 
   std::vector<Slot> ring_;
   std::uint64_t idx_ = 0;        // instructions dispatched

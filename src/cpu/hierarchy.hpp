@@ -24,7 +24,6 @@
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
 #include "common/flat_map.hpp"
-#include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -80,7 +79,7 @@ struct HierarchyStats {
   std::int64_t prefetchUseful = 0;  // prefetched lines later hit by demand
 };
 
-class MB_CROSS_CHANNEL MemoryHierarchy {
+class MemoryHierarchy {
  public:
   /// `controllers` must outlive the hierarchy; indexed by channel id.
   MemoryHierarchy(const HierarchyConfig& config,
@@ -197,17 +196,16 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   void evictFromL2(int cluster, std::uint64_t lineAddr, bool dirty, Tick at);
   void invalidateClusterL1s(int cluster, std::uint64_t lineAddr, bool* anyDirty);
 
+  // Not saved: the configuration (the snapshot's configHash checks it) and
+  // the wiring. Every controller saves its own MC<i> section, reschedule()
+  // re-arms the in-flight response hops, and messages in flight live in the
+  // engine's ENG section.
   HierarchyConfig cfg_;
-  MB_SNAP_TRANSIENT(cfg_, "structural parameter block; cross-run identity is enforced by the snapshot configHash, not by re-reading it");
   std::vector<std::unique_ptr<mc::MemoryController>>& mcs_;
-  MB_SNAP_TRANSIENT(mcs_, "wiring reference; every MC serializes its own MC<i> section");
   EventQueue& eq_;
-  MB_SNAP_TRANSIENT(eq_, "wiring reference; in-flight response hops are re-armed by reschedule()");
   // Cross-shard port, the only way a miss reaches a controller; null until
-  // setMailbox. The class is MB_CROSS_CHANNEL, so this reference is not an
-  // extra seam.
+  // setMailbox.
   ShardMailbox* mailbox_ = nullptr;
-  MB_SNAP_TRANSIENT(mailbox_, "wiring reference; in-flight messages live in the engine's ENG section");
 
   std::vector<std::unique_ptr<Cache>> l1s_;  // per core
   std::vector<std::unique_ptr<Cache>> l2s_;  // per cluster
@@ -236,7 +234,6 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   std::map<std::uint64_t, Transit> transits_;  // keyed by token
   std::uint64_t nextTransitToken_ = 0;
   bool functional_ = false;
-  MB_SNAP_TRANSIENT(functional_, "structural mode flag derived from the run configuration, not simulation state");
 
   HierarchyStats stats_;
 

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "ckpt/serialize.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "dram/geometry.hpp"
 
@@ -122,7 +121,6 @@ class EnergyMeter {
 
  private:
   EnergyParams params_;
-  MB_SNAP_TRANSIENT(params_, "structural parameter block; identity across save/restore is enforced by the snapshot configHash");
   PicoJoule actPre_ = 0;
   PicoJoule rdwr_ = 0;
   PicoJoule io_ = 0;

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "core/address_map.hpp"
 #include "dram/energy.hpp"
@@ -90,7 +89,7 @@ CmdEvent oraclePreEvent(const core::DramAddress& da, Tick at);
 /// Sink for the controller's committed command stream, one call per event.
 /// Not owned by the controller; one sink may serve every controller of a
 /// run (the event queue is single-threaded, so no locking is needed).
-class MB_CROSS_CHANNEL CommandLog {
+class CommandLog {
  public:
   virtual ~CommandLog() = default;
   virtual void onEvent(const CmdEvent& ev) = 0;
@@ -129,7 +128,7 @@ struct CmdTrace {
 /// Streams the command log to an MBCMDT1 file. Events are buffered and
 /// written in large blocks, so per-command overhead is a few stores plus an
 /// occasional fwrite — cheap enough to leave recording on for full runs.
-class MB_CROSS_CHANNEL CommandLogWriter final : public CommandLog {
+class CommandLogWriter final : public CommandLog {
  public:
   CommandLogWriter(const std::string& path, const CmdTraceConfig& config);
   ~CommandLogWriter() override;
@@ -157,7 +156,7 @@ class MB_CROSS_CHANNEL CommandLogWriter final : public CommandLog {
 
 /// In-memory CommandLog (tests / programmatic audits): records the same
 /// event stream the writer would serialize.
-class MB_CROSS_CHANNEL CommandLogRecorder final : public CommandLog {
+class CommandLogRecorder final : public CommandLog {
  public:
   explicit CommandLogRecorder(const CmdTraceConfig& config) {
     trace_.config = config;

@@ -38,7 +38,6 @@
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
 #include "common/flat_map.hpp"
-#include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -94,7 +93,7 @@ struct ControllerStats {
   std::int64_t refreshes = 0;
 };
 
-class MB_CHANNEL_LOCAL MemoryController {
+class MemoryController {
  public:
   MemoryController(ChannelId id, const dram::Geometry& geom,
                    const dram::TimingParams& timing, const dram::EnergyParams& energy,
@@ -260,21 +259,17 @@ class MB_CHANNEL_LOCAL MemoryController {
   bool anyServed(Fn&& fn) const;
 
   ChannelId id_;
+  // Structural, not saved: a restore rebuilds them from the run
+  // configuration, which the snapshot's configHash and geometry echo check.
   dram::Geometry geom_;
-  MB_SNAP_TRANSIENT(geom_, "structural; rebuilt from the run configuration and cross-checked by the snapshot geometry echo");
   core::AddressMap map_;
-  MB_SNAP_TRANSIENT(map_, "structural; derived from geom_ and the configured mapping, never simulation state");
   ControllerConfig cfg_;
-  MB_SNAP_TRANSIENT(cfg_, "structural parameter block; identity across save/restore is enforced by the snapshot configHash");
-  // Declared seam: the controller schedules itself through its (per-shard)
-  // event queue.
-  MB_CHANNEL_IFACE(EventQueue)
+  // The controller schedules itself through its (per-shard) event queue.
   EventQueue& eq_;
-  // Declared seam: read completions leave the channel through the shard
-  // mailbox when one is wired (every simulation run); null means completions
-  // run directly on eq_, which is how mbbench's mc.ns_per_request probe and
-  // the mc unit tests drive a bare controller on one queue.
-  MB_CHANNEL_IFACE(ShardMailbox)
+  // Read completions leave the channel through the shard mailbox when one
+  // is wired (every simulation run); null means completions run directly on
+  // eq_, which is how mbbench's mc.ns_per_request probe and the mc unit
+  // tests drive a bare controller on one queue.
   ShardMailbox* mailbox_ = nullptr;
 
   ChannelState channel_;
@@ -304,14 +299,14 @@ class MB_CHANNEL_LOCAL MemoryController {
   // admission path. Serialization still walks slots in index order and
   // writes flat-μbank keys — for a fixed channel, flat id is channelBase +
   // ubankIndex, so the byte stream is identical to the sorted-map layout
-  // (MB-DET-001: iteration order is index order by construction).
+  // (index order by construction; ShardDifferentialGrid's restores check it).
   std::vector<SpecSlot> speculations_;
   std::int64_t liveSpeculations_ = 0;
   // Queued requests (read window, overflow and write queue) per
   // channel-local μbank, so retiring a request learns in O(1) whether its
-  // μbank still has queued work.
+  // μbank still has queued work. Not saved: load() recounts it from the
+  // restored queues.
   std::vector<std::int32_t> queuedPerUbank_;
-  MB_SNAP_TRANSIENT(queuedPerUbank_, "derived from the queues; load() recounts it from the restored queues");
 
   Tick nextKickAt_ = kTickNever;
   // Tick of the last kick(). No arbitration decision reads it; it keeps its
@@ -329,7 +324,7 @@ class MB_CHANNEL_LOCAL MemoryController {
   // tokens stay monotonically increasing (they define checkpoint order and
   // validate that a fired event matches the slot's current occupant), but
   // slots are recycled so steady-state completion traffic stops allocating
-  // map nodes.
+  // map nodes. load() rebuilds the free list from the saved live slots.
   struct CompletionSlot {
     bool live = false;
     std::uint64_t token = 0;
@@ -338,7 +333,6 @@ class MB_CHANNEL_LOCAL MemoryController {
   };
   std::vector<CompletionSlot> completionSlots_;
   std::int32_t freeCompletionSlot_ = -1;
-  MB_SNAP_TRANSIENT(freeCompletionSlot_, "intrusive free-list head; load() rebuilds the chain from the serialized live slots");
   std::size_t liveCompletions_ = 0;
   std::uint64_t nextCompletionToken_ = 0;
   // Arbitration scratch, reused across kick() iterations so the hot loop
@@ -346,13 +340,11 @@ class MB_CHANNEL_LOCAL MemoryController {
   std::vector<Candidate> candBuf_;
   std::vector<ReqHandle> byCandidateBuf_;
   // Anti-row-steal table, one entry per channel-local μbank, rebuilt lazily
-  // by the first precharge guard of a pass (rowUsersCurrent_ false).
+  // by the first precharge guard of a pass (rowUsersCurrent_ false). Per-pass
+  // scratch, not saved: every pass starts with rowUsersCurrent_ false.
   std::vector<RowUsers> rowUsers_;
-  MB_SNAP_TRANSIENT(rowUsers_, "per-pass arbitration scratch; rebuilt from the queues and open rows before any read");
   std::uint64_t rowUserEpoch_ = 0;
-  MB_SNAP_TRANSIENT(rowUserEpoch_, "per-pass arbitration scratch; only compared with the rowUsers_ entry stamps");
   bool rowUsersCurrent_ = false;
-  MB_SNAP_TRANSIENT(rowUsersCurrent_, "per-pass arbitration scratch; every pass starts with it false");
 
   // Statistics.
   Counter reads_, writes_, rowHits_, rowMisses_, rowConflicts_, forwarded_;

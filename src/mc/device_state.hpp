@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ckpt/serialize.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "core/address_map.hpp"
 #include "dram/geometry.hpp"
@@ -45,7 +44,7 @@ const char* commandName(DramCommand cmd);
 /// parallel arrays; this struct is the materialized per-μbank view used by
 /// tests, diagnostics, and the AoS reference model the SoA layout is
 /// differential-tested against. Field order here is the snapshot order.
-struct MB_CHANNEL_LOCAL UbankState {
+struct UbankState {
   std::int64_t openRow = -1;       // -1: precharged
   Tick actReadyAt = 0;             // earliest next ACT (tRP satisfied)
   Tick lastActAt = -1;             // for tRCD / tRAS
@@ -69,7 +68,7 @@ struct MB_CHANNEL_LOCAL UbankState {
 /// the oldest of four), so the ring replaces the old std::deque: no heap,
 /// no pointer chase, and the snapshot count field is now a hard invariant
 /// (load rejects n > 4 instead of constructing an over-long window).
-class MB_CHANNEL_LOCAL ActRing {
+class ActRing {
  public:
   void push(Tick t) {
     if (len_ == kCap) {
@@ -104,17 +103,17 @@ class MB_CHANNEL_LOCAL ActRing {
  private:
   static constexpr int kCap = 4;
   static constexpr unsigned kMask = 3;
+  // Not saved as stored: save() writes the entries oldest to newest through
+  // at() and load() rebuilds them through push(), so head_ restarts at 0.
   std::array<Tick, kCap> slot_{};
-  MB_SNAP_TRANSIENT(slot_, "ring storage; save() re-encodes entries oldest-to-newest via at() and load() rebuilds through push()");
   std::uint8_t head_ = 0;
-  MB_SNAP_TRANSIENT(head_, "ring cursor; the canonical oldest-to-newest encoding restores head_ = 0 on load");
   std::uint8_t len_ = 0;
 };
 
 /// One rank: shares activation windows and write-to-read turnaround.
 /// Holds only rank-level scalars; the per-μbank timestamps live in the
 /// channel's parallel arrays.
-struct MB_CHANNEL_LOCAL RankState {
+struct RankState {
   int nextRefreshBank = 0;  // rotation pointer for per-bank refresh
 
   Tick lastActAt = -1;            // tRRD
@@ -125,7 +124,7 @@ struct MB_CHANNEL_LOCAL RankState {
 };
 
 /// One channel: the controller's view of the attached DRAM.
-class MB_CHANNEL_LOCAL ChannelState {
+class ChannelState {
  public:
   ChannelState(const dram::Geometry& geom, const dram::TimingParams& timing);
 
@@ -270,9 +269,9 @@ class MB_CHANNEL_LOCAL ChannelState {
   std::vector<std::uint8_t> lazyPending_;
   /// One bit per μbank (set = row open), in ubankIndex() order; a bank's
   /// μbanks are contiguous, so a bank spans ubanksPerBank()/64 words (or
-  /// shares one word with its neighbours when smaller).
+  /// shares one word with its neighbours when smaller). Not saved: load()
+  /// rebuilds it from the saved openRow_ values.
   std::vector<std::uint64_t> openRowBits_;
-  MB_SNAP_TRANSIENT(openRowBits_, "packed mirror of openRow_ >= 0; load() rebuilds it from the serialized openRow_ values");
 
   Tick cmdBusFreeAt_ = 0;
   Tick dataBusFreeAt_ = 0;

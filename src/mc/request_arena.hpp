@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/ownership.hpp"
 
 namespace mb::mc {
 
@@ -32,7 +31,7 @@ struct ReqHandle {
 };
 
 template <typename T>
-class MB_CHANNEL_LOCAL RequestArena {
+class RequestArena {
  public:
   ReqHandle alloc(T&& value) {
     std::uint32_t idx;

@@ -19,7 +19,6 @@
 
 #include "ckpt/serialize.hpp"
 #include "common/flat_map.hpp"
-#include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "mc/request.hpp"
 
@@ -46,7 +45,7 @@ struct Candidate {
   int rank = 0;
 };
 
-class MB_CHANNEL_LOCAL Scheduler {
+class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
@@ -101,21 +100,21 @@ class MB_CHANNEL_LOCAL Scheduler {
 
 std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
 
-class MB_CHANNEL_LOCAL FcfsScheduler final : public Scheduler {
+class FcfsScheduler final : public Scheduler {
  public:
   int pick(std::vector<Candidate>& cands, Tick now) override;
   PickPair pickPair(std::vector<Candidate>& cands, Tick now) override;
   SchedulerKind kind() const override { return SchedulerKind::Fcfs; }
 };
 
-class MB_CHANNEL_LOCAL FrFcfsScheduler final : public Scheduler {
+class FrFcfsScheduler final : public Scheduler {
  public:
   int pick(std::vector<Candidate>& cands, Tick now) override;
   PickPair pickPair(std::vector<Candidate>& cands, Tick now) override;
   SchedulerKind kind() const override { return SchedulerKind::FrFcfs; }
 };
 
-class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
+class ParBsScheduler final : public Scheduler {
  public:
   explicit ParBsScheduler(int markingCap = 5) : markingCap_(markingCap) {}
 
@@ -146,7 +145,7 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
   int markingCap_;
   // Sorted flat maps (not hash maps): batch state is consulted during
   // scheduling decisions, so its walk order must be deterministic for the
-  // sharded-simulation merge to stay reproducible (MB-DET-001).
+  // sharded-simulation merge to stay reproducible (ShardDifferentialGrid).
   FlatMap<std::uint64_t, ThreadId> marked_;
   FlatMap<ThreadId, int> markedPerThread_;
   // Controller-visible ids/threads/arrivals of everything in the queue, so

@@ -60,7 +60,6 @@
 
 #include "analysis/diagnostic.hpp"
 #include "ckpt/serialize.hpp"
-#include "common/ownership.hpp"
 #include "core/address_map.hpp"
 #include "mc/command_log.hpp"
 
@@ -70,7 +69,7 @@ enum class TraceMutation;
 
 /// Streaming protocol auditor for one channel: one audit() call per
 /// committed command, refresh or oracle precharge, in the order they happen.
-class MB_CHANNEL_LOCAL TraceAuditor {
+class TraceAuditor {
  public:
   /// Allocates shadow state for `channel` only. `config`'s geometry must be
   /// valid and its interleave base bit in range (auditCmdTrace reports a
@@ -84,9 +83,8 @@ class MB_CHANNEL_LOCAL TraceAuditor {
   bool audit(const CmdEvent& ev, std::int64_t eventIndex = -1);
 
   /// Optional structured sink: violations are reported here (and audit()
-  /// returns false) instead of aborting. Not owned. Declared seam: the
-  /// engine is run-wide, so sharded auditors must buffer or lock reports.
-  MB_CHANNEL_IFACE(DiagnosticEngine)
+  /// returns false) instead of aborting. Not owned. The engine is
+  /// run-wide, so sharded auditors must buffer or lock reports.
   analysis::DiagnosticEngine* diagnostics = nullptr;
 
   /// Serializable protocol: the checking state of a controller snapshot.
@@ -130,7 +128,6 @@ class MB_CHANNEL_LOCAL TraceAuditor {
   CmdTraceConfig cfg_;
   int channel_;
   core::AddressMap map_;
-  MB_SNAP_TRANSIENT(map_, "structural; derived from cfg_, never simulation state");
   std::vector<UbankShadow> ubanks_;  // dense, channel-local μbank order
   std::vector<RankShadow> ranks_;
   Tick lastCmdAt_ = -1;

@@ -31,7 +31,7 @@
 //
 // Determinism housekeeping: no wall clocks anywhere in src/serve (poll
 // timeouts pace the event loop; the LRU ages by use counter), ordered
-// containers only — the tree stays `mbstatic det`-clean.
+// containers only; ServeIdentity and ServeCli hold its bytes to cold runs.
 #pragma once
 
 #include <atomic>

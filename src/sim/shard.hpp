@@ -53,7 +53,6 @@
 #include "common/check.hpp"
 #include "common/event_queue.hpp"
 #include "common/inline_function.hpp"
-#include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/types.hpp"
 #include "cpu/hierarchy.hpp"
@@ -72,7 +71,7 @@ namespace mb::sim {
 /// The engine drains the buffers once per window, k-way merged by
 /// (execWhen, execStamp, buffer position), which is exactly the order a
 /// single queue would have fired the producing events.
-class MB_CROSS_CHANNEL BufferedCommandLog final : public mc::CommandLog {
+class BufferedCommandLog final : public mc::CommandLog {
  public:
   /// `eq` is the channel queue whose executions feed this buffer; the key of
   /// every entry is read from it at append time.
@@ -90,7 +89,6 @@ class MB_CROSS_CHANNEL BufferedCommandLog final : public mc::CommandLog {
   };
 
   const EventQueue& eq_;
-  MB_SNAP_TRANSIENT(eq_, "command recording is rejected on checkpointing runs (MB_CHECK in runSimulation); buffers never reach a snapshot");
   std::vector<Entry> entries_;
 };
 
@@ -123,7 +121,7 @@ struct ShardEngineOptions {
 /// window — each channel appends to its own lane, so no two threads ever
 /// touch the same buffer, and the phase barrier orders the main-side reads
 /// after all worker-side writes.
-class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
+class ShardedEngine final : public ShardMailbox {
  public:
   /// Admission delivery: build the MemRequest for a buffered CPU → channel
   /// message and enqueue it on the channel's controller. Runs on the channel
@@ -238,21 +236,18 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   void publishPhase();
   void stopWorkers();
 
-  // cpuQ_/chQs_ are wiring references, but NOT transient: save() serializes
-  // the stamp counters (and load() restores them) through these handles, so
-  // they participate in the ENG section like any serialized member.
+  // save() writes the stamp counters, through cpuQ_/chQs_, and each lane's
+  // inbox. Nothing else here is simulated state: the options and wiring
+  // callbacks are rebuilt by the system, command recording is rejected on
+  // checkpointing runs (MB_CHECK in runSimulation), and the counters, the
+  // pool and its handshake state restart with every run.
   EventQueue& cpuQ_;
   std::vector<EventQueue*> chQs_;
   ShardEngineOptions opts_;
-  MB_SNAP_TRANSIENT(opts_, "run-shaping knobs; a snapshot must restore under any worker count");
   DeliverEnqueueFn deliverEnqueue_;
-  MB_SNAP_TRANSIENT(deliverEnqueue_, "wiring callback, rebuilt by the system on every construction");
   WriteQueryFn writeQuery_;
-  MB_SNAP_TRANSIENT(writeQuery_, "wiring callback, rebuilt by the system on every construction");
   std::vector<BufferedCommandLog*> cmdBufs_;
-  MB_SNAP_TRANSIENT(cmdBufs_, "command recording is rejected on checkpointing runs (MB_CHECK in runSimulation)");
   mc::CommandLog* cmdSink_ = nullptr;
-  MB_SNAP_TRANSIENT(cmdSink_, "command recording is rejected on checkpointing runs");
 
   /// One channel's mailbox, in one cache line. Main appends to `inbox` in
   /// Phase A and drains `outbox` before it; the thread running the channel
@@ -275,22 +270,18 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   /// inside a closure would spill to the heap on every completion). A
   /// message is delivered at the start of the window its due tick falls in,
   /// but a Phase-A cut can end that window before it fires, so the arena is
-  /// recycled only once arenaLive_ says every entry has fired.
+  /// recycled only once arenaLive_ says every entry has fired. No entry is
+  /// live at a checkpoint: a delivered message is due before its window's
+  /// end, which is at or before the checkpoint tick, so it has fired when
+  /// the checkpoint's window starts.
   std::vector<mc::CompletionFn> cpuArena_;
-  MB_SNAP_TRANSIENT(cpuArena_, "no live entry at a checkpoint: a delivered message is due before its window's end, which is at or before the checkpoint tick, so it has fired when the checkpoint's window starts");
   std::size_t arenaLive_ = 0;  // delivered entries that have not fired yet
-  MB_SNAP_TRANSIENT(arenaLive_, "zero at a checkpoint, like cpuArena_");
 
   std::uint64_t events_ = 0;         // fired on main (CPU phase + inline B)
-  MB_SNAP_TRANSIENT(events_, "runaway guard only; per-queue processed counts feed mbbench and restart at zero");
   std::uint64_t eventsBase_ = 0;     // events_ at the current window's start
-  MB_SNAP_TRANSIENT(eventsBase_, "per-window scratch for the event-cap guard");
   std::vector<std::uint64_t> shareEvents_;  // per share, current window
-  MB_SNAP_TRANSIENT(shareEvents_, "per-window scratch, zeroed before every parallel phase");
   std::uint64_t windows_ = 0;     // windows run
-  MB_SNAP_TRANSIENT(windows_, "engine counter for RunResult; a restored run counts its own windows");
   std::uint64_t windowsCut_ = 0;  // of those, cut short by the forward rule
-  MB_SNAP_TRANSIENT(windowsCut_, "engine counter for RunResult; a restored run counts its own windows");
 
   // Worker pool: generation barrier that stays awake for a run. Main
   // publishes the window (phaseT1_, stop key, windowEnd_, eventsBase_),
@@ -303,44 +294,25 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   // window costs two atomic ops and no syscalls. All of it is handshake
   // state: never read by simulation logic, only orders it, hence transient.
   std::vector<std::thread> threads_;
-  MB_SNAP_TRANSIENT(threads_, "worker pool; execution machinery, not simulated state");
   int participants_ = 1;
-  MB_SNAP_TRANSIENT(participants_, "pool shape derived from the worker count at construction");
   bool spin_ = false;
-  MB_SNAP_TRANSIENT(spin_, "barrier policy derived from the host CPU count at pool start");
   std::atomic<bool> awake_{false};
-  MB_SNAP_TRANSIENT(awake_, "barrier policy: true only while run() is in progress");
   std::atomic<int> callerCpu_{-1};
-  MB_SNAP_TRANSIENT(callerCpu_, "host CPU of run()'s caller, read once by each pool thread waking into the run");
   std::atomic<std::uint64_t> phaseGen_{0};
-  MB_SNAP_TRANSIENT(phaseGen_, "phase-barrier handshake; quiescent between windows");
   std::atomic<int> phaseDone_{0};
-  MB_SNAP_TRANSIENT(phaseDone_, "phase-barrier handshake; quiescent between windows");
   std::atomic<bool> shutdown_{false};
-  MB_SNAP_TRANSIENT(shutdown_, "worker-pool teardown flag");
   std::vector<std::exception_ptr> shareErr_;
-  MB_SNAP_TRANSIENT(shareErr_, "ferried per-share exceptions; always empty between windows (rethrown after the barrier)");
   std::atomic<int> parked_{0};
-  MB_SNAP_TRANSIENT(parked_, "count of workers sleeping on phaseCv_; barrier handshake only");
   std::atomic<bool> mainParked_{false};
-  MB_SNAP_TRANSIENT(mainParked_, "main sleeping on doneCv_; barrier handshake only");
   std::mutex phaseMu_;
-  MB_SNAP_TRANSIENT(phaseMu_, "barrier parking lot");
   std::condition_variable phaseCv_;
-  MB_SNAP_TRANSIENT(phaseCv_, "barrier parking lot");
   std::mutex doneMu_;
-  MB_SNAP_TRANSIENT(doneMu_, "barrier parking lot");
   std::condition_variable doneCv_;
-  MB_SNAP_TRANSIENT(doneCv_, "barrier parking lot");
 
   Tick phaseT1_ = 0;
-  MB_SNAP_TRANSIENT(phaseT1_, "per-window scratch, republished before every channel phase");
   bool phaseHasStop_ = false;
-  MB_SNAP_TRANSIENT(phaseHasStop_, "per-window scratch for the stop-key cut");
   Tick stopWhen_ = 0;
-  MB_SNAP_TRANSIENT(stopWhen_, "per-window scratch for the stop-key cut");
   EventStamp stopStamp_{};
-  MB_SNAP_TRANSIENT(stopStamp_, "per-window scratch for the stop-key cut");
   /// End of the window currently executing. Phase A's loop reads it and
   /// postEnqueue lowers it (the forward cut); in Phase B postCompletion
   /// checks every due against it (a completion inside the horizon would
@@ -349,7 +321,6 @@ class MB_CROSS_CHANNEL ShardedEngine final : public ShardMailbox {
   /// workers are race-free; initialized to 0 so restore posts (due >= 0)
   /// always pass and never cut.
   std::atomic<Tick> windowEnd_{0};
-  MB_SNAP_TRANSIENT(windowEnd_, "lookahead guard horizon; 0 between runs so restore-time posts always pass");
 };
 
 }  // namespace mb::sim

@@ -53,7 +53,8 @@ int hostCpuCount() {
 
 namespace {
 
-// MB_DET_ALLOW(MB-DET-003, "progress/ETA display on stderr only; never feeds results, reports, or scheduling")
+// Host clock for the progress/ETA display on stderr only; it never feeds
+// results, reports or scheduling.
 using Clock = std::chrono::steady_clock;
 
 double nowSeconds() {

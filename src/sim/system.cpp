@@ -623,12 +623,12 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   std::int64_t meterActs = 0, meterCas = 0, meterRefs = 0;
   double queueOccSum = 0.0, latSum = 0.0, busSum = 0.0;
   std::int64_t latCount = 0;
-  // Shard-order audit (MB-DET-005): the double sums below are reduced HERE,
+  // Shard-order audit: the double sums below are reduced HERE,
   // on the main thread, after the engine has fully drained, and always by
   // walking sys->mcs in channel-index order — never in the order worker
   // threads happened to finish their windows. FP addition is
   // non-associative, so reducing in completion order would make the report
-  // depend on scheduling; the StatsOrder regression tests pin this contract.
+  // depend on scheduling; StatsOrder and ShardDifferential pin this contract.
   for (auto& mcPtr : sys->mcs) {
     mcPtr->finalize(r.elapsed);
     const auto s = mcPtr->stats();

@@ -1,6 +1,6 @@
-// Self-test fixture: no violation. Symmetric save/load streams, every
-// simulation-mutated member either serialized or annotated transient.
-// Never compiled — parsed by mbsnapcheck --self-test.
+// mbstatic fixture: no violation. load() reads raw u32/u64 values, but none
+// of them sizes a loop or a container.
+// Never compiled — parsed by mbstatic (ctest mbstatic_clean_fixture).
 #include <cstdint>
 
 namespace fx {
@@ -28,7 +28,6 @@ class UbankState {
   std::uint64_t lastActAt_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t scratch_ = 0;
-  MB_SNAP_TRANSIENT(scratch_, "per-call scratch; recomputed by the next touch()");
 };
 
 }  // namespace fx

@@ -1,8 +1,7 @@
-// Self-test fixture: MB-SNP-005 unguarded length-carrying read. load()
+// mbstatic fixture: MB-SNP-005 unguarded length-carrying read. load()
 // sizes a loop from a raw r.u64() with no fail() validation — a corrupt
-// snapshot drives an unbounded allocation loop. The streams themselves are
-// symmetric, so only 005 fires.
-// Never compiled — parsed by mbsnapcheck --self-test.
+// snapshot drives an unbounded allocation loop.
+// Never compiled — parsed by mbstatic (ctest mbstatic_reports_seeded_code).
 #include <cstdint>
 #include <vector>
 

@@ -1,184 +1,33 @@
-// Unit tests for the save/load symmetry & serialization-completeness
-// linter. The seeded fixture corpus under tests/analysis/snap_fixtures/
-// exercises the shipped CLI (`mbstatic snap --self-test`); these tests pin
-// the engine's behaviour on in-memory snippets: stream extraction and
-// comparison, pairing, completeness, annotations, suppressions, and the
-// fingerprint baseline round trip.
+// Unit tests for MB-SNP-005 on in-memory sources. The shipped CLI runs over
+// the seeded fixtures under tests/analysis/snap_fixtures/ and over the tree
+// (ctest mbstatic_*).
 #include "analysis/snap_lint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mb::analysis {
 namespace {
 
-struct LintRun {
+int countFindings(const std::string& contents) {
   DiagnosticEngine engine;
-  std::vector<SnapPair> pairs;
-  std::vector<Suppression> suppressions;
-  std::string baseline;
-};
-
-LintRun lint(const std::vector<SourceFile>& files, SnapLintOptions opts = {}) {
-  LintRun run;
-  SnapLinter linter(run.engine, std::move(opts));
-  linter.run(files);
-  run.pairs = linter.pairs();
-  run.suppressions = linter.suppressions();
-  run.baseline = linter.renderBaseline();
-  return run;
-}
-
-LintRun lintOne(const std::string& contents, SnapLintOptions opts = {}) {
-  return lint({{"t.cpp", contents}}, std::move(opts));
-}
-
-int countCode(const LintRun& run, const std::string& code) {
+  lintLoadLengths({{"t.cpp", contents}}, engine);
   int n = 0;
-  for (const Diagnostic& d : run.engine.diagnostics())
-    if (d.code == code) ++n;
+  for (const Diagnostic& d : engine.diagnostics()) {
+    EXPECT_EQ(d.code, "MB-SNP-005");
+    EXPECT_EQ(d.where.file, "t.cpp");
+    ++n;
+  }
   return n;
 }
 
-const SnapPair* findPair(const LintRun& run, const std::string& key) {
-  for (const SnapPair& p : run.pairs)
-    if (p.key == key) return &p;
-  return nullptr;
-}
-
-const char* kSymmetric = R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); w.i64(b_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); b_ = r.i64(); }
- private:
-  std::uint32_t a_ = 0;
-  std::int64_t b_ = 0;
-};
-)";
-
-TEST(SnapLint, SymmetricPairIsClean) {
-  const LintRun run = lintOne(kSymmetric);
-  EXPECT_TRUE(run.engine.empty());
-  const SnapPair* p = findPair(run, "S::");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->saveStream, "u32,i64");
-  EXPECT_EQ(p->loadStream, "u32,i64");
-  EXPECT_NE(p->fingerprint, 0u);
-}
-
-TEST(SnapLint, StreamDivergenceIs001) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); b_ = r.i64(); }
- private:
-  std::uint32_t a_ = 0; std::int64_t b_ = 0;
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-001"), 1);
-}
-
-TEST(SnapLint, HalfPairIs001) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
- private:
-  std::uint32_t a_ = 0;
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-001"), 1);
-}
-
-TEST(SnapLint, CountNormalizesToU64) {
-  // Reader::count(...) is the guarded read of a u64 the writer emitted.
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u64(v_.size()); for (auto x : v_) w.u32(x); }
-  void load(ckpt::Reader& r) {
-    v_.clear();
-    const std::uint64_t n = r.count(4);
-    for (std::uint64_t i = 0; i < n; ++i) v_.push_back(r.u32());
-  }
- private:
-  std::vector<std::uint32_t> v_;
-};
-)");
-  EXPECT_TRUE(run.engine.empty()) << run.engine.renderText();
-  EXPECT_EQ(findPair(run, "S::")->saveStream, "u64,u32");
-}
-
-TEST(SnapLint, SubObjectAndHelperCallsCompareByName) {
-  const LintRun run = lintOne(R"(
-class Outer {
- public:
-  void save(ckpt::Writer& w) const { inner_.save(w); saveExtras(w); }
-  void load(ckpt::Reader& r) { inner_.load(r); loadExtras(r); }
-  void saveExtras(ckpt::Writer& w) const { w.u8(tag_); }
-  void loadExtras(ckpt::Reader& r) { tag_ = r.u8(); }
- private:
-  Inner inner_;
-  std::uint8_t tag_ = 0;
-};
-)");
-  EXPECT_TRUE(run.engine.empty()) << run.engine.renderText();
-  const SnapPair* p = findPair(run, "Outer::");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->saveStream, "sub:inner_,call:Extras");
-  EXPECT_EQ(p->loadStream, "sub:inner_,call:Extras");
-}
-
-TEST(SnapLint, SectionMismatchIs002) {
-  const LintRun run = lintOne(R"(
-inline void saveAll(ckpt::Writer& w) { w.addSection("TRACE"); w.u64(0); }
-inline void loadAll(ckpt::Reader& r) { r.section("CORES"); r.u64(); }
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-002"), 2);
-}
-
-TEST(SnapLint, ForgottenMutatedMemberIs003) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
-  void tick() { ++missing_; }
- private:
-  std::uint32_t a_ = 0;
-  std::uint64_t missing_ = 0;
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-003"), 1);
-}
-
-TEST(SnapLint, TransientAnnotationSilences003) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
-  void tick() { ++scratch_; }
- private:
-  std::uint32_t a_ = 0;
-  std::uint64_t scratch_ = 0;
-  MB_SNAP_TRANSIENT(scratch_, "recomputed every tick");
-};
-)");
-  EXPECT_TRUE(run.engine.empty()) << run.engine.renderText();
-}
-
 TEST(SnapLint, UnguardedRawLengthIs005) {
-  const LintRun run = lintOne(R"(
+  EXPECT_EQ(countFindings(R"(
 class S {
  public:
-  void save(ckpt::Writer& w) const { w.u64(v_.size()); for (auto x : v_) w.u32(x); }
   void load(ckpt::Reader& r) {
     v_.clear();
     const std::uint64_t n = r.u64();
@@ -187,16 +36,24 @@ class S {
  private:
   std::vector<std::uint32_t> v_;
 };
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-005"), 1);
-  EXPECT_EQ(countCode(run, "MB-SNP-001"), 0);  // streams still symmetric
+)"),
+            1);
+}
+
+TEST(SnapLint, RawLengthSizingAReserveIs005) {
+  EXPECT_EQ(countFindings(R"(
+void Q::loadQueue(ckpt::Reader& in) {
+  const std::uint64_t n = in.u32();
+  q_.reserve(n);
+}
+)"),
+            1);
 }
 
 TEST(SnapLint, FailGuardSilences005) {
-  const LintRun run = lintOne(R"(
+  EXPECT_EQ(countFindings(R"(
 class S {
  public:
-  void save(ckpt::Writer& w) const { w.u64(v_.size()); for (auto x : v_) w.u32(x); }
   void load(ckpt::Reader& r) {
     v_.clear();
     const std::uint64_t n = r.u64();
@@ -206,129 +63,101 @@ class S {
  private:
   std::vector<std::uint32_t> v_;
 };
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-005"), 0);
+)"),
+            0);
 }
 
-TEST(SnapLint, RebuiltInLoadOnlyIs006Warning) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.i64(row_); }
-  void load(ckpt::Reader& r) { row_ = r.i64(); bit_ = row_ >= 0; }
- private:
-  std::int64_t row_ = -1;
-  bool bit_ = false;
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-006"), 1);
-  EXPECT_FALSE(run.engine.hasErrors());
+TEST(SnapLint, CountedReadAndRangeForAreClean) {
+  // Reader::count() bounds the length by the bytes left; a range-for's
+  // variable is not a wire-supplied count even when it shadows one.
+  EXPECT_EQ(countFindings(R"(
+void S::load(ckpt::Reader& r) {
+  const std::uint64_t n = r.count(8);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) v_.push_back(r.i64());
+  const std::uint64_t m = r.u64();
+  for (auto m : v_) use(m);
+}
+)"),
+            0);
 }
 
-TEST(SnapLint, MissingReasonIs007) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
- private:
-  std::uint32_t a_ = 0;
-  std::uint64_t b_ = 0;
-  MB_SNAP_TRANSIENT(b_);
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-007"), 1);
+TEST(SnapLint, RawLengthSizingAResizeIs005) {
+  EXPECT_EQ(countFindings(R"(
+void Table::load(ckpt::Reader& r) {
+  const std::uint32_t rows = r.u32();
+  rows_.resize(rows);
+}
+)"),
+            1);
 }
 
-TEST(SnapLint, StaleTransientOnSerializedMemberIs008) {
-  const LintRun run = lintOne(R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
- private:
-  std::uint32_t a_ = 0;
-  MB_SNAP_TRANSIENT(a_, "no longer true: save() writes it");
-};
-)");
-  EXPECT_EQ(countCode(run, "MB-SNP-008"), 1);
+TEST(SnapLint, ARawReadAfterTheLoopDoesNotSizeIt) {
+  // Only a read that comes before the loop can size it.
+  EXPECT_EQ(countFindings(R"(
+void S::load(ckpt::Reader& r) {
+  std::uint64_t n = 4;
+  for (std::uint64_t i = 0; i < n; ++i) v_.push_back(r.i64());
+  n = r.u64();
+}
+)"),
+            0);
 }
 
-TEST(SnapLint, UsedSuppressionConsumesFinding) {
-  const LintRun run = lintOne(R"(
+TEST(SnapLint, DeclarationsAndReaderlessLoadsAreNotScanned) {
+  // A declaration has no body, and a load() without a Reader& parameter is
+  // not a snapshot load path.
+  EXPECT_EQ(countFindings(R"(
 class S {
  public:
-  void save(ckpt::Writer& w) const { w.u32(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); }
-  void tick() { ++memo_; }
- private:
-  std::uint32_t a_ = 0;
-  std::uint64_t memo_ = 0; MB_SNAP_ALLOW(MB-SNP-003, "memo of a_; rebuilt lazily");
+  void load(ckpt::Reader& r);
+  void loadFrom(std::istream& in) {
+    const std::uint64_t n = in.u64();
+    for (std::uint64_t i = 0; i < n; ++i) v_.push_back(0);
+  }
 };
-)");
-  EXPECT_TRUE(run.engine.empty()) << run.engine.renderText();
-  ASSERT_EQ(run.suppressions.size(), 1u);
-  EXPECT_EQ(run.suppressions[0].uses, 1);
+)"),
+            0);
 }
 
-TEST(SnapLint, BaselineRoundTripAndDrift) {
-  SnapLintOptions opts;
-  opts.snapshotVersion = 1;
-  const LintRun first = lintOne(kSymmetric, opts);
-  EXPECT_NE(first.baseline.find("version 1"), std::string::npos);
-  EXPECT_NE(first.baseline.find("S:: "), std::string::npos);
+TEST(SnapLint, FindingNamesTheFunctionAndTheSizingLine) {
+  DiagnosticEngine engine;
+  lintLoadLengths({{"q.cpp", R"(// line 1
+void Queue::load(ckpt::Reader& r) {
+  const std::uint64_t n = r.u64();
+  items_.clear();
+  items_.reserve(n);
+}
+)"}},
+                  engine);
+  ASSERT_EQ(engine.diagnostics().size(), 1u);
+  const Diagnostic& d = engine.diagnostics()[0];
+  EXPECT_EQ(d.code, "MB-SNP-005");
+  EXPECT_EQ(d.severity, Severity::Error);
+  EXPECT_EQ(d.where.file, "q.cpp");
+  EXPECT_EQ(d.where.line, 5);
+  EXPECT_NE(d.message.find("Queue::load()"), std::string::npos) << d.message;
+}
 
-  // Re-lint against the recorded baseline: clean.
-  SnapLintOptions again = opts;
-  again.haveBaseline = true;
-  again.baselineContents = first.baseline;
-  EXPECT_TRUE(lintOne(kSymmetric, again).engine.empty());
-
-  // Change the stream without bumping the version: MB-SNP-004.
-  const std::string changed = R"(
-class S {
- public:
-  void save(ckpt::Writer& w) const { w.u32(a_); w.i64(b_); w.u8(c_); }
-  void load(ckpt::Reader& r) { a_ = r.u32(); b_ = r.i64(); c_ = r.u8(); }
- private:
-  std::uint32_t a_ = 0;
-  std::int64_t b_ = 0;
-  std::uint8_t c_ = 0;
-};
+TEST(SnapLint, FindingsAreSortedByFileThenLine) {
+  const std::string twoLoads = R"(
+void A::load(ckpt::Reader& r) {
+  const std::uint64_t n = r.u64();
+  a_.reserve(n);
+}
+void B::load(ckpt::Reader& r) {
+  const std::uint64_t m = r.u32();
+  for (std::uint64_t i = 0; i < m; ++i) b_.push_back(r.u8());
+}
 )";
-  const LintRun drift = lintOne(changed, again);
-  EXPECT_EQ(countCode(drift, "MB-SNP-004"), 1);
-  EXPECT_TRUE(drift.engine.hasErrors());
-
-  // The same drift under a bumped version is legitimate.
-  SnapLintOptions bumped = again;
-  bumped.snapshotVersion = 2;
-  EXPECT_EQ(countCode(lintOne(changed, bumped), "MB-SNP-004"), 0);
-}
-
-TEST(SnapLint, ParseSnapshotVersion) {
-  EXPECT_EQ(parseSnapshotVersion("constexpr std::uint32_t kSnapshotVersion = 3;"), 3);
-  EXPECT_EQ(parseSnapshotVersion("no version here"), -1);
-}
-
-TEST(SnapLint, CommittedBaselineRecordsTheCurrentSnapshotVersion) {
-  // MB-SNP-004 only fires while the baseline's version equals
-  // kSnapshotVersion, so a version bump without a re-pinned baseline
-  // silently turns the fingerprint gate off for every later change.
-  std::string header, baseline;
-  ASSERT_TRUE(readFileToString(std::string(MB_SOURCE_ROOT) + "/src/ckpt/snapshot.hpp",
-                               &header));
-  ASSERT_TRUE(readFileToString(std::string(MB_SOURCE_ROOT) + "/tools/snap_baseline.txt",
-                               &baseline));
-  const int version = parseSnapshotVersion(header);
-  ASSERT_GT(version, 0);
-  std::istringstream lines(baseline);
-  std::string line;
-  int recorded = -1;
-  while (std::getline(lines, line))
-    if (line.rfind("version ", 0) == 0) recorded = std::atoi(line.c_str() + 8);
-  EXPECT_EQ(recorded, version)
-      << "re-pin: mbstatic snap --root=. --write-baseline=tools/snap_baseline.txt";
+  DiagnosticEngine engine;
+  lintLoadLengths({{"z.cpp", twoLoads}, {"a.cpp", twoLoads}}, engine);
+  ASSERT_EQ(engine.diagnostics().size(), 4u);
+  const std::vector<std::pair<std::string, int>> want = {
+      {"a.cpp", 4}, {"a.cpp", 8}, {"z.cpp", 4}, {"z.cpp", 8}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(engine.diagnostics()[i].where.file, want[i].first);
+    EXPECT_EQ(engine.diagnostics()[i].where.line, want[i].second);
+  }
 }
 
 }  // namespace

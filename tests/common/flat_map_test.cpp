@@ -1,5 +1,5 @@
 // FlatMap is the deterministic replacement for the hash maps that used to
-// back scheduler/controller/policy bookkeeping (MB-DET-001): iteration is
+// back scheduler/controller/policy bookkeeping: iteration is
 // key-sorted by construction, so anything it feeds — reports, stats,
 // serialization — is byte-stable. These tests pin the std::map-subset API
 // the call sites and ckpt::saveMapSorted rely on.

@@ -141,7 +141,7 @@ TEST(TimeWeightedLevel, ZeroLengthWindowIsZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-order regression tests (MB-DET-005): per-channel stats reduced into
+// Shard-order regression tests: per-channel stats reduced into
 // the report must not depend on the order worker threads finish. The
 // production reduction (runSimulation's collect loop, Histogram::merge
 // callers) walks channels in index order; these tests pin the pieces that

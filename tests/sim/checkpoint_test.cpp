@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "ckpt/snapshot.hpp"
 #include "common/check.hpp"
 #include "sim/experiment.hpp"
+#include "sim/journal.hpp"
 #include "sim/system.hpp"
 
 namespace mb::sim {
@@ -113,6 +117,158 @@ TEST(Checkpoint, RestoreEquivalentForEveryPreset) {
     expectBitIdentical(cold, restored);
     std::remove(path.c_str());
   }
+}
+
+std::string readFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Per shipped preset, on four channels, warm, with a small L2 so dirty
+// evictions keep write drains going, and with the engine switching shard
+// count across the restore: a run restored from a snapshot at one third of
+// the run writes, at two thirds, the same bytes the cold run writes there.
+// The restored state must equal the cold state, not only reach the same
+// report by the end of the run.
+class PresetRestore : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PresetRestore, RestoredRunWritesTheColdRunsLaterSnapshot) {
+  const NamedConfig& preset = shippedPresets().at(GetParam());
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  SystemConfig cfg = presetFast(preset);
+  cfg.channels = 4;
+  cfg.hier.l2Bytes = 64 * 1024;
+  ASSERT_EQ(resolvedChannels(cfg, workload), 4);
+  const std::int64_t warmupRecords = 2000;
+  const std::string warm = captureWarmupSnapshot(cfg, workload, warmupRecords);
+  const auto warmStart = [&](int shards) {
+    RunOptions o;
+    o.shards = shards;
+    o.warmupRecords = warmupRecords;
+    o.warmupRestoreBuf = &warm;
+    return o;
+  };
+  const RunResult cold = runSimulation(cfg, workload, warmStart(1));
+  ASSERT_GT(cold.dramWrites, 0) << "no write drains to cut through";
+  const std::string coldJson = runResultToJson(cold);
+  const Tick early = cold.elapsed / 3 + 7;
+  const Tick late = cold.elapsed * 2 / 3 + 7;
+  const std::string tmp = ::testing::TempDir() + "mb_ckpt_later_" + preset.name;
+
+  RunOptions coldLate = warmStart(1);
+  coldLate.checkpointAt = late;
+  coldLate.checkpointPath = tmp + "_cold.mbk";
+  EXPECT_EQ(runResultToJson(runSimulation(cfg, workload, coldLate)), coldJson);
+  RunOptions shardedEarly = warmStart(4);
+  shardedEarly.checkpointAt = early;
+  shardedEarly.checkpointPath = tmp + "_early.mbk";
+  EXPECT_EQ(runResultToJson(runSimulation(cfg, workload, shardedEarly)), coldJson);
+
+  RunOptions resumed;
+  resumed.shards = 2;
+  resumed.restorePath = shardedEarly.checkpointPath;
+  resumed.checkpointAt = late;
+  resumed.checkpointPath = tmp + "_resumed.mbk";
+  EXPECT_EQ(runResultToJson(runSimulation(cfg, workload, resumed)), coldJson);
+  const std::string coldBytes = readFileBytes(coldLate.checkpointPath);
+  ASSERT_FALSE(coldBytes.empty());
+  EXPECT_TRUE(coldBytes == readFileBytes(resumed.checkpointPath))
+      << "the restored run's snapshot at " << late << " ps differs from the cold run's";
+  for (const RunOptions* o : {&coldLate, &shardedEarly, &resumed})
+    std::remove(o->checkpointPath.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryShippedPreset, PresetRestore, ::testing::Range<std::size_t>(0, shippedPresets().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      // "tsi-ubank(4,4)-scaled-act-window" -> "tsi_ubank_4_4_scaled_act_window"
+      std::string name;
+      for (const char c : shippedPresets().at(info.param).name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) != 0) name += c;
+        else if (c != ')') name += '_';
+      }
+      return name;
+    });
+
+// The full-run MBCKPT1 layout, pinned section by section (FNV-1a64 of each
+// payload) for two snapshots: tsi-baseline 429.mcf cut at 20 us, one
+// channel; and a warm mix-high point on 16 channels, written at two shards
+// and cut at 5 us. A change to what a component saves, or to the order it
+// saves it in, fails here even when its load() mirrors the change and every
+// restore still matches its cold run. The hashes were taken at
+// kSnapshotVersion kPinnedSnapshotVersion: a deliberate layout change bumps
+// kSnapshotVersion and re-pins both in the same change.
+constexpr std::uint32_t kPinnedSnapshotVersion = 2;
+
+struct SectionPin {
+  const char* name;
+  std::uint64_t fnv;
+};
+
+void expectSectionsPinned(const SystemConfig& cfg, const WorkloadSpec& workload,
+                          RunOptions opts, const std::vector<SectionPin>& pins) {
+  opts.checkpointPath = ::testing::TempDir() + "mb_ckpt_pinned.mbk";
+  (void)runSimulation(cfg, workload, opts);
+  analysis::DiagnosticEngine diags;
+  const auto snap = ckpt::readSnapshotFile(opts.checkpointPath, diags);
+  std::remove(opts.checkpointPath.c_str());
+  ASSERT_TRUE(snap.has_value()) << diags.renderText();
+  ASSERT_EQ(snap->sections.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(snap->sections[i].name, pins[i].name);
+    EXPECT_EQ(ckpt::fnv1a64(snap->sections[i].payload), pins[i].fnv)
+        << "section " << pins[i].name
+        << " changed: bump kSnapshotVersion if the layout changed, then re-pin";
+  }
+}
+
+TEST(Checkpoint, FullRunSectionBytesArePinned) {
+  ASSERT_EQ(ckpt::kSnapshotVersion, kPinnedSnapshotVersion)
+      << "kSnapshotVersion was bumped: re-pin the section hashes below and "
+         "record the version they were taken at";
+
+  SystemConfig single = tsiBaselineConfig();
+  single.core.maxInstrs = 10000;
+  RunOptions cut20us;
+  cut20us.checkpointAt = 20'000'000;
+  expectSectionsPinned(single, WorkloadSpec::spec("429.mcf"), cut20us,
+                       {{"TRACE", 0x5407bfdef2150730ull},
+                        {"CORES", 0x18d579c2905500aaull},
+                        {"HIER", 0xfcf89dfb321749b6ull},
+                        {"MC0", 0x2f8a6fd56bc20379ull},
+                        {"ENG", 0x9708c4ead33e5d4aull}});
+
+  const auto mix = WorkloadSpec::mix("mix-high");
+  SystemConfig wide = tsiBaselineConfig();
+  applyWorkloadShape(wide, mix);
+  wide.core.maxInstrs = 2000;
+  RunOptions warmCut5us;
+  warmCut5us.warmupRecords = 1000;
+  warmCut5us.shards = 2;
+  warmCut5us.checkpointAt = 5'000'000;
+  expectSectionsPinned(wide, mix, warmCut5us,
+                       {{"TRACE", 0x0457d6ccc15472c6ull},
+                        {"CORES", 0xca711b5a995b1f5cull},
+                        {"HIER", 0x7ed6a484a7f7dfc7ull},
+                        {"MC0", 0xf8337ad706236f30ull},
+                        {"MC1", 0x14cd3d30ab4caa16ull},
+                        {"MC2", 0xc79a0c8c87a5ff61ull},
+                        {"MC3", 0xf663806b75f6d119ull},
+                        {"MC4", 0x61f9f66e6386cefdull},
+                        {"MC5", 0x17f9b7d9ac9f9a2dull},
+                        {"MC6", 0xa3bf75cd7cad85fcull},
+                        {"MC7", 0x814af6776e8f16a0ull},
+                        {"MC8", 0x8fa315431b506b8aull},
+                        {"MC9", 0x32bf0c864b38084aull},
+                        {"MC10", 0x8cbae36d3eff9805ull},
+                        {"MC11", 0x16d616bd2ba7e1dcull},
+                        {"MC12", 0x99e15999a5f7b10eull},
+                        {"MC13", 0x8e841d5885e58a10ull},
+                        {"MC14", 0xef42c5fb4b3b82e2ull},
+                        {"MC15", 0x1eff6044b1932dbbull},
+                        {"ENG", 0x4064abd5ed90cc4dull}});
 }
 
 TEST(Checkpoint, PastEndCheckpointRestoresFinalState) {

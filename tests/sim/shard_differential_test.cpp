@@ -1,13 +1,15 @@
-// Differential property test for channel-sharded execution (DESIGN.md §14):
-// over a seeded (config, workload) grid, a sharded run must be bitwise
-// indistinguishable from the serial run — the full JSON report, the MBCMDT1
-// command-trace bytes, and a mid-run MBCKPT1 snapshot all compare EQUAL as
-// bytes, not approximately. Adversarial shapes ride along: a single-channel
-// system, more shards than channels, a workload that leaves almost every
-// channel with zero requests, and checkpoint/restore cut mid-window across
-// shard counts (including restoring a sharded-written snapshot serially and
-// vice versa). One longer point where the forward rule cuts windows short is
-// pinned against hashes taken from an engine whose every window was one
+// Differential property test for channel-sharded execution (DESIGN.md §14)
+// and the runtime gate for determinism and snapshot completeness (§11): over
+// a seeded (config, workload) grid, a sharded run must be bitwise
+// indistinguishable from the serial run — the full JSON report and the
+// MBCMDT1 command-trace bytes compare EQUAL as bytes, not approximately — and
+// a run restored from a mid-run MBCKPT1 snapshot must finish with the cold
+// run's report. Each cell is its own test case: two cuts, each written at
+// two shard counts (the files must be byte-identical) and restored at the
+// other count. Adversarial shapes ride along: a single-channel system, more
+// shards than channels, and a workload that leaves almost every channel with
+// zero requests. One longer point where the forward rule cuts windows short
+// is pinned against hashes taken from an engine whose every window was one
 // command transfer wide, so no read could ever be forwarded inside one.
 #include <gtest/gtest.h>
 
@@ -49,11 +51,38 @@ struct Cell {
   SystemConfig cfg;
   WorkloadSpec workload;
   int shards = 2;
+  /// Warm start: every run of the cell restores one captured warm-up buffer
+  /// of this many records per core (0: cold caches).
+  std::int64_t warmupRecords = 0;
 };
 
-/// Seeded random grid. Four cells keeps the suite under a few seconds while
-/// still crossing PHY, partitioning, scheduler, policy, channel count and
-/// workload — every dimension that feeds the per-channel event streams.
+/// A 64-core point in the workload shape mbsim gives it.
+Cell wideCell(const std::string& label, const WorkloadSpec& workload,
+              core::PolicyKind policy, int channels, int instrs, int shards) {
+  Cell c;
+  c.label = label;
+  c.workload = workload;
+  c.cfg.pagePolicy = policy;
+  c.cfg.channels = channels;
+  c.cfg.hier.numCores = 64;
+  c.cfg.hier.coresPerCluster = 4;
+  c.cfg.core.maxInstrs = instrs;
+  c.shards = shards;
+  return c;
+}
+
+/// The grid. Cells 0-3 are seeded random draws crossing PHY, partitioning,
+/// scheduler, policy, channel count and workload — every dimension that
+/// feeds the per-channel event streams. The cells after them are chosen:
+///   4  cell 0 with every command checked live, so its snapshots carry each
+///      controller's auditor state and the restored auditors must pick it up;
+///   5, 6  a 64-core 16-channel TPC-H point under the close and tournament
+///      policies, whose idle precharges queue up in kick()'s pending-close
+///      scan at every cut;
+///   7, 8  warm write-heavy points: 64 cores on 4 channels with a small L2,
+///      so write drains are in progress at the cuts.
+/// Append new cells at the end: a cell keeps its index, so a failure
+/// reproduces by name.
 std::vector<Cell> seededGrid() {
   std::uint64_t rng = 0x5eedc0ffee0d10ull;  // fixed: the grid is part of the test
   const interface::PhyKind phys[] = {interface::PhyKind::LpddrTsi,
@@ -94,6 +123,30 @@ std::vector<Cell> seededGrid() {
     c.label = label.str();
     grid.push_back(c);
   }
+
+  Cell checking = grid[0];
+  checking.cfg.timingCheck = true;
+  checking.label.replace(0, 5, "cell4");
+  checking.label += " timing-check";
+  grid.push_back(checking);
+
+  const auto tpch = WorkloadSpec::mt(trace::MtKind::TpcH);
+  grid.push_back(wideCell("cell5:TPC-H close ch=16 shards=4", tpch,
+                          core::PolicyKind::Close, 16, 3000, 4));
+  grid.push_back(wideCell("cell6:TPC-H tournament ch=16 shards=3", tpch,
+                          core::PolicyKind::Tournament, 16, 3000, 3));
+
+  const auto mix = WorkloadSpec::mix("mix-high");
+  Cell drain = wideCell("cell7:mix-high open ch=4 warm shards=2", mix,
+                        core::PolicyKind::Open, 4, 2000, 2);
+  drain.cfg.hier.l2Bytes = 256 * 1024;
+  drain.warmupRecords = 2000;
+  grid.push_back(drain);
+  drain = wideCell("cell8:mix-high close ch=4 warm shards=3", mix,
+                   core::PolicyKind::Close, 4, 2000, 3);
+  drain.cfg.hier.l2Bytes = 64 * 1024;
+  drain.warmupRecords = 1000;
+  grid.push_back(drain);
   return grid;
 }
 
@@ -102,97 +155,80 @@ std::string runJson(const SystemConfig& cfg, const WorkloadSpec& wl,
   return runResultToJson(runSimulation(cfg, wl, opts));
 }
 
-// Report JSON and MBCMDT1 command-trace bytes: serial vs sharded, per cell.
-TEST(ShardDifferential, ReportAndCommandTraceBitwiseEqual) {
-  for (const Cell& cell : seededGrid()) {
-    SCOPED_TRACE(cell.label);
-    const std::string serialTrace =
-        ::testing::TempDir() + "mb_sdiff_ser_" + std::to_string(cell.cfg.seed) + ".mbcmd";
-    const std::string shardTrace =
-        ::testing::TempDir() + "mb_sdiff_shd_" + std::to_string(cell.cfg.seed) + ".mbcmd";
+class ShardDifferentialGrid : public ::testing::TestWithParam<int> {};
 
-    SystemConfig cfg = cell.cfg;
-    cfg.recordCmdsPath = serialTrace;
-    RunOptions serial;
-    serial.shards = 1;
-    const std::string serialJson = runJson(cfg, cell.workload, serial);
+// One cell: the report and the MBCMDT1 bytes of a serial and a sharded run;
+// then at two cuts, a snapshot written by each engine (the files must be
+// byte-identical, since the format has no shard-dependent content), each
+// restored by the other engine to the cold report. The cuts are +7 ps off
+// any command or window granularity, so they land strictly inside a
+// lookahead window.
+TEST_P(ShardDifferentialGrid, ShardAndRestoreInvariant) {
+  const Cell cell = seededGrid().at(static_cast<std::size_t>(GetParam()));
+  SCOPED_TRACE(cell.label);
+  const std::string tmp = ::testing::TempDir() + "mb_sdiff" +
+                          std::to_string(GetParam()) + "_";
+  std::string warm;
+  if (cell.warmupRecords > 0)
+    warm = captureWarmupSnapshot(cell.cfg, cell.workload, cell.warmupRecords);
+  const auto options = [&](int shards) {
+    RunOptions o;
+    o.shards = shards;
+    if (cell.warmupRecords > 0) {
+      o.warmupRecords = cell.warmupRecords;
+      o.warmupRestoreBuf = &warm;
+    }
+    return o;
+  };
 
-    cfg.recordCmdsPath = shardTrace;
-    RunOptions sharded;
-    sharded.shards = cell.shards;
-    const std::string shardedJson = runJson(cfg, cell.workload, sharded);
+  SystemConfig recording = cell.cfg;
+  recording.recordCmdsPath = tmp + "ser.mbcmd";
+  const RunResult cold = runSimulation(recording, cell.workload, options(1));
+  ASSERT_GT(cold.elapsed, 0);
+  const std::string coldJson = runResultToJson(cold);
+  recording.recordCmdsPath = tmp + "shd.mbcmd";
+  EXPECT_EQ(runJson(recording, cell.workload, options(cell.shards)), coldJson);
+  const std::string serialTrace = readFileBytes(tmp + "ser.mbcmd");
+  ASSERT_FALSE(serialTrace.empty());
+  EXPECT_EQ(serialTrace, readFileBytes(tmp + "shd.mbcmd"))
+      << "MBCMDT1 streams diverged";
+  std::remove((tmp + "ser.mbcmd").c_str());
+  std::remove((tmp + "shd.mbcmd").c_str());
 
-    EXPECT_EQ(serialJson, shardedJson);
-    const std::string serialBytes = readFileBytes(serialTrace);
-    ASSERT_FALSE(serialBytes.empty());
-    EXPECT_EQ(serialBytes, readFileBytes(shardTrace))
-        << "MBCMDT1 streams diverged";
-    std::remove(serialTrace.c_str());
-    std::remove(shardTrace.c_str());
-  }
-}
-
-// Mid-window checkpoint: the snapshot FILE must be byte-identical across
-// shard counts (the format has no shard-dependent content), and restores
-// must complete bit-identically in every serial/sharded pairing — including
-// restoring a sharded-written snapshot with a serial engine and vice versa.
-// The third cell checks every command live, so its snapshot carries each
-// controller's auditor state and the restored auditors must pick it up.
-TEST(ShardDifferential, MidRunCheckpointBytesAndRestoresMatch) {
-  const auto grid = seededGrid();
-  Cell checking = grid[0];
-  checking.cfg.timingCheck = true;
-  checking.label += " timing-check";
-  ASSERT_GT(checking.cfg.channels, 1);
-  const Cell* cells[] = {&grid[0], &grid[1], &checking};  // 6 sims each
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Cell& cell = *cells[i];
-    SCOPED_TRACE(cell.label);
-    const RunResult cold = runSimulation(cell.cfg, cell.workload);
-    ASSERT_GT(cold.elapsed, 0);
-    const std::string coldJson = runResultToJson(cold);
-
-    // +7 ps: deliberately NOT aligned to any command/window granularity, so
-    // the cut lands strictly inside a lookahead window.
-    const Tick cut = cold.elapsed / 2 + 7;
-    const std::string serialCkpt = ::testing::TempDir() + "mb_sdiff_ser" +
-                                   std::to_string(i) + ".mbk";
-    const std::string shardCkpt = ::testing::TempDir() + "mb_sdiff_shd" +
-                                  std::to_string(i) + ".mbk";
-
-    RunOptions serial;
-    serial.shards = 1;
+  for (const int third : {1, 2}) {
+    const Tick cut = cold.elapsed * third / 3 + 7;
+    SCOPED_TRACE("cut at " + std::to_string(cut) + " ps");
+    const std::string serialCkpt = tmp + "ser.mbk";
+    const std::string shardCkpt = tmp + "shd.mbk";
+    RunOptions serial = options(1);
     serial.checkpointAt = cut;
     serial.checkpointPath = serialCkpt;
     EXPECT_EQ(runJson(cell.cfg, cell.workload, serial), coldJson);
-
-    RunOptions sharded;
-    sharded.shards = cell.shards;
+    RunOptions sharded = options(cell.shards);
     sharded.checkpointAt = cut;
     sharded.checkpointPath = shardCkpt;
     EXPECT_EQ(runJson(cell.cfg, cell.workload, sharded), coldJson);
-
     const std::string serialBytes = readFileBytes(serialCkpt);
     ASSERT_FALSE(serialBytes.empty());
     EXPECT_EQ(serialBytes, readFileBytes(shardCkpt))
         << "MBCKPT1 snapshots diverged between shard counts";
 
-    // Cross-restore: sharded snapshot into a serial engine and the serial
-    // snapshot into a sharded engine.
     RunOptions restoreSerial;
-    restoreSerial.shards = 1;
     restoreSerial.restorePath = shardCkpt;
-    EXPECT_EQ(runJson(cell.cfg, cell.workload, restoreSerial), coldJson);
-
+    EXPECT_EQ(runJson(cell.cfg, cell.workload, restoreSerial), coldJson)
+        << "the sharded snapshot restored serially diverged from the cold run";
     RunOptions restoreSharded;
     restoreSharded.shards = cell.shards;
     restoreSharded.restorePath = serialCkpt;
-    EXPECT_EQ(runJson(cell.cfg, cell.workload, restoreSharded), coldJson);
-
+    EXPECT_EQ(runJson(cell.cfg, cell.workload, restoreSharded), coldJson)
+        << "the serial snapshot restored sharded diverged from the cold run";
     std::remove(serialCkpt.c_str());
     std::remove(shardCkpt.c_str());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeded, ShardDifferentialGrid,
+                         ::testing::Range(0, static_cast<int>(seededGrid().size())));
 
 // tsi-baseline 429.mcf at 300 k instructions: reads meet buffered writes
 // often enough that the forward rule cuts windows (the golden corpus's 10 k

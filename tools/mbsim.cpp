@@ -47,11 +47,16 @@
 //                     --checkpoint-at); the run continues to completion
 //   --restore-from=PATH  skip the cold start: restore the snapshot and
 //                     resume — the final report is bit-identical to the
-//                     run that produced the snapshot
+//                     run that produced the snapshot. --warmup=N is
+//                     accepted (and ignored), so the checkpointing command
+//                     line can be reused; --warmup-load is a usage error
 //   --warmup=N        functional cache warmup: N trace records per core
 //                     replayed through the hierarchy before the timed run
 //   --warmup-save=PATH  run ONLY the functional warmup and save it as a
-//                     reusable warmup snapshot (no timed simulation)
+//                     reusable warmup snapshot (no timed simulation);
+//                     --checkpoint-at, --checkpoint, --restore-from,
+//                     --warmup-load, --record-cmds and --audit are usage
+//                     errors next to it
 //   --warmup-load=PATH  restore a warmup snapshot (with --warmup=N, which
 //                     must match the captured length) instead of replaying
 // A mismatched or corrupted snapshot is rejected with a stable MB-CKP-NNN
@@ -299,23 +304,38 @@ int main(int argc, char** argv) {
       usage(("unrecognized argument: " + arg).c_str());
     }
   }
-  // A sweep runs every preset from a cold start; a flag it would drop is a
-  // usage error rather than a silently different run.
-  const auto notInSweep = [&](bool given, const std::string& flag) {
-    if (sweep && given)
-      usage((flag + " does not apply to --sweep, which runs every preset cold "
-                    "and takes only --instrs and --seed of the knobs")
-                .c_str());
+  // A flag the chosen mode would drop is a usage error rather than a
+  // silently different run.
+  struct Mode {
+    bool active;
+    const char* flag;
+    const char* what;
   };
-  notInSweep(!knobs.preset.empty(), "--preset");
+  const auto drops = [](const Mode& mode, bool given, const std::string& flag) {
+    if (mode.active && given)
+      usage((flag + " does not apply to " + mode.flag + ", which " + mode.what).c_str());
+  };
+  const Mode inSweep{sweep, "--sweep",
+                     "runs every preset cold and takes only --instrs and --seed of "
+                     "the knobs"};
+  const Mode inCapture{!warmupSave.empty(), "--warmup-save",
+                       "only captures the warm-up and runs no timed simulation"};
+  const Mode inRestore{!runOpts.restorePath.empty(), "--restore-from",
+                       "takes the whole state, warm-up included, from its snapshot"};
+  drops(inSweep, !knobs.preset.empty(), "--preset");
   for (const std::string& flag : knobs.knobsSet)
-    notInSweep(flag != "instrs" && flag != "seed", "--" + flag);
-  notInSweep(runOpts.warmupRecords > 0, "--warmup");
-  notInSweep(!warmupSave.empty(), "--warmup-save");
-  notInSweep(!runOpts.warmupRestorePath.empty(), "--warmup-load");
-  notInSweep(runOpts.checkpointAt >= 0, "--checkpoint-at");
-  notInSweep(!runOpts.checkpointPath.empty(), "--checkpoint");
-  notInSweep(!runOpts.restorePath.empty(), "--restore-from");
+    drops(inSweep, flag != "instrs" && flag != "seed", "--" + flag);
+  drops(inSweep, runOpts.warmupRecords > 0, "--warmup");
+  drops(inSweep, !warmupSave.empty(), "--warmup-save");
+  for (const Mode& mode : {inSweep, inCapture}) {
+    drops(mode, !runOpts.warmupRestorePath.empty(), "--warmup-load");
+    drops(mode, runOpts.checkpointAt >= 0, "--checkpoint-at");
+    drops(mode, !runOpts.checkpointPath.empty(), "--checkpoint");
+    drops(mode, !runOpts.restorePath.empty(), "--restore-from");
+  }
+  drops(inCapture, !recordCmds.empty(), "--record-cmds");
+  drops(inCapture, audit, "--audit");
+  drops(inRestore, !runOpts.warmupRestorePath.empty(), "--warmup-load");
 
   // Pre-flight static analysis: reject an invalid configuration with
   // structured diagnostics before any simulation tick runs.

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/string_util.hpp"
 #include "common/version.hpp"
 #include "trace/profiles.hpp"
@@ -79,15 +80,23 @@ int main(int argc, char** argv) {
   if (!knownApp(app)) usage(("unknown --app: " + app).c_str());
   if (out.empty()) usage("--out is required");
 
-  for (int c = 0; c < cores; ++c) {
-    trace::SyntheticParams p = trace::specProfile(app).params;
-    p.baseAddr = static_cast<std::uint64_t>(c) << 33;
-    p.seed = seed * 1000003 + static_cast<std::uint64_t>(c);
-    trace::SyntheticSource src(p);
-    const std::string path = trace::traceFilePath(out, c);
-    trace::recordTrace(src, path, records);
-    std::printf("wrote %lld records to %s\n", static_cast<long long>(records),
-                path.c_str());
+  // An unwritable --out (or any other MB_CHECK failure) becomes a printed
+  // diagnostic and exit 2, as in mbsim — no SIGABRT.
+  ScopedCheckTrap trap;
+  try {
+    for (int c = 0; c < cores; ++c) {
+      trace::SyntheticParams p = trace::specProfile(app).params;
+      p.baseAddr = static_cast<std::uint64_t>(c) << 33;
+      p.seed = seed * 1000003 + static_cast<std::uint64_t>(c);
+      trace::SyntheticSource src(p);
+      const std::string path = trace::traceFilePath(out, c);
+      trace::recordTrace(src, path, records);
+      std::printf("wrote %lld records to %s\n", static_cast<long long>(records),
+                  path.c_str());
+    }
+  } catch (const CheckFailure& f) {
+    std::fprintf(stderr, "mbtrace: %s\n", f.message.c_str());
+    return 2;
   }
   return 0;
 }
