@@ -1,9 +1,7 @@
 #include "analysis/diagnostic.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <tuple>
 
 namespace mb::analysis {
 
@@ -35,7 +33,6 @@ Diagnostic& Diagnostic::with(std::string key, double value) {
 std::string Diagnostic::text() const {
   std::ostringstream os;
   os << severityName(severity) << ' ' << code << ": " << message;
-  if (where.known()) os << " [" << where.file << ':' << where.line << ']';
   for (const auto& [k, v] : context) os << "\n  " << k << ": " << v;
   return os.str();
 }
@@ -119,9 +116,6 @@ std::string Diagnostic::json() const {
   std::ostringstream os;
   os << "{\"code\":\"" << jsonEscape(code) << "\",\"severity\":\""
      << severityName(severity) << "\",\"message\":\"" << jsonEscape(message) << '"';
-  if (where.known())
-    os << ",\"location\":{\"file\":\"" << jsonEscape(where.file)
-       << "\",\"line\":" << where.line << '}';
   os << ",\"context\":{";
   bool first = true;
   for (const auto& [k, v] : context) {
@@ -143,14 +137,6 @@ std::int64_t DiagnosticEngine::total() const {
   std::int64_t t = 0;
   for (const auto c : counts_) t += c;
   return t;
-}
-
-void DiagnosticEngine::sortByLocation() {
-  std::stable_sort(diags_.begin(), diags_.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     return std::tie(a.where.file, a.where.line, a.code) <
-                            std::tie(b.where.file, b.where.line, b.code);
-                   });
 }
 
 void DiagnosticEngine::clear() {

@@ -4,8 +4,8 @@
 // Every reportable condition in the simulator — a statically rejected
 // configuration, a DRAM protocol-timing violation, an internal invariant
 // breach — is expressed as a Diagnostic: a stable machine-readable code
-// (e.g. "MB-AUD-012"), a severity, a one-line message, an optional source
-// location, and an ordered list of key/value context entries (the offending
+// (e.g. "MB-AUD-012"), a severity, a one-line message, and an ordered list
+// of key/value context entries (the offending
 // command, the per-μbank shadow history, the violated constraint, ...).
 // Diagnostics render to human text and to machine-readable JSON so that CI
 // and downstream tooling can consume them without parsing free-form stderr.
@@ -35,27 +35,12 @@ enum class Severity {
 
 const char* severityName(Severity s);
 
-/// Optional source location of the finding: the C++ check that fired, or —
-/// for source analyses like mbstatic's — the analyzed file itself. Owned
-/// string so dynamically discovered paths outlive their producer.
-struct SourceLocation {
-  std::string file;
-  int line = 0;
-
-  SourceLocation() = default;
-  SourceLocation(std::string file_, int line_)
-      : file(std::move(file_)), line(line_) {}
-
-  bool known() const { return !file.empty(); }
-};
-
 /// One structured finding. Context entries are ordered (insertion order is
 /// preserved in both renderers) so the most important fields read first.
 struct Diagnostic {
   std::string code;     // stable registry code, e.g. "MB-CFG-001"
   Severity severity = Severity::Error;
   std::string message;  // one line, no trailing newline
-  SourceLocation where;
   std::vector<std::pair<std::string, std::string>> context;
 
   Diagnostic() = default;
@@ -70,7 +55,7 @@ struct Diagnostic {
   /// "error MB-AUD-012: ... tRCD (ACT->CAS)\n  event: RD\n  ..."
   std::string text() const;
   /// One JSON object: {"code":...,"severity":...,"message":...,
-  /// "location":{...},"context":{...}}.
+  /// "context":{...}}.
   std::string json() const;
 };
 
@@ -104,12 +89,6 @@ class DiagnosticEngine {
   std::string renderText() const;
   /// All stored diagnostics as one JSON array.
   std::string renderJson() const;
-
-  /// Stable-sort the stored diagnostics by (location file, line, code):
-  /// producers that scan files in discovery order (mbstatic) call this
-  /// before rendering so text and JSON output diff cleanly run-to-run.
-  /// Report order within one (file, line, code) is preserved.
-  void sortByLocation();
 
   /// Optional immediate sink, invoked on every report() before storage —
   /// lets a CLI stream diagnostics as they are found.

@@ -2,10 +2,11 @@
 //
 // Parses the subset the repo's own tools emit (objects, arrays, strings,
 // numbers, booleans, null) — RunResult reports (sim/journal.hpp, the
-// mbserve result cache) and the --json output of mblint/mbstatic. Tolerant of unknown keys so formats can
-// grow fields without breaking old readers. Factored out of sim/journal.cpp
-// so tests can round-trip every tool's diagnostic JSON through one reader
-// (tests/analysis/diag_json_schema_test.cpp pins the shared schema).
+// mbserve result cache) and mblint's --json output. Tolerant of unknown
+// keys so formats can grow fields without breaking old readers. Factored
+// out of sim/journal.cpp so tests can round-trip the diagnostic JSON
+// through one reader (tests/analysis/diag_json_schema_test.cpp pins the
+// schema).
 //
 // Deliberately not a general JSON library: no streaming, no write side
 // (each emitter builds its own strings so the bytes stay under the tool's

@@ -149,6 +149,11 @@ mc::CompletionFn MemoryHierarchy::makeReadCompletion(std::uint64_t lineAddr,
   };
 }
 
+bool MemoryHierarchy::awaitsFill(std::uint64_t lineAddr, CoreId core) const {
+  return core >= 0 && core < cfg_.numCores &&
+         pending_.find(pendingKey(clusterOf(core), lineAddr)) != pending_.end();
+}
+
 void MemoryHierarchy::requestDramRead(std::uint64_t lineAddr, CoreId core, Tick at) {
   ++stats_.dramReads;
   if (functional_) {
@@ -660,6 +665,12 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
     t.due = r.i64();
     t.lineAddr = r.u64();
     t.cluster = r.i32();
+    // A hop carries read data to a cluster of this run whose fill waits.
+    if (t.cluster < 0 || t.cluster >= cfg_.numClusters() ||
+        pending_.find(pendingKey(t.cluster, t.lineAddr)) == pending_.end()) {
+      r.fail();
+      return;
+    }
     transits_.emplace(token, t);
   }
   nextTransitToken_ = r.u64();

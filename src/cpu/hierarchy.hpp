@@ -119,6 +119,11 @@ class MemoryHierarchy {
   /// The callback a restored MC uses to deliver read data back into the
   /// hierarchy (the same closure requestDramRead would have attached).
   mc::CompletionFn makeReadCompletion(std::uint64_t lineAddr, CoreId core);
+  /// Whether `core` is a core of this run and a fill of `lineAddr` for its
+  /// cluster is pending. Every DRAM read in flight was issued for one, so a
+  /// restore checks each read a snapshot holds against it: data arriving
+  /// for no fill would fail an MB_CHECK mid-run.
+  bool awaitsFill(std::uint64_t lineAddr, CoreId core) const;
 
   /// Wire the engine's cross-shard message port. Every DRAM read and
   /// write-back leaves through it (postEnqueue) and reaches its controller

@@ -266,26 +266,6 @@ double ChannelState::dataBusUtilization(Tick elapsed) const {
 
 // ---- Serializable protocol -----------------------------------------------
 
-void UbankState::save(ckpt::Writer& w) const {
-  w.i64(openRow);
-  w.i64(actReadyAt);
-  w.i64(lastActAt);
-  w.i64(lastReadCasAt);
-  w.i64(lastWriteDataEndAt);
-  w.b(lazyPending);
-  w.i64(earliestPreAt);
-}
-
-void UbankState::load(ckpt::Reader& r) {
-  openRow = r.i64();
-  actReadyAt = r.i64();
-  lastActAt = r.i64();
-  lastReadCasAt = r.i64();
-  lastWriteDataEndAt = r.i64();
-  lazyPending = r.b();
-  earliestPreAt = r.i64();
-}
-
 void ActRing::save(ckpt::Writer& w) const {
   w.u64(static_cast<std::uint64_t>(len_));
   for (int i = 0; i < size(); ++i) w.i64(at(i));

@@ -43,7 +43,8 @@ const char* commandName(DramCommand cmd);
 /// One μbank's timestamps as a value record. The channel keeps this data in
 /// parallel arrays; this struct is the materialized per-μbank view used by
 /// tests, diagnostics, and the AoS reference model the SoA layout is
-/// differential-tested against. Field order here is the snapshot order.
+/// differential-tested against. Field order here is the order ChannelState
+/// saves each μbank in.
 struct UbankState {
   std::int64_t openRow = -1;       // -1: precharged
   Tick actReadyAt = 0;             // earliest next ACT (tRP satisfied)
@@ -58,9 +59,6 @@ struct UbankState {
   Tick earliestPreAt = 0;
 
   bool rowOpen() const { return openRow >= 0; }
-
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
 };
 
 /// Fixed-capacity ring over the last (up to) four ACT times — the tFAW

@@ -95,13 +95,15 @@ bool ShardedEngine::mayForward(std::size_t ch, std::uint64_t lineAddr) const {
 }
 
 Tick ShardedEngine::forwardCut(Tick t1) const {
-  // A cut at due + forwardLatency can only lower t1 for a read due before
-  // the current t1, so filtering on the running t1 gives the minimum.
+  // A read due within forwardLatency of t1 would put its cut past t1, so
+  // take the minimum, as cutWindow does: the window never grows. Only a
+  // read due before the running t1 can lower it, so filtering on it skips
+  // no cut.
   for (std::size_t ch = 0; ch < lanes_.size(); ++ch) {
     if (lanes_[ch].inboxMinDue >= t1) continue;
     for (const ChannelMsg& m : lanes_[ch].inbox)
       if (!m.write && m.due < t1 && mayForward(ch, m.lineAddr))
-        t1 = m.due + opts_.forwardLatency;
+        t1 = std::min(t1, m.due + opts_.forwardLatency);
   }
   return t1;
 }
@@ -450,6 +452,7 @@ void ShardedEngine::run(Tick checkpointAt,
     Tick uncut = t0 + opts_.lookahead;
     if (ckptPending && checkpointAt < uncut) uncut = checkpointAt;
     const Tick t1 = forwardCut(uncut);
+    MB_DCHECK(t1 <= t0 + opts_.lookahead);
     deliverToCpu(t1);
 
     // Phase A: the CPU hierarchy runs serially to completion first, so
@@ -504,6 +507,12 @@ Tick ShardedEngine::maxNow() const {
 }
 
 void ShardedEngine::restoreClocks(Tick now) {
+  // A buffered admission is due at or after the window boundary the
+  // snapshot was cut at, so never before the capture time.
+  for (const Lane& lane : lanes_)
+    MB_CHECK_MSG(lane.inboxMinDue >= now,
+                 "buffered admission due at %lldps, before the capture time %lldps",
+                 static_cast<long long>(lane.inboxMinDue), static_cast<long long>(now));
   cpuQ_.restoreClock(now);
   for (EventQueue* q : chQs_) q->restoreClock(now);
 }
@@ -551,6 +560,13 @@ void ShardedEngine::load(ckpt::Reader& r) {
       buf.push_back(m);
     }
   }
+}
+
+void ShardedEngine::forEachAdmission(
+    const std::function<void(ChannelId, std::uint64_t, CoreId, bool)>& fn) const {
+  for (std::size_t ch = 0; ch < lanes_.size(); ++ch)
+    for (const ChannelMsg& m : lanes_[ch].inbox)
+      fn(static_cast<ChannelId>(ch), m.lineAddr, m.core, m.write);
 }
 
 // ---------------------------------------------------------------------------

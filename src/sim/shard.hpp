@@ -192,7 +192,8 @@ class ShardedEngine final : public ShardMailbox {
   Tick maxNow() const;
 
   /// Checkpoint restore: jump every queue to the snapshot's capture time
-  /// (before the components' reschedule() re-arms pending events).
+  /// (before the components' reschedule() re-arms pending events). A
+  /// buffered message due before it fails MB_CHECK.
   void restoreClocks(Tick now);
 
   /// ENG snapshot section: per-queue stamp counters and the buffered
@@ -201,6 +202,10 @@ class ShardedEngine final : public ShardMailbox {
   /// reschedule() re-posts it through the mailbox.
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
+  /// Every buffered CPU → channel message, lane by lane: a restore checks
+  /// each against the system it was loaded into.
+  void forEachAdmission(const std::function<void(ChannelId ch, std::uint64_t lineAddr,
+                                                 CoreId core, bool isWrite)>& fn) const;
 
  private:
   struct ChannelMsg {  // CPU -> channel, plain data (serializable)

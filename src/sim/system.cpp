@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "ckpt/restore.hpp"
 #include "ckpt/serialize.hpp"
@@ -266,6 +267,28 @@ ckpt::Snapshot loadSnapshot(const std::string* buf, const std::string& path) {
   return std::move(*snap);
 }
 
+analysis::Diagnostic malformedSection(const std::string& name, const std::string& label) {
+  return ckpt::ckptDiag("MB-CKP-012", "malformed section payload '" + name + "'", label);
+}
+
+/// Run `fn`, one step of restoring section `name`, under a check trap of
+/// its own: a check that hostile bytes trip while a component loads or
+/// re-arms its events (an event due before the capture time, a core id the
+/// run does not have) rejects the snapshot as MB-CKP-012 for that section.
+template <typename Fn>
+void inSection(const std::string& name, const std::string& label, Fn&& fn) {
+  std::string failure;
+  {
+    ScopedCheckTrap trap;
+    try {
+      fn();
+    } catch (const CheckFailure& f) {
+      failure = f.message;
+    }
+  }
+  if (!failure.empty()) rejectSnapshot(malformedSection(name, label).with("check", failure));
+}
+
 /// Fetch a named section and drive `loadFn` over it; MB-CKP-010 when the
 /// section is absent, MB-CKP-012 when the payload does not parse cleanly.
 template <typename LoadFn>
@@ -277,11 +300,8 @@ void loadSection(const ckpt::Snapshot& snap, const std::string& name,
         ckpt::ckptDiag("MB-CKP-010", "missing required section '" + name + "'", label));
   }
   ckpt::Reader r(sec->payload);
-  loadFn(r);
-  if (!r.ok() || !r.atEnd()) {
-    rejectSnapshot(
-        ckpt::ckptDiag("MB-CKP-012", "malformed section payload '" + name + "'", label));
-  }
+  inSection(name, label, [&] { loadFn(r); });
+  if (!r.ok() || !r.atEnd()) rejectSnapshot(malformedSection(name, label));
 }
 
 ckpt::SnapshotGeometry snapshotGeometry(const dram::Geometry& g) {
@@ -369,7 +389,9 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
                                   label));
   }
 
-  // Wire the callback rebuilders before any state loads.
+  // Wire the callback rebuilders before any state loads. Both take a core
+  // id from the snapshot, so both check it names a core of this run; a read
+  // completion also needs the fill its data lands in (HIER loads first).
   BuiltSystem* raw = &sys;
   sys.hier->waiterResolver = [raw](CoreId core, int tag) {
     MB_CHECK(core >= 0 && static_cast<size_t>(core) < raw->cores.size());
@@ -377,6 +399,7 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
   };
   for (auto& mcPtr : sys.mcs) {
     mcPtr->completionFactory = [raw](std::uint64_t addr, CoreId core) {
+      MB_CHECK(raw->hier->awaitsFill(addr, core));
       return raw->hier->makeReadCompletion(addr, core);
     };
   }
@@ -394,14 +417,28 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
                 [&](ckpt::Reader& r) { sys.mcs[i]->load(r); });
   }
   loadSection(snap, "ENG", label, [&](ckpt::Reader& r) { engine.load(r); });
+  // A buffered admission sits in its line's channel lane and names a core
+  // of this run, and a read also the fill its data lands in.
+  inSection("ENG", label, [&] {
+    const core::AddressMap& map = sys.mcs.front()->addressMap();
+    engine.forEachAdmission([&](ChannelId ch, std::uint64_t line, CoreId core, bool write) {
+      MB_CHECK(map.decompose(line).channel == ch);
+      MB_CHECK(write ? core >= 0 && static_cast<size_t>(core) < sys.cores.size()
+                     : sys.hier->awaitsFill(line, core));
+    });
+  });
 
   // Re-arm every pending event under its original stamp; the stamps ARE the
   // merge order, so the order the components re-arm in carries no
-  // information.
-  engine.restoreClocks(snap.now);
-  for (auto& c : sys.cores) c->reschedule();
-  sys.hier->reschedule();
-  for (auto& mcPtr : sys.mcs) mcPtr->reschedule();
+  // information. Each section's events are re-armed under its own trap, so
+  // one due before the capture time is that section's MB-CKP-012.
+  inSection("ENG", label, [&] { engine.restoreClocks(snap.now); });
+  inSection("CORES", label, [&] {
+    for (auto& c : sys.cores) c->reschedule();
+  });
+  inSection("HIER", label, [&] { sys.hier->reschedule(); });
+  for (std::size_t i = 0; i < sys.mcs.size(); ++i)
+    inSection(mcSectionName(i), label, [&] { sys.mcs[i]->reschedule(); });
 
   sys.coresDone = 0;
   for (const auto& c : sys.cores)
@@ -592,8 +629,51 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
     }
     wroteCkpt = true;
   };
-  engine.run(checkpointing ? opts.checkpointAt : -1, writeCheckpoint,
-             [raw, numCores] { return raw->coresDone >= numCores; });
+  // A core that has not reached its budget and retires nothing for
+  // kStallBound of simulated time waits for a response nothing will deliver
+  // (a restored snapshot that lost an admission): the finished cores keep
+  // issuing to keep the memory system loaded, so the run would otherwise go
+  // on to the event cap. The stop predicate samples each unfinished core's
+  // retired count every 2^16 calls. The longest gap between two retirements
+  // of one core is 0.7 us over the golden presets and 4.3 us over the
+  // shard-differential grid; the bound is over 200 times that, so only a
+  // core that can never retire again reaches it. The check reads only
+  // simulated state, so a stall fails at the same point at any shard count.
+  constexpr Tick kStallBound = kMillisecond;
+  struct Progress {
+    std::int64_t retired = -1;
+    Tick since = 0;
+  };
+  std::vector<Progress> progress(static_cast<std::size_t>(numCores));
+  std::uint32_t stopCalls = 0;
+  const auto checkProgress = [&] {
+    const Tick now = sys->eq.now();
+    for (int c = 0; c < numCores; ++c) {
+      const cpu::RobCore& core = *sys->cores[static_cast<std::size_t>(c)];
+      Progress& p = progress[static_cast<std::size_t>(c)];
+      if (core.done() || core.instrsRetired() != p.retired) {
+        p = {core.instrsRetired(), now};
+      } else if (now - p.since > kStallBound) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      "core %d retired nothing from %lldps to %lldps (%lld of %lld "
+                      "instructions)",
+                      c, static_cast<long long>(p.since), static_cast<long long>(now),
+                      static_cast<long long>(p.retired),
+                      static_cast<long long>(cfg.core.maxInstrs));
+        if (restoring) {
+          rejectSnapshot(ckpt::ckptDiag("MB-CKP-013", "restored run stalled: " + std::string(msg),
+                                        opts.restorePath));
+        }
+        MB_CHECK_MSG(false, "run stalled: %s", msg);
+      }
+    }
+  };
+  engine.run(checkpointing ? opts.checkpointAt : -1, writeCheckpoint, [&] {
+    if (raw->coresDone >= numCores) return true;
+    if ((++stopCalls & 0xFFFFu) == 0) checkProgress();
+    return false;
+  });
   MB_CHECK_MSG(sys->coresDone == numCores,
                "event queue drained with only %d/%d cores finished (workload %s)",
                sys->coresDone, numCores, workload.name.c_str());

@@ -98,6 +98,7 @@ class SyntheticSource final : public TraceSource {
     loadRng(r, rng_);
     loadCursorVec(r, streamCursors_);
     nextStream_ = r.i32();
+    if (nextStream_ < 0 || nextStream_ >= p_.numStreams) r.fail();  // indexes the cursors
   }
 
  private:
@@ -236,6 +237,8 @@ class TpcSource final : public TraceSource {
     loadRng(r, rng_);
     loadCursorVec(r, scanCursors_);
     nextScan_ = r.i32();
+    if (nextScan_ < 0 || static_cast<std::size_t>(nextScan_) >= scanCursors_.size())
+      r.fail();  // indexes the cursors
   }
 
  private:

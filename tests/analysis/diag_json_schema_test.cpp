@@ -1,16 +1,15 @@
-// Shared diagnostic-JSON schema contract. mblint and mbstatic render
-// findings through Diagnostic::json(); this test runs each shipped
-// binary with --json against an input known to produce findings and
-// round-trips the bytes through the in-repo parser
-// (common/json_mini.hpp), pinning the schema downstream consumers rely on:
+// Shared diagnostic-JSON schema contract. mblint and mbaudit render
+// findings through Diagnostic::json(); this test runs each shipped binary
+// with --json against an input known to produce findings and round-trips
+// the bytes through the in-repo parser (common/json_mini.hpp), pinning the
+// schema downstream consumers rely on:
 //   {"code":"MB-XXX-NNN","severity":"note|warning|error|fatal",
-//    "message":..., "location":{"file":...,"line":N}?, "context":{...}}
-// Location is optional by design — config lint findings have no source
-// line — but when present must carry both file and a 1-based line.
+//    "message":..., "context":{...}}
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,20 +70,6 @@ int checkDiagnostics(const JVal& arr, const std::string& toolName) {
     EXPECT_TRUE(validSeverity(sev->s)) << toolName << ": " << sev->s;
     EXPECT_FALSE(msg->s.empty()) << toolName;
     EXPECT_EQ(ctx->t, JVal::T::Obj) << toolName;
-    if (const JVal* loc = d.get("location")) {
-      const JVal* file = loc->get("file");
-      const JVal* line = loc->get("line");
-      EXPECT_NE(file, nullptr) << toolName;
-      EXPECT_NE(line, nullptr) << toolName;
-      if (file != nullptr) {
-        EXPECT_EQ(file->t, JVal::T::Str);
-        EXPECT_FALSE(file->s.empty()) << toolName;
-      }
-      if (line != nullptr) {
-        EXPECT_EQ(line->t, JVal::T::Int);
-        EXPECT_GE(line->i, 1) << toolName;
-      }
-    }
   }
   return static_cast<int>(arr.arr.size());
 }
@@ -105,8 +90,7 @@ JVal parseToolOutput(const std::string& cmd) {
 }
 
 TEST(DiagJsonSchema, MblintAdHocConfigViolation) {
-  // ib=3 sits below the line-offset floor: guaranteed MB-MAP finding with
-  // no source location (configs are not files).
+  // ib=3 sits below the line-offset floor: a guaranteed MB-MAP finding.
   const JVal root =
       parseToolOutput(std::string(MB_MBLINT_BIN) + " --nw=4 --nb=4 --ib=3 --json");
   const JVal* results = root.get("results");
@@ -122,15 +106,27 @@ TEST(DiagJsonSchema, MblintAdHocConfigViolation) {
   EXPECT_GE(total, 1);
 }
 
-TEST(DiagJsonSchema, MbstaticSeededFixture) {
-  const JVal root = parseToolOutput(
-      std::string(MB_MBSTATIC_BIN) + " --json " + MB_SOURCE_ROOT +
-      "/tests/analysis/snap_fixtures/mbsnp_005_unguarded_length.cpp");
+TEST(DiagJsonSchema, MbauditSeededMutant) {
+  // A recorded run with its trailer energy tampered: a guaranteed MB-AUD-019
+  // finding.
+  const std::string trace = ::testing::TempDir() + "mb_diag_schema_audit.mbc";
+  ASSERT_EQ(std::system((std::string(MB_MBSIM_BIN) +
+                         " --workload=429.mcf --instrs=2000 --record-cmds=" + trace +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+  const JVal root = parseToolOutput(std::string(MB_MBAUDIT_BIN) + " " + trace +
+                                    " --mutate=trailer-energy-tampered --json");
+  std::remove(trace.c_str());
   const JVal* diags = root.get("diagnostics");
   ASSERT_NE(diags, nullptr);
-  EXPECT_GE(checkDiagnostics(*diags, "mbstatic"), 1);
-  // Source-level findings must carry their location.
-  for (const JVal& d : diags->arr) EXPECT_NE(d.get("location"), nullptr);
+  EXPECT_GE(checkDiagnostics(*diags, "mbaudit"), 1);
+  bool seeded = false;
+  for (const JVal& d : diags->arr) {
+    const JVal* code = d.get("code");
+    seeded = seeded || (code != nullptr && code->s == "MB-AUD-019");
+  }
+  EXPECT_TRUE(seeded) << "no MB-AUD-019 finding";
 }
 
 }  // namespace

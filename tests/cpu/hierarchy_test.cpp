@@ -117,6 +117,24 @@ TEST_F(HierarchyTest, ConcurrentMissesToSameLineMerge) {
   EXPECT_EQ(hier_->stats().dramReads, 1);  // one fill serves both (MSHR merge)
 }
 
+// A restore checks each in-flight read a snapshot holds against the fill it
+// lands in: the missed line, for a core of the missing cluster, until the
+// data arrives.
+TEST_F(HierarchyTest, AwaitsFillOnlyForAPendingMissOfThatCluster) {
+  build();  // eight cores in clusters of four
+  int completions = 0;
+  hier_->access(0, 0x300000, false, now(), [&](Tick) { ++completions; });
+  EXPECT_TRUE(hier_->awaitsFill(0x300000, 0));
+  EXPECT_TRUE(hier_->awaitsFill(0x300000, 3));   // same cluster
+  EXPECT_FALSE(hier_->awaitsFill(0x300000, 4));  // the other cluster
+  EXPECT_FALSE(hier_->awaitsFill(0x300040, 0));  // the next line
+  EXPECT_FALSE(hier_->awaitsFill(0x300000, -1));
+  EXPECT_FALSE(hier_->awaitsFill(0x300000, 8));  // not a core of the run
+  drain();
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(hier_->awaitsFill(0x300000, 0));
+}
+
 TEST_F(HierarchyTest, CapacityEvictionWritesDirtyLinesBack) {
   build(1, 1);  // one core, small L1, one 2 MB L2
   // Write far more distinct lines than the L2 holds.

@@ -292,13 +292,22 @@ TEST(Checkpoint, PastEndCheckpointRestoresFinalState) {
   std::remove(path.c_str());
 }
 
-/// Run a restore under a check trap and return the failure text.
+/// Run a restore under a check trap and return the failure text. With
+/// `firstWindowOnly`, a checkpoint due at tick 0 into a directory that does
+/// not exist ends the restore at its first window, before any event fires:
+/// MB-CKP-001 when every section loads.
 std::string restoreFailure(const SystemConfig& cfg, const WorkloadSpec& workload,
-                           const std::string& path) {
+                           const std::string& path, bool firstWindowOnly = false,
+                           int shards = 1) {
   ScopedCheckTrap trap;
   try {
     RunOptions load;
     load.restorePath = path;
+    load.shards = shards;
+    if (firstWindowOnly) {
+      load.checkpointAt = 0;
+      load.checkpointPath = ::testing::TempDir() + "mb_ckpt_no_such_dir/never.mbk";
+    }
     (void)runSimulation(cfg, workload, load);
   } catch (const CheckFailure& f) {
     return f.message;
@@ -365,7 +374,7 @@ TEST(Checkpoint, RejectsWarmupSnapshotAsFullRun) {
 /// container CRCs are recomputed by encode(), so only the SEMANTIC checks
 /// can reject the result — exactly the codes under test here.
 void tamperSnapshot(const std::string& path,
-                    void (*mutate)(ckpt::Snapshot&)) {
+                    const std::function<void(ckpt::Snapshot&)>& mutate) {
   analysis::DiagnosticEngine diags;
   auto snap = ckpt::readSnapshotFile(path, diags);
   ASSERT_TRUE(snap.has_value()) << diags.renderText();
@@ -425,6 +434,122 @@ TEST(Checkpoint, RejectsMalformedSectionPayload) {
   std::remove(path.c_str());
 }
 
+/// Checkpoint (cfg, workload) at half distance into a file named after the
+/// running test (ctest runs the tests as parallel processes), let `edit`
+/// rewrite section `name`'s payload (CRCs recomputed), and return the
+/// failure of restoring it up to its first window.
+std::string sectionTamperFailure(const SystemConfig& cfg, const WorkloadSpec& workload,
+                                 const std::string& name,
+                                 const std::function<void(std::string&)>& edit) {
+  const std::string path = ::testing::TempDir() + "mb_ckpt_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".mbk";
+  writeCheckpoint(cfg, workload, path);
+  tamperSnapshot(path, [&](ckpt::Snapshot& s) {
+    for (auto& sec : s.sections)
+      if (sec.name == name) return edit(sec.payload);
+    FAIL() << "checkpoint had no " << name << " section";
+  });
+  const std::string msg = restoreFailure(cfg, workload, path, /*firstWindowOnly=*/true);
+  std::remove(path.c_str());
+  return msg;
+}
+
+/// The same, for the 429.mcf tsi-baseline run of presetFast: four cores on
+/// one channel, ParBs, open page, no auditor.
+std::string sectionTamperFailure(const std::string& name,
+                                 const std::function<void(std::string&)>& edit) {
+  return sectionTamperFailure(presetFast(shippedPresets().front()),
+                              WorkloadSpec::spec("429.mcf"), name, edit);
+}
+
+/// `v` as the little-endian bytes a snapshot holds.
+std::string le(std::int64_t v) {
+  ckpt::Writer w;
+  w.i64(v);
+  return w.take();
+}
+
+std::string le32(std::int32_t v) {
+  ckpt::Writer w;
+  w.i32(v);
+  return w.take();
+}
+
+/// Offset of a HIER payload's coherence directory: the payload opens with
+/// the L1 and then the L2 caches (a u64 cache count, then per cache a u64
+/// line count, 18 bytes per line and a u64 LRU clock). The directory is a
+/// u64 count of 16-byte records (i64 line, u32 sharers, i32 owner); the
+/// pending fills follow it, a u64 count of records (i64 key, two flags, a
+/// u64 waiter count and 10-byte waiters: i32 core, flag, i32 tag, flag).
+std::size_t directoryAt(std::string_view payload) {
+  ckpt::Reader r(payload);
+  for (int level = 0; level < 2; ++level) {
+    const std::uint64_t caches = r.u64();
+    for (std::uint64_t c = 0; c < caches; ++c) {
+      (void)r.view(r.u64() * 18);
+      (void)r.u64();
+    }
+  }
+  EXPECT_TRUE(r.ok());
+  return payload.size() - r.remaining();
+}
+
+std::size_t pendingFillsAt(std::string_view payload) {
+  const std::size_t dir = directoryAt(payload);
+  return dir + 8 + 16 * ckpt::Reader(payload.substr(dir)).u64();
+}
+
+/// Offsets in the MC section of presetFast's controller (four ranks of
+/// eight μbanks, ParBs, open page, no auditor) of three element lists, each
+/// a u64 count of records: the read queue (36-byte requests: u64 id, u64
+/// line, write flag, i32 core, i32 thread, i64 arrival, three flags), the
+/// wake-up events (i64 tick, 40-byte stamp) and the read completions in
+/// flight (108 bytes: u64 token, two 40-byte stamps, i64 due, u64 line,
+/// i32 core).
+struct McLists {
+  std::size_t readQueue = 0;
+  std::size_t kicks = 0;
+  std::size_t completions = 0;
+};
+
+McLists mcLists(std::string_view payload) {
+  ckpt::Reader r(payload);
+  const auto skipList = [&](std::size_t bytes) { (void)r.view(r.u64() * bytes); };
+  for (std::uint64_t rank = r.u64(); rank > 0 && r.ok(); --rank) {
+    (void)r.view(4 + 8 * 49 + 8);  // refresh pointer, μbanks, last ACT
+    skipList(8);                   // the tFAW window
+    (void)r.view(3 * 8);
+  }
+  (void)r.view(38 + 56);  // channel scalars, energy meter
+  skipList(12);           // ParBs: marked requests
+  skipList(12);           // ParBs: marks per thread
+  skipList(20);           // ParBs: queue view
+  EXPECT_EQ(r.u8(), 0u) << "presetFast runs without an auditor";
+  McLists out;
+  out.readQueue = payload.size() - r.remaining();
+  for (int q = 0; q < 3; ++q) skipList(36);
+  (void)r.u8();   // draining writes
+  skipList(40);   // pending closes
+  skipList(21);   // speculations
+  (void)r.view(16);
+  out.kicks = payload.size() - r.remaining();
+  skipList(48);
+  (void)r.view(16);
+  out.completions = payload.size() - r.remaining();
+  skipList(108);
+  EXPECT_TRUE(r.ok() && r.remaining() == 136) << "MC layout walk lost its place";
+  return out;
+}
+
+/// Prepend `record` to the counted list at `at`.
+void prependRecord(std::string& payload, std::size_t at, const std::string& record) {
+  const std::uint64_t n = ckpt::Reader(std::string_view(payload).substr(at)).u64();
+  ckpt::Writer count;
+  count.u64(n + 1);
+  payload.replace(at, 8, count.str() + record);
+}
+
 /// One coherence-directory record of a HIER payload.
 struct DirRecord {
   std::uint64_t line;
@@ -432,67 +557,37 @@ struct DirRecord {
   std::int32_t owner;
 };
 
-/// Decode the coherence directory out of `s`'s HIER section, let `edit`
-/// change its records, and write them back in place. HIER opens with the L1
-/// and then the L2 caches (a u64 cache count, then per cache a u64 line
-/// count, 18 bytes per line and a u64 LRU clock); the directory follows as
-/// a u64 count of 16-byte records (i64 line, u32 sharers, i32 owner).
-void editDirectory(ckpt::Snapshot& s,
+/// Decode the coherence directory out of a HIER payload, let `edit` change
+/// its records, and write them back in place.
+void editDirectory(std::string& payload,
                    const std::function<void(std::vector<DirRecord>&)>& edit) {
-  for (auto& sec : s.sections) {
-    if (sec.name != "HIER") continue;
-    ckpt::Reader r(sec.payload);
-    for (int level = 0; level < 2; ++level) {
-      const std::uint64_t caches = r.u64();
-      for (std::uint64_t c = 0; c < caches; ++c) {
-        (void)r.view(r.u64() * 18);
-        (void)r.u64();
-      }
-    }
-    const std::size_t dirAt = sec.payload.size() - r.remaining();
-    std::vector<DirRecord> dir(r.u64());
-    for (auto& d : dir) {
-      d.line = r.u64();
-      d.sharers = r.u32();
-      d.owner = r.i32();
-    }
-    ASSERT_TRUE(r.ok());
-    ASSERT_GE(dir.size(), 2u);
-    const std::size_t dirEnd = sec.payload.size() - r.remaining();
-    edit(dir);
-    ckpt::Writer w;
-    w.u64(dir.size());
-    for (const auto& d : dir) {
-      w.u64(d.line);
-      w.u32(d.sharers);
-      w.i32(d.owner);
-    }
-    sec.payload = sec.payload.substr(0, dirAt) + w.str() + sec.payload.substr(dirEnd);
-    return;
+  const std::size_t dirAt = directoryAt(payload);
+  ckpt::Reader r(std::string_view(payload).substr(dirAt));
+  std::vector<DirRecord> dir(r.u64());
+  for (auto& d : dir) {
+    d.line = r.u64();
+    d.sharers = r.u32();
+    d.owner = r.i32();
   }
-  FAIL() << "checkpoint had no HIER section";
+  ASSERT_TRUE(r.ok());
+  ASSERT_GE(dir.size(), 2u);
+  const std::size_t dirEnd = payload.size() - r.remaining();
+  edit(dir);
+  ckpt::Writer w;
+  w.u64(dir.size());
+  for (const auto& d : dir) {
+    w.u64(d.line);
+    w.u32(d.sharers);
+    w.i32(d.owner);
+  }
+  payload = payload.substr(0, dirAt) + w.str() + payload.substr(dirEnd);
 }
 
-/// Restore a 429.mcf checkpoint whose directory `edit` rewrote (CRCs
-/// recomputed) and return the failure text. The file is named after the
-/// running test, since ctest runs the tests as parallel processes.
+/// Restore a 429.mcf checkpoint whose directory `edit` rewrote and return
+/// the failure text.
 std::string directoryTamperFailure(
     const std::function<void(std::vector<DirRecord>&)>& edit) {
-  const auto workload = WorkloadSpec::spec("429.mcf");
-  const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_" +
-                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-                           ".mbk";
-  writeCheckpoint(cfg, workload, path);
-  analysis::DiagnosticEngine diags;
-  auto snap = ckpt::readSnapshotFile(path, diags);
-  if (!snap) return "unreadable checkpoint: " + diags.renderText();
-  editDirectory(*snap, edit);
-  if (!ckpt::writeSnapshotFile(*snap, path, diags))
-    return "unwritable checkpoint: " + diags.renderText();
-  const std::string msg = restoreFailure(cfg, workload, path);
-  std::remove(path.c_str());
-  return msg;
+  return sectionTamperFailure("HIER", [&](std::string& p) { editDirectory(p, edit); });
 }
 
 // save() writes the directory in ascending key order, so a repeated key is
@@ -524,6 +619,305 @@ TEST(Checkpoint, RejectsADirectoryPastItsBound) {
     while (dir.size() <= bound) dir.push_back({dir.back().line + 64, 1, -1});
   });
   EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
+}
+
+// Each component re-arms its pending events under its own section's trap:
+// one armed before the capture time is that section's MB-CKP-012, not a
+// bare "scheduling into the past" check failure.
+TEST(Checkpoint, RejectsACoreStepDueBeforeTheCapture) {
+  const std::string msg = sectionTamperFailure("CORES", [](std::string& p) {
+    // Core 0 is a u64 ROB size, 9 bytes per slot and 139 bytes of scalars
+    // that end in the step flag, its tick, its 40-byte stamp and the budget
+    // tick. Arm a step at 1 ps.
+    const std::size_t end = 8 + 9 * ckpt::Reader(p).u64() + 139;
+    p[end - 57] = 1;
+    p.replace(end - 56, 8, le(1));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'CORES'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsAControllerWakeUpDueBeforeTheCapture) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    prependRecord(p, mcLists(p).kicks, le(1) + std::string(40, '\0'));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// A waiter and a queued read each name the core their data goes to; a
+// core the run does not have is tampering, rejected where it is decoded.
+TEST(Checkpoint, RejectsAWaiterForACoreNotInTheRun) {
+  const std::string msg = sectionTamperFailure("HIER", [](std::string& p) {
+    const std::string waiter = le32(4) + '\0' + le32(0) + '\1';  // core 4 of 0..3
+    prependRecord(p, pendingFillsAt(p), le(0) + std::string(2, '\0') + le(1) + waiter);
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'HIER'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsAQueuedReadForACoreNotInTheRun) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    // id, line, read, core -256, thread, arrival, two flags, a callback.
+    const std::string read =
+        le(0) + le(0) + '\0' + le32(-256) + le32(0) + le(0) + std::string(2, '\0') + '\1';
+    prependRecord(p, mcLists(p).readQueue, read);
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// Every read in flight was issued for a pending fill, which its data lands
+// in; a read of a line no fill waits for would fail an MB_CHECK when its
+// data arrived, mid-run and without the section's name.
+TEST(Checkpoint, RejectsAQueuedReadWhoseFillIsNotPending) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    // A read of a line far past the workload's, for core 0, with a callback.
+    const std::string read = le(0) + le(std::int64_t{1} << 50) + '\0' + le32(0) + le32(0) +
+                             le(0) + std::string(2, '\0') + '\1';
+    prependRecord(p, mcLists(p).readQueue, read);
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsACompletionWhoseFillIsNotPending) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    const std::size_t at = mcLists(p).completions;
+    ASSERT_GT(ckpt::Reader(std::string_view(p).substr(at)).u64(), 0u)
+        << "no read completion in flight at the cut";
+    p.replace(at + 8 + 96, 8, le(std::int64_t{1} << 50));  // the first one's line
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// A buffered admission is due at or after the window boundary the
+// snapshot was cut at; one due before the capture time is tampering.
+TEST(Checkpoint, RejectsAnAdmissionDueBeforeTheCapture) {
+  const std::string msg = sectionTamperFailure("ENG", [](std::string& p) {
+    // u32 channel count, the CPU and channel stamp counters, then per
+    // channel a u64 count of 61-byte messages (i64 due, 40-byte stamp,
+    // u64 line, i32 core, write flag).
+    prependRecord(p, 4 + 8 * 2, le(1) + std::string(40, '\0') + le(0) + le32(0) + '\0');
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'ENG'"),
+            std::string::npos)
+      << msg;
+}
+
+/// The buffered admissions of an ENG payload (ShardedEngine::save): the
+/// channel count and stamp counters, then per channel its 61-byte messages
+/// (i64 due, 40-byte stamp, u64 line, i32 core, write flag).
+struct EngInboxes {
+  std::string head;
+  std::vector<std::vector<std::string>> lanes;
+};
+constexpr std::size_t kAdmissionLineAt = 48;
+constexpr std::size_t kAdmissionCoreAt = 56;
+constexpr std::size_t kAdmissionWriteAt = 60;
+
+EngInboxes engInboxes(std::string_view payload) {
+  ckpt::Reader r(payload);
+  EngInboxes out;
+  out.lanes.resize(r.u32());
+  out.head = std::string(r.view(8 * (1 + out.lanes.size())));
+  for (auto& lane : out.lanes) {
+    for (std::uint64_t n = r.u64(); n > 0 && r.ok(); --n) lane.emplace_back(r.view(61));
+  }
+  EXPECT_TRUE(r.ok() && r.atEnd()) << "ENG layout walk did not end on the payload";
+  return out;
+}
+
+std::string encode(const EngInboxes& e) {
+  ckpt::Writer w;
+  w.u32(static_cast<std::uint32_t>(e.lanes.size()));
+  std::string out = w.take() + e.head;
+  for (const auto& lane : e.lanes) {
+    ckpt::Writer n;
+    n.u64(lane.size());
+    out += n.take();
+    for (const auto& m : lane) out += m;
+  }
+  return out;
+}
+
+/// The first buffered read admission, or nullptr.
+std::string* firstReadAdmission(EngInboxes& e) {
+  for (auto& lane : e.lanes)
+    for (auto& m : lane)
+      if (m[kAdmissionWriteAt] == 0) return &m;
+  return nullptr;
+}
+
+/// Checkpoint 429.mcf on ddr3-pcb over `channels` at `cut`, where the
+/// engine buffers admissions, let `edit` rewrite them and return the
+/// restore's failure.
+std::string admissionTamperFailure(int channels, Tick cut,
+                                   const std::function<void(EngInboxes&)>& edit) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  SystemConfig cfg = ddr3PcbConfig();
+  cfg.core.maxInstrs = 10000;
+  cfg.channels = channels;
+  const std::string path = ::testing::TempDir() + "mb_ckpt_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".mbk";
+  RunOptions save;
+  save.checkpointAt = cut;
+  save.checkpointPath = path;
+  (void)runSimulation(cfg, workload, save);
+  tamperSnapshot(path, [&](ckpt::Snapshot& s) {
+    for (auto& sec : s.sections) {
+      if (sec.name != "ENG") continue;
+      EngInboxes e = engInboxes(sec.payload);
+      edit(e);
+      sec.payload = encode(e);
+      return;
+    }
+    FAIL() << "checkpoint had no ENG section";
+  });
+  const std::string msg = restoreFailure(cfg, workload, path);
+  std::remove(path.c_str());
+  return msg;
+}
+
+// An admission becomes a request on its lane's controller; its core must be
+// one of the run's, and a read needs the fill its data lands in. Either
+// loaded cleanly and failed an MB_CHECK in the hierarchy once the data came
+// back.
+TEST(Checkpoint, RejectsAnAdmissionForACoreNotInTheRun) {
+  const std::string msg = admissionTamperFailure(1, 20 * kMicrosecond, [](EngInboxes& e) {
+    std::string* read = firstReadAdmission(e);
+    ASSERT_NE(read, nullptr) << "no read admission buffered at the cut";
+    read->replace(kAdmissionCoreAt, 4, le32(1000));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'ENG'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsAReadAdmissionWhoseFillIsNotPending) {
+  const std::string msg = admissionTamperFailure(1, 20 * kMicrosecond, [](EngInboxes& e) {
+    std::string* read = firstReadAdmission(e);
+    ASSERT_NE(read, nullptr) << "no read admission buffered at the cut";
+    read->replace(kAdmissionLineAt, 8, le(std::int64_t{1} << 50));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'ENG'"),
+            std::string::npos)
+      << msg;
+}
+
+// A lane's admissions are for its own channel: a line moved to another
+// lane would be served by a controller that does not own it. Over two
+// channels, both lanes hold admissions at 24 us.
+TEST(Checkpoint, RejectsAnAdmissionInAnotherChannelsLane) {
+  const std::string msg = admissionTamperFailure(2, 24 * kMicrosecond, [](EngInboxes& e) {
+    ASSERT_EQ(e.lanes.size(), 2u);
+    ASSERT_FALSE(e.lanes[0].empty()) << "no admission buffered at the cut";
+    e.lanes[1].push_back(e.lanes[0].front());
+    e.lanes[0].erase(e.lanes[0].begin());
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'ENG'"),
+            std::string::npos)
+      << msg;
+}
+
+// A trace source's round-robin index selects one of its cursors; one past
+// them would read and write beyond the cursor array once the run resumes.
+TEST(Checkpoint, RejectsAStreamIndexPastTheStreams) {
+  const std::string msg = sectionTamperFailure("TRACE", [](std::string& p) {
+    // Core 0's SyntheticSource: 32 bytes of RNG state, the cursors (a u64
+    // count, 8 bytes each), then the i32 index of the next stream.
+    const std::uint64_t streams = ckpt::Reader(std::string_view(p).substr(32)).u64();
+    p.replace(40 + 8 * streams, 4, le32(static_cast<std::int32_t>(streams)));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'TRACE'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsAScanIndexPastTheScans) {
+  SystemConfig cfg = presetFast(shippedPresets().front());
+  cfg.hier.numCores = 8;
+  cfg.hier.coresPerCluster = 4;
+  cfg.channels = 2;
+  cfg.core.maxInstrs = 3000;
+  const auto tpch = workloadByName("TPC-H");
+  ASSERT_TRUE(tpch.has_value());
+  const std::string msg = sectionTamperFailure(cfg, *tpch, "TRACE", [](std::string& p) {
+    // Thread 0's TpcSource: RNG state, the scan cursors, the next scan.
+    const std::uint64_t scans = ckpt::Reader(std::string_view(p).substr(32)).u64();
+    p.replace(40 + 8 * scans, 4, le32(static_cast<std::int32_t>(scans)));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'TRACE'"),
+            std::string::npos)
+      << msg;
+}
+
+// An ENG section whose inbox and stamp counters are all zero parses, but a
+// read admission buffered at the cut is gone: the core waiting for it can
+// never retire again, while the finished cores keep the memory system
+// busy. The run must end in a diagnostic, not run on to the event cap.
+TEST(Checkpoint, RestoreThatLostAnAdmissionEndsInADiagnostic) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  SystemConfig cfg = ddr3PcbConfig();
+  cfg.core.maxInstrs = 10000;
+  const std::string path = ::testing::TempDir() + "mb_ckpt_lost_admission.mbk";
+  RunOptions save;
+  save.checkpointAt = 20'000'000;
+  save.checkpointPath = path;
+  (void)runSimulation(cfg, workload, save);
+  tamperSnapshot(path, [](ckpt::Snapshot& s) {
+    for (auto& sec : s.sections) {
+      if (sec.name != "ENG") continue;
+      ASSERT_GT(sec.payload.size(), 28u) << "no admission buffered at the cut";
+      ckpt::Writer w;
+      w.u32(1);
+      for (int i = 0; i < 3; ++i) w.u64(0);
+      sec.payload = w.take();
+    }
+  });
+  const std::string msg = restoreFailure(cfg, workload, path);
+  EXPECT_NE(msg.find("error MB-CKP-013: restored run stalled: core "), std::string::npos)
+      << msg;
+  std::remove(path.c_str());
+}
+
+// The stall check reads only simulated state, so a restore that lost its
+// admissions stalls at the same tick serial and sharded. Over two channels,
+// both lanes hold admissions at 24 us.
+TEST(Checkpoint, StalledRestoreEndsAtTheSameTickAtEveryShardCount) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  SystemConfig cfg = ddr3PcbConfig();
+  cfg.core.maxInstrs = 10000;
+  cfg.channels = 2;
+  const std::string path = ::testing::TempDir() + "mb_ckpt_stall_shards.mbk";
+  RunOptions save;
+  save.checkpointAt = 24 * kMicrosecond;
+  save.checkpointPath = path;
+  (void)runSimulation(cfg, workload, save);
+  tamperSnapshot(path, [](ckpt::Snapshot& s) {
+    for (auto& sec : s.sections) {
+      if (sec.name != "ENG") continue;
+      ASSERT_GT(sec.payload.size(), 4u + 8 * 5) << "no admission buffered at the cut";
+      ckpt::Writer w;
+      w.u32(2);
+      for (int i = 0; i < 5; ++i) w.u64(0);
+      sec.payload = w.take();
+    }
+  });
+  const std::string serial = restoreFailure(cfg, workload, path);
+  EXPECT_NE(serial.find("error MB-CKP-013: restored run stalled: core "), std::string::npos)
+      << serial;
+  EXPECT_EQ(restoreFailure(cfg, workload, path, /*firstWindowOnly=*/false, /*shards=*/2),
+            serial);
+  std::remove(path.c_str());
 }
 
 // The hmc preset's serial link gives the hierarchy its one event of its own:
@@ -607,6 +1001,56 @@ TEST(Checkpoint, RejectsAHopRelabelledAsAnAdmission) {
     EXPECT_NE(msg.find("MB-CKP-012"), std::string::npos) << msg;
     std::remove(path.c_str());
   }
+}
+
+/// Checkpoint hmcFast at the hop cut, let `edit` rewrite the HIER payload
+/// and return the failure of restoring it.
+std::string hopTamperFailure(const std::function<void(std::string&)>& edit) {
+  const auto workload = WorkloadSpec::spec("429.mcf");
+  const SystemConfig cfg = hmcFast();
+  const std::string path = ::testing::TempDir() + "mb_ckpt_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".mbk";
+  RunOptions save;
+  save.checkpointAt = kHopCut;
+  save.checkpointPath = path;
+  (void)runSimulation(cfg, workload, save);
+  tamperSnapshot(path, [&](ckpt::Snapshot& s) {
+    for (auto& sec : s.sections) {
+      if (sec.name != "HIER") continue;
+      ASSERT_GE(sec.payload.size(), kHopCountFromEnd);
+      edit(sec.payload);
+      return;
+    }
+    FAIL() << "checkpoint had no HIER section";
+  });
+  const std::string msg = restoreFailure(cfg, workload, path);
+  std::remove(path.c_str());
+  return msg;
+}
+
+// A hop carries read data to a cluster of the run, into the fill pending
+// there. A cluster outside the run, or a line no fill waits for, loaded
+// cleanly and failed an MB_CHECK when the hop landed.
+constexpr std::size_t kHopClusterFromEnd = 8 + 80 + 4;
+constexpr std::size_t kHopLineFromEnd = kHopClusterFromEnd + 8;
+
+TEST(Checkpoint, RejectsAHopForAClusterNotInTheRun) {
+  const std::string msg = hopTamperFailure([](std::string& p) {
+    p.replace(p.size() - kHopClusterFromEnd, 4, le32(1000));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'HIER'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, RejectsAHopWhoseFillIsNotPending) {
+  const std::string msg = hopTamperFailure([](std::string& p) {
+    p.replace(p.size() - kHopLineFromEnd, 8, le(std::int64_t{1} << 50));
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'HIER'"),
+            std::string::npos)
+      << msg;
 }
 
 // Warmup snapshot reuse: restoring a captured warmup must be bit-identical

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ckpt/serialize.hpp"
+#include "common/check.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "sim/system.hpp"
@@ -244,6 +245,36 @@ TEST(ShardDifferential, ForwardCutPointIsPinned) {
   EXPECT_EQ(ckpt::fnv1a64(runResultToJson(r)), 0xc327cb9d8c5134daull);
   EXPECT_EQ(ckpt::fnv1a64(readFileBytes(trace)), 0x59b0b7ccec972275ull);
   std::remove(trace.c_str());
+}
+
+// A forwardable read due within one forward latency of a window's uncut
+// end must not move the end past it. 470.lbm on eight cores and four
+// channels with a 64 KiB L2 has one due at 9,069,250 ps in the 16 ns window
+// from 9,054,000 ps; taking its cut as the end widened the window to
+// 9,070,500 ps, and a CAS-served read then completed inside it. The run
+// must complete, with the same report at every shard count.
+TEST(ShardDifferential, ForwardCutNeverWidensTheWindow) {
+  SystemConfig cfg = tsiBaselineConfig();
+  cfg.specCopies = 8;
+  cfg.channels = 4;
+  cfg.hier.l2Bytes = 64 * kKiB;
+  cfg.core.maxInstrs = 4000;
+  const auto wl = WorkloadSpec::spec("470.lbm");
+  ScopedCheckTrap trap;
+  try {
+    std::string serial;
+    for (const int shards : {1, 4}) {
+      RunOptions opts;
+      opts.warmupRecords = 10000;
+      opts.shards = shards;
+      const RunResult r = runSimulation(cfg, wl, opts);
+      EXPECT_GE(r.windowsCut, 1u) << "the point no longer exercises the forward cut";
+      if (shards == 1) serial = runResultToJson(r);
+      else EXPECT_EQ(runResultToJson(r), serial);
+    }
+  } catch (const CheckFailure& f) {
+    FAIL() << f.message;
+  }
 }
 
 // Adversarial: one channel. The pool never engages (workers clamp to

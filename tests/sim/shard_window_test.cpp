@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/serialize.hpp"
 #include "common/check.hpp"
 #include "sim/shard.hpp"
 
@@ -343,6 +344,35 @@ TEST(ShardWindow, SingleBusyChannelWindowMatchesSerial) {
     return ScriptResult{f.cpuLog, f.chLog[0], f.chLog[1]};
   };
   EXPECT_TRUE(script(2) == script(1));
+}
+
+// A restore checks each buffered admission against the system it loaded
+// into: forEachAdmission visits every one, lane by lane in post order, and
+// an engine loaded from a saved one visits the same messages.
+TEST(ShardWindow, BufferedAdmissionsSurviveSaveAndLoadInLaneOrder) {
+  const auto visit = [](const ShardedEngine& e) {
+    std::vector<std::string> seen;
+    e.forEachAdmission([&](ChannelId ch, std::uint64_t line, CoreId core, bool write) {
+      seen.push_back(std::to_string(ch) + ":" + std::to_string(line) + ":" +
+                     std::to_string(core) + (write ? "w" : "r"));
+    });
+    return seen;
+  };
+  Fixture saved(1);
+  saved.engine->postEnqueue(1, 7, saved.cpu.issueStamp(), 128, 5, true);
+  saved.engine->postEnqueue(0, 4, saved.cpu.issueStamp(), 64, 2, false);
+  saved.engine->postEnqueue(1, 9, saved.cpu.issueStamp(), 192, 6, false);
+  const std::vector<std::string> expect = {"0:64:2r", "1:128:5w", "1:192:6r"};
+  EXPECT_EQ(visit(*saved.engine), expect);
+
+  ckpt::Writer w;
+  saved.engine->save(w);
+  const std::string bytes = w.take();
+  Fixture loaded(1);
+  ckpt::Reader r(bytes);
+  loaded.engine->load(r);
+  EXPECT_TRUE(r.ok() && r.atEnd());
+  EXPECT_EQ(visit(*loaded.engine), expect);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
-# assertions on), a TSan pass over the parallel sweep tests, the
-# channel-sharded engine tests, and two sharded mbsim runs, the config
-# lint (mblint), end-to-end audit / checkpoint / warm-up file /
-# sweep-resume / mbserve stages, the mbbench self-test plus one recorded
-# (uncompared) mbbench run, a bench --jobs invariance check and a --shards
-# invariance check of a forward-cut point in unsanitized build trees, then
-# clang-tidy over src/.
+# assertions on; the ctest run includes the hostile-snapshot gate, where an
+# oversized allocation aborts as allocation-size-too-big), a TSan pass over
+# the parallel sweep tests, the channel-sharded engine tests, and two
+# sharded mbsim runs, the config lint (mblint), end-to-end audit /
+# checkpoint / warm-up file / sweep-resume / mbserve stages, the mbbench
+# self-test plus one recorded (uncompared) mbbench run, a bench --jobs
+# invariance check and a --shards invariance check of a forward-cut point
+# in unsanitized build trees, then clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
