@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -35,12 +36,73 @@
 
 namespace mb::ckpt {
 
+/// The little-endian T stored at `p`: one load on a little-endian host, a
+/// byte loop on a big-endian one. `p` need not be aligned.
+template <typename T>
+T loadLe(const void* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(b[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// a(x)·b(x) mod P(x) for the CRC-32 polynomial P, both operands in the
+/// reflected bit order the CRC register uses (bit 31 is x^0). `a` must be
+/// nonzero; every power of x mod P is.
+constexpr std::uint32_t crc32MulModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return p;
+}
+
+/// x^(8·2^j) mod P for j = 0..63: what appending 2^j zero bytes multiplies
+/// a CRC register by.
+inline constexpr auto kCrc32ZeroBytePowers = [] {
+  std::array<std::uint32_t, 64> t{};
+  t[0] = 1u << 23;  // x^8
+  for (std::size_t j = 1; j < t.size(); ++j) t[j] = crc32MulModP(t[j - 1], t[j - 1]);
+  return t;
+}();
+
+/// x^(8n) mod P: what appending n zero bytes multiplies a CRC register by.
+constexpr std::uint32_t crc32X8nModP(std::uint64_t n) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (std::size_t j = 0; n != 0; n >>= 1, ++j)
+    if (n & 1u) p = crc32MulModP(kCrc32ZeroBytePowers[j], p);
+  return p;
+}
+
+/// crc32(A‖B) from crc32(A), crc32(B) and |B| alone, without reading the
+/// bytes again (zlib's crc32_combine): shift crc(A) past |B| zero bytes and
+/// add crc(B). MBCKPT1 builds its file CRC this way from each section's.
+constexpr std::uint32_t crc32Combine(std::uint32_t crcA, std::uint32_t crcB,
+                                     std::uint64_t lenB) {
+  return crc32MulModP(crc32X8nModP(lenB), crcA) ^ crcB;
+}
+
+/// Buffers this long or longer are checksummed as four interleaved chains.
+inline constexpr std::size_t kCrc32InterleaveBytes = 4096;
+
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the checksum
 /// MBCKPT1 uses per section and for the file trailer. Slicing-by-8: eight
 /// 256-entry tables (built once on first use) fold eight input bytes per
-/// step, where t[k][b] is the CRC of byte b followed by k zero bytes. It is
-/// on the restore path: a 15 MB warm-up snapshot is checksummed twice per
-/// decode (each section, then the whole file).
+/// step, where t[k][b] is the CRC of byte b followed by k zero bytes. One
+/// chain waits on its own table lookups, so a buffer of
+/// kCrc32InterleaveBytes or more is cut into four blocks whose chains run
+/// side by side and are joined with crc32MulModP. It is on the restore
+/// path: decodeSnapshot reads each byte of a 15 MB warm-up snapshot once.
 inline std::uint32_t crc32(const void* data, std::size_t len,
                            std::uint32_t seed = 0) {
   static const auto tables = [] {
@@ -58,16 +120,35 @@ inline std::uint32_t crc32(const void* data, std::size_t len,
     return s;
   }();
   const auto& t = tables.t;
+  // The upper four bytes index their tables directly: splitting them out
+  // of one 8-byte load measured slower on one chain (2.2 against 2.9 GB/s,
+  // x86-64 Xeon, gcc 12.2 -O2).
+  const auto step = [&t](std::uint32_t c, const unsigned char* q) {
+    const std::uint32_t lo = c ^ loadLe<std::uint32_t>(q);
+    return t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+           t[4][lo >> 24] ^ t[3][q[4]] ^ t[2][q[5]] ^ t[1][q[6]] ^ t[0][q[7]];
+  };
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (; len >= 8; p += 8, len -= 8) {
-    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
-                                  static_cast<std::uint32_t>(p[1]) << 8 |
-                                  static_cast<std::uint32_t>(p[2]) << 16 |
-                                  static_cast<std::uint32_t>(p[3]) << 24);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  if (len >= kCrc32InterleaveBytes) {
+    // Chains 1..3 start from a zero register, so each block's register is
+    // the previous one's shifted past `block` bytes, plus its own chain.
+    const std::size_t block = len / 32 * 8;
+    std::uint32_t c1 = 0, c2 = 0, c3 = 0;
+    for (std::size_t i = 0; i < block; i += 8) {
+      c = step(c, p + i);
+      c1 = step(c1, p + block + i);
+      c2 = step(c2, p + 2 * block + i);
+      c3 = step(c3, p + 3 * block + i);
+    }
+    const std::uint32_t shift = crc32X8nModP(block);
+    c = crc32MulModP(shift, c) ^ c1;
+    c = crc32MulModP(shift, c) ^ c2;
+    c = crc32MulModP(shift, c) ^ c3;
+    p += 4 * block;
+    len -= 4 * block;
   }
+  for (; len >= 8; p += 8, len -= 8) c = step(c, p);
   for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
@@ -109,6 +190,9 @@ class Writer {
 
   const std::string& str() const { return buf_; }
   std::string take() { return std::move(buf_); }
+  /// Make room for `n` bytes in all, so appends up to that size never move
+  /// the buffer.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   std::size_t size() const { return buf_.size(); }
 
  private:
@@ -179,9 +263,7 @@ class Reader {
   template <typename T>
   T getLe() {
     if (!need(sizeof(T))) return 0;
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v |= static_cast<T>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+    const T v = loadLe<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }

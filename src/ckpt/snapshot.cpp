@@ -23,7 +23,13 @@ void Snapshot::addSection(std::string name, std::string payload) {
 }
 
 std::string Snapshot::encode() const {
+  // The whole frame is sized up front, so the writer's buffer is allocated
+  // once and becomes the result, trailer included, without a copy.
+  std::size_t frameBytes = sizeof(kSnapshotMagic) + 4 + 4 + 8 + 8 + 8 + 5 * 4 +
+                           (4 + tool.size()) + (4 + workload.size()) + 4 + 4;
+  for (const auto& s : sections) frameBytes += 4 + s.name.size() + 8 + 4 + s.payload.size();
   Writer w;
+  w.reserve(frameBytes);
   w.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kSnapshotVersion);
   w.u32(static_cast<std::uint32_t>(kind));
@@ -38,26 +44,36 @@ std::string Snapshot::encode() const {
   w.str(tool);
   w.str(workload);
   w.u32(static_cast<std::uint32_t>(sections.size()));
+  // The file CRC of the first `covered` bytes written. Each payload joins
+  // it through its section CRC, so every byte is checksummed once.
+  std::uint32_t fileCrc = 0;
+  std::size_t covered = 0;
+  const auto coverWritten = [&] {
+    fileCrc = crc32(w.str().data() + covered, w.size() - covered, fileCrc);
+    covered = w.size();
+  };
   for (const auto& s : sections) {
     w.str(s.name);
     w.u64(s.payload.size());
-    w.u32(crc32(s.payload));
+    const std::uint32_t payloadCrc = crc32(s.payload);
+    w.u32(payloadCrc);
+    coverWritten();
     w.bytes(s.payload.data(), s.payload.size());
+    fileCrc = crc32Combine(fileCrc, payloadCrc, s.payload.size());
+    covered = w.size();
   }
-  std::string out = w.take();
-  Writer trailer;
-  trailer.u32(crc32(out));
-  out += trailer.str();
-  return out;
+  coverWritten();
+  w.u32(fileCrc);
+  return w.take();
 }
 
 std::optional<Snapshot> decodeSnapshot(std::string_view data,
                                        analysis::DiagnosticEngine& diags,
                                        const std::string& label) {
-  // The trailer covers everything before it, so check it first: a file
-  // damaged anywhere yields the CRC diagnostic rather than whatever
-  // secondary symptom the damage happens to cause — except truncation
-  // below the minimum frame, which is reported as such.
+  // The framing is checked as it is read (truncation, then each section's
+  // CRC, then trailing bytes) and the file trailer last, so a damaged
+  // section is named. Each byte is checksummed once: the file CRC is built
+  // from the framing bytes and each section's verified CRC.
   if (data.size() < sizeof(kSnapshotMagic) + 4) {
     diags.report(ckptDiag("MB-CKP-006", "truncated snapshot (shorter than header)",
                           label));
@@ -71,7 +87,6 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
   const std::string_view body = data.substr(0, data.size() - 4);
   Reader trailer(data.substr(data.size() - 4));
   const std::uint32_t storedFileCrc = trailer.u32();
-  const std::uint32_t actualFileCrc = crc32(body);
 
   Reader r(body);
   r.view(sizeof(kSnapshotMagic));
@@ -107,6 +122,13 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
   }
   snap.kind = static_cast<SnapshotKind>(kindRaw);
 
+  // The file CRC of body[0, covered), extended as the frame is read.
+  std::uint32_t fileCrc = 0;
+  std::size_t covered = 0;
+  const auto coverTo = [&](std::size_t end) {
+    fileCrc = crc32(body.data() + covered, end - covered, fileCrc);
+    covered = end;
+  };
   for (std::uint32_t i = 0; i < sectionCount; ++i) {
     SnapshotSection s;
     s.name = r.str();
@@ -117,12 +139,15 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
                        .with("section", s.name));
       return std::nullopt;
     }
+    coverTo(body.size() - r.remaining());
     const std::string_view payload = r.view(static_cast<std::size_t>(len));
     if (crc32(payload) != storedCrc) {
       diags.report(ckptDiag("MB-CKP-007", "snapshot section CRC mismatch", label)
                        .with("section", s.name));
       return std::nullopt;
     }
+    fileCrc = crc32Combine(fileCrc, storedCrc, payload.size());
+    covered += payload.size();
     s.payload.assign(payload);
     snap.sections.push_back(std::move(s));
   }
@@ -131,7 +156,8 @@ std::optional<Snapshot> decodeSnapshot(std::string_view data,
         ckptDiag("MB-CKP-011", "trailing bytes after snapshot sections", label));
     return std::nullopt;
   }
-  if (storedFileCrc != actualFileCrc) {
+  coverTo(body.size());
+  if (storedFileCrc != fileCrc) {
     diags.report(ckptDiag("MB-CKP-008", "snapshot file CRC mismatch", label));
     return std::nullopt;
   }

@@ -3,7 +3,7 @@
 // Layout (little-endian throughout, mirroring MBTRACE1 / MBCMDT1):
 //
 //   magic    8 bytes "MBCKPT1\0"
-//   u32      format version (1)
+//   u32      format version (kSnapshotVersion, 2)
 //   u32      kind: 0 = warmup snapshot (cache/directory/trace state only,
 //                      reusable across memory-side configs),
 //            1 = full-run checkpoint (every component + pending events)
@@ -22,7 +22,9 @@
 //     u64    payload length
 //     u32    CRC-32 of the payload
 //     bytes  payload
-//   u32      CRC-32 of everything above (the file trailer)
+//   u32      CRC-32 of everything above (the file trailer); encode and
+//            decode build it from the framing bytes and each section's
+//            CRC (crc32Combine), so each payload is checksummed once
 //
 // readSnapshot rejects malformed or mismatched input with stable MB-CKP
 // diagnostics (registered in DESIGN.md next to MB-TRC / MB-AUD):

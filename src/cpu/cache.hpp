@@ -15,18 +15,20 @@
 
 namespace mb::cpu {
 
-enum class LineState { Invalid, Shared, Exclusive, Modified };
+enum class LineState : std::uint8_t { Invalid, Shared, Exclusive, Modified };
 
 class Cache {
  public:
   Cache(std::int64_t sizeBytes, int associativity, int lineBytes = kCacheLineBytes);
 
+  /// 24 bytes: the 64-core L2 arrays are 12 MiB of these.
   struct Line {
     std::uint64_t tag = 0;
-    LineState state = LineState::Invalid;
     std::uint64_t lruStamp = 0;
+    LineState state = LineState::Invalid;
     bool prefetched = false;  // brought in by the prefetcher, not yet used
   };
+  static_assert(sizeof(Line) == 24);
 
   /// Find the line holding `addr`; nullptr on miss. Touches LRU on hit.
   Line* lookup(std::uint64_t addr);

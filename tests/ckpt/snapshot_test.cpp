@@ -89,22 +89,23 @@ TEST(Serialize, Crc32KnownVector) {
 }
 
 /// The bytewise table CRC-32 crc32() computed before it folded eight bytes
-/// per step; its table comes from the bit-at-a-time definition.
-std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t n) {
+/// per step; its table comes from the bit-at-a-time definition. `seed`
+/// continues an earlier CRC, as crc32's does.
+std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t n, std::uint32_t seed = 0) {
   std::uint32_t table[256];
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
     table[i] = c;
   }
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
-std::vector<unsigned char> pseudoRandomBytes(std::size_t n) {
+std::vector<unsigned char> pseudoRandomBytes(std::size_t n,
+                                             std::uint64_t x = 0x9E3779B97F4A7C15ull) {
   std::vector<unsigned char> out(n);
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
   for (auto& b : out) {
     x ^= x << 13;
     x ^= x >> 7;
@@ -134,6 +135,86 @@ TEST(Serialize, Crc32SlicedMatchesBytewiseAtEveryLengthAndOffset) {
 TEST(Serialize, Crc32SlicedMatchesBytewiseOnASnapshotSizedBuffer) {
   const std::vector<unsigned char> buf = pseudoRandomBytes(15u << 20);  // 15 MiB
   EXPECT_EQ(crc32(buf.data(), buf.size()), crc32Bytewise(buf.data(), buf.size()));
+}
+
+// From kCrc32InterleaveBytes on, crc32 runs four chains over equal blocks
+// rounded down to 8 bytes and finishes the rest on one chain: every length
+// across the threshold, at every alignment of the start, must agree with
+// the bytewise CRC.
+TEST(Serialize, Crc32InterleavedMatchesBytewiseAcrossTheThreshold) {
+  static_assert(kCrc32InterleaveBytes == 4096);
+  const std::vector<unsigned char> buf = pseudoRandomBytes(4104 + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 4088; len <= 4104; ++len) {
+      const unsigned char* p = buf.data() + off;
+      EXPECT_EQ(crc32(p, len), crc32Bytewise(p, len)) << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Serialize, Crc32InterleavedMatchesBytewiseAtRandomLengthsAndSeeds) {
+  const std::vector<unsigned char> buf = pseudoRandomBytes(256u << 10);
+  std::uint64_t x = 0xD1B54A32D192ED03ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t len = next() % (buf.size() + 1);
+    const std::size_t off = next() % (buf.size() - len + 1);
+    const auto seed = static_cast<std::uint32_t>(next());
+    const unsigned char* p = buf.data() + off;
+    EXPECT_EQ(crc32(p, len, seed), crc32Bytewise(p, len, seed))
+        << "offset " << off << " length " << len << " seed " << seed;
+  }
+}
+
+// crc32Combine joins two CRCs without the bytes; the snapshot's file CRC is
+// built from its framing and each section's CRC this way.
+TEST(Serialize, Crc32CombineMatchesTheCrcOfTheConcatenation) {
+  const std::vector<unsigned char> bytes = pseudoRandomBytes((1u << 20) + 3 + 100, 7);
+  for (const std::size_t lenA : {std::size_t{0}, std::size_t{100}}) {
+    for (const std::size_t lenB : {0u, 1u, 7u, 8u, 4095u, 4096u, (1u << 20) + 3}) {
+      const unsigned char* a = bytes.data();
+      const unsigned char* b = a + lenA;
+      EXPECT_EQ(crc32Combine(crc32(a, lenA), crc32(b, lenB), lenB),
+                crc32Bytewise(a, lenA + lenB))
+          << "|A| " << lenA << " |B| " << lenB;
+    }
+  }
+}
+
+// The wire format is little-endian whatever the host: pin the bytes the
+// Writer emits, and read the same fields back from an odd offset so no
+// field load is aligned.
+TEST(Serialize, LittleEndianWireLayoutIsPinnedByteByByte) {
+  Writer w;
+  w.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  w.i32(-2);
+  w.i64(-0x0102030405060708ll);
+  w.f64(1.0);
+  const std::vector<unsigned char> want = {
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF,                          // i32 -2
+      0xF8, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD, 0xFE,  // i64, two's complement
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // f64 1.0
+  };
+  ASSERT_EQ(w.str().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(static_cast<unsigned char>(w.str()[i]), want[i]) << "byte " << i;
+
+  const std::string shifted = "xyz" + w.str();
+  Reader r(std::string_view(shifted).substr(3));
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.i32(), -2);
+  EXPECT_EQ(r.i64(), -0x0102030405060708ll);
+  EXPECT_EQ(r.f64(), 1.0);
+  EXPECT_TRUE(r.atEnd());
 }
 
 TEST(Serialize, ReaderViewIsOneBoundsCheckedSlice) {
@@ -323,6 +404,27 @@ TEST(Snapshot, RejectsFlippedHeaderByte) {
   ASSERT_NE(pos, std::string::npos);
   data[pos] ^= 0x01;
   EXPECT_EQ(decodeCode(data), "MB-CKP-008");
+}
+
+TEST(Snapshot, NamesTheDamagedSectionBeforeTheFileCrc) {
+  // A header byte and a payload byte both flipped: the file trailer is
+  // wrong too, but the section CRC is compared first and names HIER.
+  std::string data = sampleSnapshot().encode();
+  const auto tool = data.find("microbank test");
+  const auto payload = data.find(std::string(100, '\x5A'));
+  ASSERT_NE(tool, std::string::npos);
+  ASSERT_NE(payload, std::string::npos);
+  data[tool] ^= 0x01;
+  data[payload + 50] ^= 0x01;
+  analysis::DiagnosticEngine diags;
+  EXPECT_FALSE(decodeSnapshot(data, diags, "two-flips").has_value());
+  ASSERT_EQ(diags.diagnostics().size(), 1u);
+  const analysis::Diagnostic& d = diags.diagnostics().back();
+  EXPECT_EQ(d.code, "MB-CKP-007");
+  bool named = false;
+  for (const auto& [k, v] : d.context)
+    if (k == "section" && v == "HIER") named = true;
+  EXPECT_TRUE(named);
 }
 
 TEST(Snapshot, RejectsTruncation) {

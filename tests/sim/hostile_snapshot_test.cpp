@@ -89,10 +89,21 @@ SystemConfig tinyMultithreaded(SystemConfig cfg) {
   return cfg;
 }
 
-/// Per-core trace files for the trace-replay case, recorded once.
+/// A temp file of the running case's own: ctest runs the cases in parallel.
+std::string tempPath(const std::string& stem) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + "mb_hostile_" + name + "_" + stem;
+}
+
+/// Per-core trace files for the trace-replay cases, recorded once per
+/// process under the first case's own name: the full-run and warm-up cases
+/// that replay them run as parallel ctest processes, and one must not
+/// rewrite the files while the other reads them.
 std::string tracePrefix() {
   static const std::string prefix = [] {
-    const std::string p = ::testing::TempDir() + "mb_hostile_trace";
+    const std::string p = tempPath("trace");
     for (int c = 0; c < 2; ++c) {
       trace::SyntheticParams sp = trace::specProfile("470.lbm").params;
       sp.seed = 77 + static_cast<std::uint64_t>(c);
@@ -184,13 +195,6 @@ WorkloadSpec workloadOf(const HostileCase& c) {
   const auto w = workloadByName(c.workload);
   EXPECT_TRUE(w.has_value()) << c.workload;
   return w.value_or(WorkloadSpec::spec("429.mcf"));
-}
-
-/// A temp file of the running case's own: ctest runs the cases in parallel.
-std::string tempPath(const std::string& stem) {
-  std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  std::replace(name.begin(), name.end(), '/', '_');
-  return ::testing::TempDir() + "mb_hostile_" + name + "_" + stem;
 }
 
 /// A checkpoint path whose directory does not exist: the first window's

@@ -5,7 +5,7 @@
 # the parallel sweep tests, the channel-sharded engine tests, and two
 # sharded mbsim runs, the config lint (mblint), end-to-end audit /
 # checkpoint / warm-up file / sweep-resume / mbserve stages, the mbbench
-# self-test plus one recorded (uncompared) mbbench run, a bench --jobs
+# self-test plus two recorded (uncompared) mbbench runs, a bench --jobs
 # invariance check and a --shards invariance check of a forward-cut point
 # in unsanitized build trees, then clang-tidy over src/.
 #
@@ -342,22 +342,27 @@ grep -q '"simulated":0' "$srv_dir/sweep2.jsonl" || {
 rm -rf "$srv_dir"
 echo "mbserve SIGKILL + journal resume ok"
 
-echo "== mbbench self-test and one recorded run =="
+echo "== mbbench self-test and two recorded runs =="
 # mbbench (BENCHMARK.json, mbbench/README.md) is the repository's perf
 # harness. It is a CMake package of its own; build it WITHOUT sanitizers
 # (ASan skews throughput 5-10x) into <build-dir>-bench, so the checkout's
 # .bench_build/ is never written. The self-test is fatal: it checks the
-# pinned report hashes and the metric names BENCHMARK.json declares, not
-# speed. The short spec-mcf run is recorded and compared with nothing (a
-# 2-second window on a shared host is noise); it fails only when one of its
-# output checks does. Perf claims cite alternating pairs of run.py runs.
+# metric names BENCHMARK.json declares and every output check, not speed.
+# It runs each workload at 1/50 size, where no report hash is pinned. The
+# two short full-size runs check their pinned report hashes: spec-mcf, and
+# mt-tpch-sharded, whose every timed run restores the 15 MB 64-core warm-up
+# snapshot. They are recorded and compared with nothing (a 2-second window
+# on a shared host is noise); each fails only when one of its output checks
+# does. Perf claims cite alternating pairs of run.py runs.
 build_bench="${build}-bench"
 cmake -B "$build_bench" -S "$repo/mbbench" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_bench" -j"$(nproc)" --target mbbench mbserve
 "$build_bench/mbbench" --self-test="$repo/BENCHMARK.json"
-"$build_bench/mbbench" --workload=spec-mcf --seconds=2 \
-  --out="$build_bench/spec-mcf.json"
-echo "perf record: $build_bench/spec-mcf.json"
+for workload in spec-mcf mt-tpch-sharded; do
+  "$build_bench/mbbench" --workload="$workload" --seconds=2 \
+    --out="$build_bench/$workload.json"
+  echo "perf record: $build_bench/$workload.json"
+done
 
 echo "== bench stdout is the same at every --jobs =="
 # bench/bench_util.hpp promises identical stdout for every worker count.
