@@ -4,6 +4,7 @@
 // cost yardstick.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -76,12 +77,15 @@ void BM_CacheInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheInsertEvict);
 
+/// A read window of `n` requests of 8 threads with a formed PAR-BS batch
+/// (5 marks per thread), one candidate per window position, 70 % of them
+/// issuable at the benchmarks' `now`.
 std::vector<mc::Candidate> makeCandidates(mc::Scheduler& sched, std::size_t n) {
   Rng rng(3);
   std::vector<mc::Candidate> cands(n);
   for (size_t i = 0; i < cands.size(); ++i) {
     auto& c = cands[i];
-    c.queueIndex = static_cast<int>(i);
+    c.viewPos = static_cast<int>(i);
     c.id = i + 1;
     c.thread = static_cast<ThreadId>(rng.nextBounded(8));
     c.arrival = static_cast<Tick>(rng.nextBounded(100000));
@@ -93,34 +97,38 @@ std::vector<mc::Candidate> makeCandidates(mc::Scheduler& sched, std::size_t n) {
     req.arrival = c.arrival;
     sched.onEnqueue(req);
   }
+  sched.formBatchIfDrained();
   return cands;
 }
 
 void BM_SchedulerPick(benchmark::State& state) {
-  auto sched = mc::makeScheduler(
-      static_cast<mc::SchedulerKind>(state.range(0)));
-  auto cands = makeCandidates(*sched, static_cast<std::size_t>(state.range(1)));
+  // The scheduler's share of a full arbitration pass: one priority key per
+  // request (PAR-BS reads the mark and rank by window position), folded
+  // into the lowest.
+  mc::Scheduler sched(static_cast<mc::SchedulerKind>(state.range(0)));
+  const auto cands = makeCandidates(sched, static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched->pick(cands, 500000));
+    std::uint64_t best = ~std::uint64_t{0};
+    for (const auto& c : cands)
+      best = std::min(best, sched.key(c.viewPos, c.rowHit, c.arrival));
+    benchmark::DoNotOptimize(best);
   }
 }
 // Args: {scheduler kind (FCFS, FR-FCFS, PAR-BS), candidate count}. The large
-// counts model deep per-channel queues where the scan dominates kick().
+// counts model deep per-channel queues where the walk dominates kick().
 BENCHMARK(BM_SchedulerPick)
     ->Args({0, 32})->Args({1, 32})->Args({2, 32})
     ->Args({0, 64})->Args({1, 64})->Args({2, 64})
     ->Args({0, 256})->Args({1, 256})->Args({2, 256});
 
 void BM_SchedulerPickPair(benchmark::State& state) {
-  // The fused single-scan used by MemoryController::kick(): one pass yields
-  // both the issuable-now best and the overall best for the priority gate.
-  // Compare against 2x BM_SchedulerPick at the same count; the win grows
-  // with comparator cost, so PAR-BS (the shipped default) benefits most.
-  auto sched = mc::makeScheduler(
-      static_cast<mc::SchedulerKind>(state.range(0)));
-  auto cands = makeCandidates(*sched, static_cast<std::size_t>(state.range(1)));
+  // The whole selection of a full pass: the key of each request plus the
+  // issuable and overall running bests the priority gate reads, in one
+  // scan (Scheduler::pick, the walk's selection over a candidate list).
+  mc::Scheduler sched(static_cast<mc::SchedulerKind>(state.range(0)));
+  const auto cands = makeCandidates(sched, static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    const auto pp = sched->pickPair(cands, 500000);
+    const auto pp = sched.pick(cands, 500000);
     benchmark::DoNotOptimize(pp.issuable);
     benchmark::DoNotOptimize(pp.overall);
   }

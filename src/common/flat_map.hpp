@@ -13,8 +13,8 @@
 // what ShardDifferentialGrid's restore-vs-cold checks catch.
 //
 // Shape: binary-searched sorted vector. O(log n) find, O(n) insert/erase
-// (memmove). The simulator's maps are small (tens of batch marks, one entry
-// per touched μbank) and lookup-dominated, where contiguous storage wins
+// (memmove). The simulator's maps are small (about one entry per touched
+// μbank) and lookup-dominated, where contiguous storage wins
 // against node- or bucket-based maps; for large erase-heavy sets prefer
 // std::map, which is equally deterministic.
 //

@@ -18,7 +18,7 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
       eq_(eventQueue),
       channel_(geom, timing),
       meter_(energy),
-      scheduler_(makeScheduler(config.scheduler)),
+      scheduler_(config.scheduler),
       policy_(core::makePagePolicy(config.pagePolicy)) {
   speculations_.resize(static_cast<std::size_t>(channel_.ubankCount()));
   rowUsers_.resize(static_cast<std::size_t>(channel_.ubankCount()));
@@ -36,6 +36,9 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
 void MemoryController::enqueue(MemRequest req) {
   req.id = nextRequestId_++;
   req.arrival = eq_.now();
+  MB_CHECK_MSG(req.arrival <= kMaxArrival,
+               "request admitted at %lldps, past the scheduler key's arrival range",
+               static_cast<long long>(req.arrival));
   req.da = map_.decompose(req.addr);
   // Force the decomposed channel to this controller: the caller routes by
   // the same address map, so this is a consistency check, not a remap.
@@ -88,7 +91,7 @@ void MemoryController::enqueue(MemRequest req) {
     const ReqHandle admitted = pool_.alloc(std::move(p));
     ++queuedPerUbank_[static_cast<std::size_t>(ub)];
     if (static_cast<int>(readQ_.size()) < cfg_.queueDepth) {
-      scheduler_->onEnqueue(pool_.get(admitted).req);
+      scheduler_.onEnqueue(pool_.get(admitted).req);
       readQ_.push_back(admitted);
     } else {
       overflowQ_.push_back(admitted);
@@ -123,17 +126,17 @@ bool MemoryController::anyServed(Fn&& fn) const {
   bool serveReads = false, serveWrites = false;
   serveFlags(serveReads, serveWrites);
   if (serveReads) {
-    for (const ReqHandle h : readQ_)
-      if (fn(h)) return true;
+    for (std::size_t i = 0; i < readQ_.size(); ++i)
+      if (fn(readQ_[i], static_cast<int>(i))) return true;
   }
   if (serveWrites) {
     for (const ReqHandle h : writeQ_)
-      if (fn(h)) return true;
+      if (fn(h, -1)) return true;
   }
   return false;
 }
 
-bool MemoryController::preBlocked(const Pending& p) {
+bool MemoryController::preBlocked(const Pending& p, bool pMarked) {
   // Do not steal an open row from an older request that still wants it —
   // but only if that request is itself schedulable right now (it then
   // outranks this precharge in every scheduler, so deferring cannot
@@ -144,45 +147,55 @@ bool MemoryController::preBlocked(const Pending& p) {
   if (!rowUsersCurrent_) collectRowUsers();
   const RowUsers& u = rowUsers_[static_cast<std::size_t>(p.ub)];
   bool blocked = false;
-  if (u.epoch == rowUserEpoch_ && u.oldestAny < p.req.arrival) {
-    const bool pMarked = scheduler_->requestMarked(p.req.id);
+  if (u.epoch == rowUserEpoch_ && u.oldestAny < p.req.arrival)
     blocked = (pMarked ? u.oldestMarked : u.oldestAny) < p.req.arrival;
-  }
-  MB_DCHECK(blocked == preBlockedByOlderRowUser(p));
+  MB_DCHECK(blocked == preBlockedByOlderRowUser(p, pMarked));
   return blocked;
 }
 
 void MemoryController::collectRowUsers() {
-  // One walk over the served queues per pass. It reads the batch marking as
-  // it stands before the pass's pick can form a new batch, as every guard
-  // evaluated in this pass does.
+  // One walk over the served queues per pass. oldestMarked is read only by
+  // the guard of a marked precharge, and a pass that formed its batch
+  // guards every precharge as unmarked (fullPass), so the table reads the
+  // marking each guard reads.
   ++rowUserEpoch_;
   rowUsersCurrent_ = true;
-  anyServed([&](ReqHandle h) {
+  anyServed([&](ReqHandle h, int viewPos) {
     const Pending& q = pool_.ref(h);
     if (q.req.da.row != channel_.openRow(q.ub)) return false;
     RowUsers& u = rowUsers_[static_cast<std::size_t>(q.ub)];
     if (u.epoch != rowUserEpoch_) u = RowUsers{rowUserEpoch_, kTickNever, kTickNever};
     const Tick arrival = q.req.arrival;
     u.oldestAny = std::min(u.oldestAny, arrival);
-    if (arrival < u.oldestMarked && scheduler_->requestMarked(q.req.id))
+    if (arrival < u.oldestMarked && scheduler_.markedAt(viewPos))
       u.oldestMarked = arrival;
     return false;
   });
 }
 
-bool MemoryController::preBlockedByOlderRowUser(const Pending& p) const {
+bool MemoryController::preBlockedByOlderRowUser(const Pending& p, bool pMarked) const {
   const int ub = p.ub;
   if (!channel_.rowOpen(ub)) return false;
   const std::int64_t openRow = channel_.openRow(ub);
-  const bool pMarked = scheduler_->requestMarked(p.req.id);
-  return anyServed([&](ReqHandle h) {
+  return anyServed([&](ReqHandle h, int viewPos) {
     const Pending& q = pool_.ref(h);
     if (q.flat != p.flat || q.req.da.row != openRow ||
         q.req.arrival >= p.req.arrival)
       return false;
-    return !pMarked || scheduler_->requestMarked(q.req.id);
+    return !pMarked || scheduler_.markedAt(viewPos);
   });
+}
+
+bool MemoryController::schedulerSeesReadWindow() const {
+  if (scheduler_.kind() != SchedulerKind::ParBs) return true;
+  const auto& view = scheduler_.view();
+  if (view.size() != readQ_.size()) return false;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const MemRequest& q = pool_.get(readQ_[i]).req;
+    if (view[i].id != q.id || view[i].thread != q.thread || view[i].arrival != q.arrival)
+      return false;
+  }
+  return true;
 }
 
 void MemoryController::serveFlags(bool& reads, bool& writes) const {
@@ -205,29 +218,86 @@ Tick MemoryController::earliestFor(const Pending& p, Tick now, DramCommand& cmdO
   return channel_.earliestPre(p.req.da, ub, now);
 }
 
-void MemoryController::buildCandidates(Tick now, std::vector<Candidate>& cands,
-                                       std::vector<ReqHandle>& byCandidate,
-                                       Tick& minFuture) {
-  cands.clear();
-  byCandidate.clear();
+template <SchedulerKind K>
+MemoryController::FullPass MemoryController::walkServed(Tick now, bool guardMarks) {
+  FullPass pass;
   rowUsersCurrent_ = false;
-  anyServed([&](ReqHandle h) {
+  anyServed([&](ReqHandle h, int viewPos) {
     const Pending& p = pool_.ref(h);
     DramCommand cmd{};
     const Tick earliest = earliestFor(p, now, cmd);
-    if (cmd == DramCommand::Pre && preBlocked(p)) return false;
-    Candidate c;
-    c.queueIndex = static_cast<int>(cands.size());
+    if (cmd == DramCommand::Pre &&
+        preBlocked(p, guardMarks && scheduler_.markedAt(viewPos)))
+      return false;
+    if (earliest > now) pass.minFuture = std::min(pass.minFuture, earliest);
+    const bool rowHit = cmd == DramCommand::Read || cmd == DramCommand::Write;
+    pass.best.offer(h, scheduler_.key<K>(viewPos, rowHit, p.req.arrival), earliest, now);
+    return false;
+  });
+  return pass;
+}
+
+MemoryController::FullPass MemoryController::fullPass(Tick now) {
+  // A batch formed here is formed from an empty marking, and this pass's
+  // guards read that one; the keys read the new batch.
+  const bool guardMarks = !scheduler_.formBatchIfDrained();
+  FullPass pass;
+  switch (scheduler_.kind()) {
+    case SchedulerKind::Fcfs:
+      pass = walkServed<SchedulerKind::Fcfs>(now, guardMarks);
+      break;
+    case SchedulerKind::FrFcfs:
+      pass = walkServed<SchedulerKind::FrFcfs>(now, guardMarks);
+      break;
+    case SchedulerKind::ParBs:
+      pass = walkServed<SchedulerKind::ParBs>(now, guardMarks);
+      break;
+  }
+  MB_DCHECK(matchesReference(pass, now, guardMarks));
+  return pass;
+}
+
+void MemoryController::buildCandidates(Tick now, bool guardMarks,
+                                       std::vector<Candidate>& cands,
+                                       std::vector<ReqHandle>& byCandidate,
+                                       Tick& minFuture) {
+  rowUsersCurrent_ = false;
+  anyServed([&](ReqHandle h, int viewPos) {
+    const Pending& p = pool_.ref(h);
+    DramCommand cmd{};
+    const Tick earliest = earliestFor(p, now, cmd);
+    if (cmd == DramCommand::Pre &&
+        preBlocked(p, guardMarks && scheduler_.markedAt(viewPos)))
+      return false;
+    Candidate& c = cands.emplace_back();
+    c.viewPos = viewPos;
     c.id = p.req.id;
     c.thread = p.req.thread;
     c.arrival = p.req.arrival;
     c.earliestIssue = earliest;
     c.rowHit = (cmd == DramCommand::Read || cmd == DramCommand::Write);
-    cands.push_back(c);
     byCandidate.push_back(h);
     if (earliest > now) minFuture = std::min(minFuture, earliest);
     return false;
   });
+}
+
+bool MemoryController::matchesReference(const FullPass& pass, Tick now, bool guardMarks) {
+  std::vector<Candidate> cands;
+  std::vector<ReqHandle> byCandidate;
+  Tick minFuture = kTickNever;
+  buildCandidates(now, guardMarks, cands, byCandidate, minFuture);
+  const Scheduler::PickPair ref = scheduler_.referencePick(cands, now);
+  const auto same = [&](int idx, bool has, ReqHandle h) {
+    return idx < 0 ? !has : has && byCandidate[static_cast<std::size_t>(idx)] == h;
+  };
+  const Tick overallAt = ref.overall < 0
+                             ? kTickNever
+                             : cands[static_cast<std::size_t>(ref.overall)].earliestIssue;
+  return minFuture == pass.minFuture &&
+         same(ref.issuable, pass.best.hasIssuable(), pass.best.issuable) &&
+         same(ref.overall, pass.best.hasOverall(), pass.best.overall) &&
+         overallAt == pass.best.overallAt;
 }
 
 Tick MemoryController::earliestWake(Tick now) {
@@ -239,12 +309,14 @@ Tick MemoryController::earliestWake(Tick now) {
   MB_DCHECK(floor > now);
   rowUsersCurrent_ = false;
   Tick wake = kTickNever;
-  anyServed([&](ReqHandle h) {  // true once `wake` reached the floor
+  anyServed([&](ReqHandle h, int viewPos) {  // true once `wake` reached the floor
     const Pending& p = pool_.ref(h);
     DramCommand cmd{};
     const Tick earliest = earliestFor(p, now, cmd);
     MB_DCHECK(earliest >= floor);
-    if (earliest >= wake || (cmd == DramCommand::Pre && preBlocked(p))) return false;
+    if (earliest >= wake ||
+        (cmd == DramCommand::Pre && preBlocked(p, scheduler_.markedAt(viewPos))))
+      return false;
     wake = earliest;
     return wake == floor;
   });
@@ -255,7 +327,7 @@ Tick MemoryController::fullPassMinFuture(Tick now) {
   std::vector<Candidate> cands;
   std::vector<ReqHandle> byCandidate;
   Tick minFuture = kTickNever;
-  buildCandidates(now, cands, byCandidate, minFuture);
+  buildCandidates(now, /*guardMarks=*/true, cands, byCandidate, minFuture);
   return minFuture;
 }
 
@@ -263,10 +335,11 @@ void MemoryController::issueFor(ReqHandle h, Tick now) {
   Pending& p = pool_.get(h);
   DramCommand cmd{};
   const Tick earliest = earliestFor(p, now, cmd);
-  // The pick may have formed a batch since the guard ran; that can only
-  // unblock a precharge (forming needs an empty marking, under which any
-  // older row user blocks), so the guard is not re-applied here.
-  MB_DCHECK(cmd != DramCommand::Pre || !preBlockedByOlderRowUser(p));
+  // The pass may have formed a batch after the marking its guard read; that
+  // can only unblock a precharge (forming needs an empty marking, under
+  // which any older row user blocks), so the guard is not re-applied here.
+  MB_DCHECK(cmd != DramCommand::Pre ||
+            !preBlockedByOlderRowUser(p, scheduler_.isMarked(p.req.id)));
   MB_CHECK_MSG(earliest <= now,
                "scheduler committed %s for %s before it is legal: earliest=%lldps "
                "now=%lldps",
@@ -326,26 +399,17 @@ void MemoryController::onRequestServiced(ReqHandle h, Tick dataEnd) {
   const core::DramAddress da = p.req.da;
   const int ub = p.ub;
 
-  // Remove from its queue, then release the slot; the handle (and every
-  // copy of it in scratch buffers) is stale from here on.
-  auto eraseFrom = [&](std::vector<ReqHandle>& q) {
-    for (size_t i = 0; i < q.size(); ++i) {
-      if (q[i] == h) {
-        scheduler_->onDequeue(p.req);
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!eraseFrom(readQ_)) {
-    const bool erased = eraseFrom(writeQ_);
-    MB_CHECK_MSG(erased, "serviced request %llu (%s) found in neither queue",
-                 static_cast<unsigned long long>(p.req.id),
-                 p.req.da.toString().c_str());
-    if (static_cast<int>(writeQ_.size()) <= cfg_.writeLowWatermark)
-      drainingWrites_ = false;
-  }
+  // Remove from its queue, then release the slot; the handle is stale from
+  // here on. The scheduler's view follows the read window by position.
+  std::vector<ReqHandle>& q = p.req.write ? writeQ_ : readQ_;
+  const auto at = std::find(q.begin(), q.end(), h);
+  MB_CHECK_MSG(at != q.end(), "serviced request %llu (%s) not found in its queue",
+               static_cast<unsigned long long>(p.req.id), p.req.da.toString().c_str());
+  if (!p.req.write)
+    scheduler_.onDequeue(static_cast<std::size_t>(at - q.begin()), p.req.id);
+  q.erase(at);
+  if (p.req.write && static_cast<int>(writeQ_.size()) <= cfg_.writeLowWatermark)
+    drainingWrites_ = false;
   pool_.free(h);
   refillVisibleWindow();
   queueOcc_.update(eq_.now(), static_cast<double>(readQ_.size() + overflowQ_.size()));
@@ -386,7 +450,7 @@ void MemoryController::refillVisibleWindow() {
   while (static_cast<int>(readQ_.size()) < cfg_.queueDepth && !overflowQ_.empty()) {
     const ReqHandle h = overflowQ_.front();
     overflowQ_.pop_front();
-    scheduler_->onEnqueue(pool_.get(h).req);
+    scheduler_.onEnqueue(pool_.get(h).req);
     readQ_.push_back(h);
   }
 }
@@ -502,35 +566,29 @@ void MemoryController::kick() {
     Tick minFuture = kTickNever;
     if (channel_.cmdBusFreeAt() > eq_.now()) {
       // Wake-only pass: nothing can issue while the command bus is busy, so
-      // only the wake tick and the batch upkeep of a pick remain.
+      // only the wake tick and the batch upkeep remain.
       minFuture = earliestWake(eq_.now());
       MB_DCHECK(minFuture == fullPassMinFuture(eq_.now()));
-      scheduler_->formBatchIfDrained();
+      scheduler_.formBatchIfDrained();
     } else {
-      buildCandidates(eq_.now(), candBuf_, byCandidateBuf_, minFuture);
-
-      // One fused scan yields both the issuable winner and the scheduler's
-      // overall favourite (the priority-gate probe that used to cost a
-      // second full pick() pass).
-      const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, eq_.now());
-      const int pickIdx = pp.issuable;
-      if (pickIdx >= 0) {
+      const FullPass pass = fullPass(eq_.now());
+      minFuture = pass.minFuture;
+      if (pass.best.hasIssuable()) {
         // Priority gate: if the scheduler's overall favourite (ignoring
         // issue readiness) is a different, imminently-ready command, hold
         // the bus for it. Without this, a stream of back-to-back row hits
         // can starve a higher-priority precharge forever: every hit CAS
         // pushes the victim's tRTP window just past "now" again (priority
         // inversion).
-        const int bestIdx = pp.overall;
-        if (bestIdx >= 0 && bestIdx != pickIdx) {
-          const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
+        if (pass.best.overall != pass.best.issuable) {
+          const Tick bestAt = pass.best.overallAt;
           if (bestAt > eq_.now() &&
               bestAt - eq_.now() <= 2 * channel_.timing().tCCD) {
             scheduleKick(bestAt);
             break;
           }
         }
-        issueFor(byCandidateBuf_[static_cast<size_t>(pickIdx)], eq_.now());
+        issueFor(pass.best.issuable, eq_.now());
         // The command bus is now busy for tCMD, so the next iteration is a
         // wake-only pass.
         continue;
@@ -620,6 +678,7 @@ ReqHandle MemoryController::loadPending(ckpt::Reader& r) {
   p.sawConflict = r.b();
   p.sawAct = r.b();
   const bool hasCb = r.b();
+  if (p.req.arrival < 0 || p.req.arrival > kMaxArrival) r.fail();  // the key's range
   if (!r.ok()) return pool_.alloc(std::move(p));
   p.req.da = map_.decompose(p.req.addr);
   p.flat = p.req.da.flatUbank(geom_);
@@ -637,7 +696,7 @@ ReqHandle MemoryController::loadPending(ckpt::Reader& r) {
 void MemoryController::save(ckpt::Writer& w) const {
   channel_.save(w);
   meter_.save(w);
-  scheduler_->save(w);
+  scheduler_.save(w);
   policy_->save(w);
   w.b(checker_.has_value());
   if (checker_) checker_->save(w);
@@ -722,7 +781,7 @@ void MemoryController::save(ckpt::Writer& w) const {
 void MemoryController::load(ckpt::Reader& r) {
   channel_.load(r);
   meter_.load(r);
-  scheduler_->load(r);
+  scheduler_.load(r);
   policy_->load(r);
   const bool hadChecker = r.b();
   if (hadChecker != checker_.has_value()) {
@@ -732,15 +791,20 @@ void MemoryController::load(ckpt::Reader& r) {
   if (checker_) checker_->load(r);
 
   pool_.clear();  // queues are rebuilt from scratch below
-  auto loadQueue = [&](auto& q) {
+  // Each queue holds one kind of request: a serviced request leaves the
+  // queue its kind names.
+  auto loadQueue = [&](auto& q, bool writes) {
     q.clear();
     const std::uint64_t n = r.count(28);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) q.push_back(loadPending(r));
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+      q.push_back(loadPending(r));
+      if (r.ok() && pool_.get(q.back()).req.write != writes) r.fail();
+    }
     if (!r.ok()) q.clear();
   };
-  loadQueue(readQ_);
-  loadQueue(overflowQ_);
-  loadQueue(writeQ_);
+  loadQueue(readQ_, false);
+  loadQueue(overflowQ_, false);
+  loadQueue(writeQ_, true);
   drainingWrites_ = r.b();
   queuedPerUbank_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
   auto countQueue = [&](const auto& q) {
@@ -749,6 +813,8 @@ void MemoryController::load(ckpt::Reader& r) {
   countQueue(readQ_);
   countQueue(overflowQ_);
   countQueue(writeQ_);
+  // PAR-BS reads its marks by read-window position.
+  if (!schedulerSeesReadWindow()) r.fail();
 
   pendingCloses_.clear();
   const std::uint64_t nCloses = r.count(32);

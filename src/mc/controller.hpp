@@ -7,15 +7,18 @@
 //     and runs kick().
 //   - kick() runs arbitration passes until nothing can issue, then schedules
 //     its own wake-up at the earliest future candidate, idle-close or
-//     refresh tick. With the command bus free, a full pass asks the
-//     scheduler to order the per-request candidate commands (the next
-//     command each request needs plus its earliest legal issue tick) and
-//     commits the winner. With the bus busy — every pass right after an
-//     issue — no command can issue, because every earliest tick is bounded
-//     below by the bus-free tick, so a wake-only pass computes just the
-//     minimum earliest tick and lets the scheduler update its batch. Each
-//     pass costs O(queue): the anti-row-steal guard reads a per-μbank table
-//     of the oldest row users, built at most once per pass.
+//     refresh tick. With the command bus free, a full pass is one walk over
+//     the served queues: per request it evaluates the next command and its
+//     earliest legal issue tick, applies the anti-row-steal guard, and folds
+//     the scheduler's priority key into the running issuable and overall
+//     bests and the minimum future tick. It commits the issuable best,
+//     unless the priority gate holds the bus for an imminent overall best.
+//     With the bus busy — every pass right after an issue — no command can
+//     issue, because every earliest tick is bounded below by the bus-free
+//     tick, so a wake-only pass computes just the minimum earliest tick and
+//     lets the scheduler update its batch. Each pass costs O(queue): the
+//     guard reads a per-μbank table of the oldest row users, built at most
+//     once per pass.
 //   - After the last column access for a μbank with no pending work, the
 //     page-management policy decides whether to keep the row open, close it
 //     (an idle precharge is queued), or — for the perfect oracle — leave the
@@ -225,14 +228,30 @@ class MemoryController {
   void maybeSpeculate(const core::DramAddress& da, std::int64_t flat, int ub,
                       ThreadId thread);
   void refillVisibleWindow();
-  /// Candidate list over the visible read window (and writes when draining).
-  void buildCandidates(Tick now, std::vector<Candidate>& cands,
+  /// What a full pass yields: the bests under the scheduler key and the
+  /// earliest future tick over the served requests.
+  struct FullPass {
+    BestPair<ReqHandle> best;
+    Tick minFuture = kTickNever;
+  };
+  /// Full pass (command bus free): batch upkeep, then one walk.
+  FullPass fullPass(Tick now);
+  /// The walk, for scheduler kind K. `guardMarks` is false when this pass
+  /// formed the batch: its guards read the marking from before formation,
+  /// which was empty.
+  template <SchedulerKind K>
+  FullPass walkServed(Tick now, bool guardMarks);
+  /// The served requests as a materialized candidate list (the reference
+  /// the walk and the wake-only pass are MB_DCHECKed against).
+  void buildCandidates(Tick now, bool guardMarks, std::vector<Candidate>& cands,
                        std::vector<ReqHandle>& byCandidate, Tick& minFuture);
+  /// True when `pass` equals the predicate scan of buildCandidates().
+  bool matchesReference(const FullPass& pass, Tick now, bool guardMarks);
   /// Wake-only pass (command bus busy): the minFuture a full pass would
   /// compute, without building candidates.
   Tick earliestWake(Tick now);
-  /// minFuture of a full buildCandidates() pass into scratch buffers: the
-  /// reference earliestWake() is MB_DCHECKed against.
+  /// minFuture of buildCandidates() into scratch buffers: the reference
+  /// earliestWake() is MB_DCHECKed against.
   Tick fullPassMinFuture(Tick now);
   void issueFor(ReqHandle h, Tick now);
   /// True when a live auditor or a command log watches the committed stream
@@ -243,18 +262,22 @@ class MemoryController {
   /// The next command `p` needs and its earliest legal issue tick, before
   /// the anti-row-steal guard (preBlocked) is applied to a precharge.
   Tick earliestFor(const Pending& p, Tick now, DramCommand& cmdOut) const;
-  /// Anti-row-steal guard for a precharge candidate, read from the row-user
-  /// table (built on first use in each pass).
-  bool preBlocked(const Pending& p);
+  /// Anti-row-steal guard for a precharge candidate that is batch-marked
+  /// or not, read from the row-user table (built on first use in each
+  /// pass).
+  bool preBlocked(const Pending& p, bool pMarked);
   void collectRowUsers();
   /// The same guard as a scan of both served queues: the reference the
   /// table is MB_DCHECKed against.
-  bool preBlockedByOlderRowUser(const Pending& p) const;
+  bool preBlockedByOlderRowUser(const Pending& p, bool pMarked) const;
+  /// True when the scheduler's read-window view is the read window (the
+  /// same requests in the same order); restore checks it.
+  bool schedulerSeesReadWindow() const;
   /// Which queues the scheduler is currently drawing candidates from.
   void serveFlags(bool& reads, bool& writes) const;
-  /// Calls fn(handle) over the served queues (the read window, then the
-  /// write queue, as serveFlags() selects) until fn returns true; returns
-  /// whether it did.
+  /// Calls fn(handle, viewPos) over the served queues (the read window with
+  /// each request's position in it, then the write queue with -1, as
+  /// serveFlags() selects) until fn returns true; returns whether it did.
   template <typename Fn>
   bool anyServed(Fn&& fn) const;
 
@@ -274,7 +297,7 @@ class MemoryController {
 
   ChannelState channel_;
   dram::EnergyMeter meter_;
-  std::unique_ptr<Scheduler> scheduler_;
+  Scheduler scheduler_;
   std::unique_ptr<core::PagePolicy> policy_;
   std::optional<TraceAuditor> checker_;  // the enableTimingCheck auditor
 
@@ -335,10 +358,6 @@ class MemoryController {
   std::int32_t freeCompletionSlot_ = -1;
   std::size_t liveCompletions_ = 0;
   std::uint64_t nextCompletionToken_ = 0;
-  // Arbitration scratch, reused across kick() iterations so the hot loop
-  // performs no per-iteration vector allocations.
-  std::vector<Candidate> candBuf_;
-  std::vector<ReqHandle> byCandidateBuf_;
   // Anti-row-steal table, one entry per channel-local μbank, rebuilt lazily
   // by the first precharge guard of a pass (rowUsersCurrent_ false). Per-pass
   // scratch, not saved: every pass starts with rowUsersCurrent_ false.

@@ -1,6 +1,7 @@
 #include "mc/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -15,209 +16,230 @@ std::string schedulerKindName(SchedulerKind kind) {
   return "unknown";
 }
 
-std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::Fcfs: return std::make_unique<FcfsScheduler>();
-    case SchedulerKind::FrFcfs: return std::make_unique<FrFcfsScheduler>();
-    case SchedulerKind::ParBs: return std::make_unique<ParBsScheduler>();
+Scheduler::Scheduler(SchedulerKind kind, int markingCap)
+    : kind_(kind), markingCap_(markingCap) {
+  // A rank is at most the cap, and the key holds ranks below 64.
+  MB_CHECK(markingCap >= 1 && markingCap < 64);
+}
+
+std::uint64_t Scheduler::key(int viewPos, bool rowHit, Tick arrival) const {
+  switch (kind_) {
+    case SchedulerKind::Fcfs: return key<SchedulerKind::Fcfs>(viewPos, rowHit, arrival);
+    case SchedulerKind::FrFcfs:
+      return key<SchedulerKind::FrFcfs>(viewPos, rowHit, arrival);
+    case SchedulerKind::ParBs: return key<SchedulerKind::ParBs>(viewPos, rowHit, arrival);
   }
-  MB_CHECK(false && "unknown scheduler kind");
-  return nullptr;
+  return BestPair<int>::kNoKey;
+}
+
+Scheduler::PickPair Scheduler::pick(const std::vector<Candidate>& cands, Tick now) const {
+  BestPair<int> best;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Candidate& c = cands[i];
+    best.offer(static_cast<int>(i), key(c.viewPos, c.rowHit, c.arrival), c.earliestIssue,
+               now);
+  }
+  return {best.hasIssuable() ? best.issuable : -1, best.hasOverall() ? best.overall : -1};
 }
 
 namespace {
 
-// One forward scan computing the best candidate under `better` for a single
-// earliestIssue filter. `better(c, b)` must be a strict "c beats the current
-// best b" predicate; ties keep the earlier index, exactly as the historical
-// per-scheduler loops did.
-template <typename Better>
-int scanBest(const std::vector<Candidate>& cands, Tick now, Better better) {
-  int best = -1;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const auto& c = cands[i];
-    if (c.earliestIssue > now) continue;
-    if (best < 0 || better(c, cands[static_cast<size_t>(best)]))
-      best = static_cast<int>(i);
-  }
-  return best;
-}
-
-// Fused variant of the controller's double pick: one scan maintaining both
-// the issuable best (earliestIssue <= now) and the overall best under the
-// gate horizon. Since both running bests use the same predicate and see the
-// candidates in the same order, the result is index-identical to two
-// independent scanBest calls.
-template <typename Better>
-Scheduler::PickPair scanPair(const std::vector<Candidate>& cands, Tick now,
-                             Better better) {
-  Scheduler::PickPair p;
-  constexpr Tick kHorizon = kTickNever / 2;
-  const Candidate* bestOverall = nullptr;
-  const Candidate* bestIssuable = nullptr;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const auto& c = cands[i];
-    if (c.earliestIssue > kHorizon) continue;
-    if (bestOverall == nullptr || better(c, *bestOverall)) {
-      bestOverall = &c;
-      p.overall = static_cast<int>(i);
-    }
-    if (c.earliestIssue > now) continue;
-    if (bestIssuable == nullptr || better(c, *bestIssuable)) {
-      bestIssuable = &c;
-      p.issuable = static_cast<int>(i);
-    }
-  }
-  return p;
-}
-
-bool fcfsBetter(const Candidate& c, const Candidate& b) {
-  return c.arrival < b.arrival;
-}
+// The policies as strict "c beats the current best b" predicates.
+bool fcfsBetter(const Candidate& c, const Candidate& b) { return c.arrival < b.arrival; }
 
 bool frFcfsBetter(const Candidate& c, const Candidate& b) {
   return c.rowHit != b.rowHit ? c.rowHit : c.arrival < b.arrival;
 }
 
-}  // namespace
-
-int FcfsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  return scanBest(cands, now, fcfsBetter);
-}
-
-Scheduler::PickPair FcfsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  return scanPair(cands, now, fcfsBetter);
-}
-
-int FrFcfsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  return scanBest(cands, now, frFcfsBetter);
-}
-
-Scheduler::PickPair FrFcfsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  return scanPair(cands, now, frFcfsBetter);
-}
-
-void ParBsScheduler::onEnqueue(const MemRequest& req) {
-  queueView_.push_back(QueueEntry{req.id, req.thread, req.arrival});
-}
-
-void ParBsScheduler::onDequeue(const MemRequest& req) {
-  for (size_t i = 0; i < queueView_.size(); ++i) {
-    if (queueView_[i].id == req.id) {
-      queueView_.erase(queueView_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
-  auto it = marked_.find(req.id);
-  if (it != marked_.end()) {
-    auto cnt = markedPerThread_.find(it->second);
-    if (cnt != markedPerThread_.end() && --cnt->second <= 0) markedPerThread_.erase(cnt);
-    marked_.erase(it);
-  }
-}
-
-void ParBsScheduler::formBatch() {
-  MB_DCHECK(marked_.empty());
-  markedPerThread_.clear();
-  // Oldest-first marking with a per-thread cap.
-  std::vector<const QueueEntry*> sorted;
-  sorted.reserve(queueView_.size());
-  for (const auto& e : queueView_) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(), [](const QueueEntry* a, const QueueEntry* b) {
-    if (a->arrival != b->arrival) return a->arrival < b->arrival;
-    return a->id < b->id;
-  });
-  for (const QueueEntry* e : sorted) {
-    auto& perThread = markedPerThread_[e->thread];
-    if (perThread >= markingCap_) continue;
-    ++perThread;
-    marked_.emplace(e->id, e->thread);
-  }
-}
-
-void ParBsScheduler::formBatchIfDrained() {
-  if (marked_.empty() && !queueView_.empty()) formBatch();
-}
-
-void ParBsScheduler::prepareBatch(std::vector<Candidate>& cands) {
-  formBatchIfDrained();
-  for (auto& c : cands) {
-    c.marked = marked_.count(c.id) != 0;
-    if (c.marked) {
-      // Thread rank: shortest job (fewest marked requests) first. Stamped
-      // here once per candidate; the selection predicate below only ever
-      // compares ranks between two marked candidates, and the map is
-      // constant between here and the scan.
-      const auto it = markedPerThread_.find(c.thread);
-      c.rank = it == markedPerThread_.end() ? 0 : it->second;
-    } else {
-      c.rank = 0;
-    }
-  }
-}
-
-namespace {
 bool parBsBetter(const Candidate& c, const Candidate& b) {
   if (c.marked != b.marked) return c.marked;
   if (c.rowHit != b.rowHit) return c.rowHit;
-  // Both marked or both unmarked here; ranks are meaningful (and compared)
-  // only in the both-marked case. Lower rank is better.
+  // Ranks are compared only between two marked candidates; lower is better.
   if (c.marked && c.rank != b.rank) return c.rank < b.rank;
   return c.arrival < b.arrival;
 }
-}  // namespace
 
-int ParBsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  prepareBatch(cands);
-  return scanBest(cands, now, parBsBetter);
+// One forward scan keeping the issuable best and the overall best under
+// `better`; ties keep the earlier index.
+template <typename Better>
+Scheduler::PickPair scanPair(const std::vector<Candidate>& cands, Tick now,
+                             Better better) {
+  const auto at = [&](int j) -> const Candidate& {
+    return cands[static_cast<std::size_t>(j)];
+  };
+  Scheduler::PickPair p;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Candidate& c = cands[i];
+    if (c.earliestIssue > kGateHorizon) continue;
+    if (p.overall < 0 || better(c, at(p.overall))) p.overall = static_cast<int>(i);
+    if (c.earliestIssue > now) continue;
+    if (p.issuable < 0 || better(c, at(p.issuable))) p.issuable = static_cast<int>(i);
+  }
+  return p;
 }
 
-Scheduler::PickPair ParBsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  prepareBatch(cands);
+}  // namespace
+
+Scheduler::PickPair Scheduler::referencePick(std::vector<Candidate>& cands,
+                                             Tick now) const {
+  switch (kind_) {
+    case SchedulerKind::Fcfs: return scanPair(cands, now, fcfsBetter);
+    case SchedulerKind::FrFcfs: return scanPair(cands, now, frFcfsBetter);
+    case SchedulerKind::ParBs: break;
+  }
+  for (Candidate& c : cands) {
+    c.marked = isMarked(c.id);
+    c.rank = c.marked ? markedPerThread_[static_cast<std::size_t>(c.thread)] : 0;
+  }
   return scanPair(cands, now, parBsBetter);
 }
 
+void Scheduler::onEnqueue(const MemRequest& req) {
+  if (kind_ != SchedulerKind::ParBs) return;
+  MB_CHECK_MSG(req.thread >= 0 && req.thread < kMaxThreads,
+               "PAR-BS thread id %d outside [0, %d)", req.thread, kMaxThreads);
+  const auto t = static_cast<std::size_t>(req.thread);
+  if (t >= markedPerThread_.size()) markedPerThread_.resize(t + 1, 0);
+  view_.push_back(QueueEntry{req.id, req.thread, false, req.arrival});
+}
 
-// ---- Serializable protocol -----------------------------------------------
-//
-// queueView_ order is controller-enqueue order and must survive verbatim
-// (formBatch walks it to mark the oldest per thread); the marked maps are
-// lookup-only during picks, so they travel sorted by key.
+void Scheduler::onDequeue(std::size_t pos, [[maybe_unused]] std::uint64_t id) {
+  if (kind_ != SchedulerKind::ParBs) return;
+  const QueueEntry& e = view_[pos];
+  MB_DCHECK(e.id == id);
+  if (e.marked) {
+    --markedPerThread_[static_cast<std::size_t>(e.thread)];
+    --marked_;
+  }
+  view_.erase(view_.begin() + static_cast<std::ptrdiff_t>(pos));
+}
 
-void ParBsScheduler::save(ckpt::Writer& w) const {
-  ckpt::saveMapSorted(w, marked_,
-                      [&](ThreadId t) { w.i32(t); });
-  ckpt::saveMapSorted(w, markedPerThread_,
-                      [&](int n) { w.i32(n); });
-  w.u64(queueView_.size());
-  for (const auto& qe : queueView_) {
-    w.u64(qe.id);
-    w.i32(qe.thread);
-    w.i64(qe.arrival);
+bool Scheduler::isMarked(std::uint64_t requestId) const {
+  for (const QueueEntry& e : view_)
+    if (e.id == requestId) return e.marked;
+  return false;
+}
+
+void Scheduler::formBatch() {
+  // Oldest-first marking with a per-thread cap. The counts are all zero:
+  // they equal the marks, and none is left.
+  std::vector<std::size_t> order(view_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const QueueEntry& x = view_[a];
+    const QueueEntry& y = view_[b];
+    return x.arrival != y.arrival ? x.arrival < y.arrival : x.id < y.id;
+  });
+  for (const std::size_t i : order) {
+    QueueEntry& e = view_[i];
+    int& perThread = markedPerThread_[static_cast<std::size_t>(e.thread)];
+    if (perThread >= markingCap_) continue;
+    ++perThread;
+    ++marked_;
+    e.marked = true;
   }
 }
 
-void ParBsScheduler::load(ckpt::Reader& r) {
-  marked_.clear();
-  const std::uint64_t nMarked = r.count(12);
-  for (std::uint64_t i = 0; i < nMarked && r.ok(); ++i) {
-    const std::uint64_t id = static_cast<std::uint64_t>(r.i64());
-    marked_.emplace(id, r.i32());
+bool Scheduler::formBatchIfDrained() {
+  if (marked_ != 0 || view_.empty()) return false;
+  formBatch();
+  return true;
+}
+
+// ---- Serializable protocol -----------------------------------------------
+//
+// The layout of the id-keyed maps this state replaced: the marked
+// (id, thread) pairs sorted by id, then the (thread, count) pair of every
+// thread with a mark sorted by thread, then the view in window order.
+
+std::vector<std::pair<std::uint64_t, ThreadId>> Scheduler::markList() const {
+  std::vector<std::pair<std::uint64_t, ThreadId>> marks;
+  marks.reserve(static_cast<std::size_t>(marked_));
+  for (const QueueEntry& e : view_)
+    if (e.marked) marks.emplace_back(e.id, e.thread);
+  std::sort(marks.begin(), marks.end());
+  return marks;
+}
+
+std::vector<std::pair<std::int64_t, int>> Scheduler::countList() const {
+  std::vector<std::pair<std::int64_t, int>> counts;
+  for (std::size_t t = 0; t < markedPerThread_.size(); ++t) {
+    if (markedPerThread_[t] > 0)
+      counts.emplace_back(static_cast<std::int64_t>(t), markedPerThread_[t]);
   }
+  return counts;
+}
+
+void Scheduler::save(ckpt::Writer& w) const {
+  if (kind_ != SchedulerKind::ParBs) return;
+  const auto marks = markList();
+  w.u64(marks.size());
+  for (const auto& [id, thread] : marks) {
+    w.i64(static_cast<std::int64_t>(id));
+    w.i32(thread);
+  }
+  const auto counts = countList();
+  w.u64(counts.size());
+  for (const auto& [thread, n] : counts) {
+    w.i64(thread);
+    w.i32(n);
+  }
+  w.u64(view_.size());
+  for (const QueueEntry& e : view_) {
+    w.u64(e.id);
+    w.i32(e.thread);
+    w.i64(e.arrival);
+  }
+}
+
+void Scheduler::load(ckpt::Reader& r) {
+  view_.clear();
   markedPerThread_.clear();
-  const std::uint64_t nThreads = r.count(12);
-  for (std::uint64_t i = 0; i < nThreads && r.ok(); ++i) {
-    const ThreadId t = static_cast<ThreadId>(r.i64());
-    markedPerThread_.emplace(t, r.i32());
+  marked_ = 0;
+  if (kind_ != SchedulerKind::ParBs) return;
+  std::vector<std::pair<std::uint64_t, ThreadId>> marks;
+  for (std::uint64_t n = r.count(12); n > 0 && r.ok(); --n) {
+    const auto id = static_cast<std::uint64_t>(r.i64());
+    marks.emplace_back(id, r.i32());
   }
-  queueView_.clear();
-  const std::uint64_t nQueue = r.count(20);
-  for (std::uint64_t i = 0; i < nQueue && r.ok(); ++i) {
-    QueueEntry qe;
-    qe.id = r.u64();
-    qe.thread = r.i32();
-    qe.arrival = r.i64();
-    queueView_.push_back(qe);
+  std::vector<std::pair<std::int64_t, int>> counts;
+  for (std::uint64_t n = r.count(12); n > 0 && r.ok(); --n) {
+    const std::int64_t thread = r.i64();
+    counts.emplace_back(thread, r.i32());
+  }
+  for (std::uint64_t n = r.count(20); n > 0 && r.ok(); --n) {
+    QueueEntry e{};
+    e.id = r.u64();
+    e.thread = r.i32();
+    e.arrival = r.i64();
+    // A thread indexes the dense counts, and an arrival must fit the key.
+    if (e.thread < 0 || e.thread >= kMaxThreads || e.arrival < 0 ||
+        e.arrival > kMaxArrival)
+      r.fail();
+    view_.push_back(e);
+  }
+  // Mark the view from the saved marks (searched, so sorted first). The
+  // state holds together only if that gives back both saved lists: every
+  // mark names a view entry of its thread, and every count is its thread's
+  // marks, within the cap.
+  if (!std::is_sorted(marks.begin(), marks.end())) r.fail();
+  for (QueueEntry& e : view_) {
+    if (!r.ok()) break;
+    const auto t = static_cast<std::size_t>(e.thread);
+    if (t >= markedPerThread_.size()) markedPerThread_.resize(t + 1, 0);
+    e.marked =
+        std::binary_search(marks.begin(), marks.end(), std::make_pair(e.id, e.thread));
+    if (!e.marked) continue;
+    ++markedPerThread_[t];
+    ++marked_;
+  }
+  const bool overCap = std::any_of(markedPerThread_.begin(), markedPerThread_.end(),
+                                   [&](int n) { return n > markingCap_; });
+  if (!r.ok() || overCap || markList() != marks || countList() != counts) {
+    r.fail();
+    view_.clear();
+    markedPerThread_.clear();
+    marked_ = 0;
   }
 }
 

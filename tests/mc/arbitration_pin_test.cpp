@@ -7,7 +7,9 @@
 // interleaved with single event-queue steps, so requests arrive both while
 // the command bus is free and while it is busy; a third are writes, enough
 // to push the write queue past its high watermark, and each thread mixes
-// row hits with conflicts against other threads' rows.
+// row hits with conflicts against other threads' rows. Two cases narrow the
+// read window to four entries, so reads wait in the overflow FIFO and each
+// retired read refills the window while a PAR-BS batch is marked in it.
 //
 // The values were taken from the full-rescan form of the arbitration loop
 // (every pass rebuilt all candidates, every precharge guard scanned the
@@ -33,6 +35,7 @@ struct PinCase {
   int nB;
   std::uint64_t commandHash;
   std::uint64_t statsHash;
+  int queueDepth = 32;  // the scheduler-visible read window
 };
 
 std::string caseName(const ::testing::TestParamInfo<PinCase>& info) {
@@ -47,7 +50,8 @@ std::string caseName(const ::testing::TestParamInfo<PinCase>& info) {
     case core::PolicyKind::Perfect: s += "_Perfect"; break;
     default: s += "_Other"; break;
   }
-  return s + "_u" + std::to_string(c.nW) + std::to_string(c.nB);
+  s += "_u" + std::to_string(c.nW) + std::to_string(c.nB);
+  return c.queueDepth == 32 ? s : s + "_q" + std::to_string(c.queueDepth);
 }
 
 std::uint64_t statsHash(const ControllerStats& s) {
@@ -85,6 +89,7 @@ TEST_P(ArbitrationPinTest, CommandStreamAndStatsMatchPinned) {
   cfg.enableTimingCheck = true;
   cfg.writeHighWatermark = 12;
   cfg.writeLowWatermark = 4;
+  cfg.queueDepth = pc.queueDepth;
   EventQueue eq;
   MemoryController mc(0, geom, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(),
                       map, cfg, eq);
@@ -112,7 +117,7 @@ TEST_P(ArbitrationPinTest, CommandStreamAndStatsMatchPinned) {
   Rng rng(0x5eedULL);
   std::vector<std::int64_t> hotRow(kThreads);
   for (int t = 0; t < kThreads; ++t) hotRow[static_cast<size_t>(t)] = 10 + t;
-  int completed = 0, busyArrivals = 0, freeArrivals = 0;
+  int completed = 0, busyArrivals = 0, freeArrivals = 0, overflowArrivals = 0;
   for (int i = 0; i < kRequests; ++i) {
     const auto thread = static_cast<ThreadId>(rng.nextBounded(kThreads));
     core::DramAddress da;
@@ -137,6 +142,8 @@ TEST_P(ArbitrationPinTest, CommandStreamAndStatsMatchPinned) {
     }
     (mc.channel().cmdBusFreeAt() > eq.now() ? busyArrivals : freeArrivals) += 1;
     mc.enqueue(std::move(r));
+    // Queued reads past the window's size wait in the overflow FIFO.
+    if (readsSent - mc.stats().forwardedReads - readCas > pc.queueDepth) ++overflowArrivals;
     const auto steps = rng.nextBounded(4);
     for (std::uint64_t s = 0; s < steps; ++s) eq.step();
   }
@@ -146,6 +153,9 @@ TEST_P(ArbitrationPinTest, CommandStreamAndStatsMatchPinned) {
   EXPECT_GT(busyArrivals, kRequests / 10);
   EXPECT_GT(freeArrivals, kRequests / 10);
   EXPECT_GT(drainWrites, 0);
+  if (pc.queueDepth < 32) {
+    EXPECT_GT(overflowArrivals, kRequests / 10);
+  }
   EXPECT_EQ(completed, readsSent);
   EXPECT_EQ(mc.outstanding(), 0);
 
@@ -189,7 +199,9 @@ INSTANTIATE_TEST_SUITE_P(
         PinCase{kParBs, PolicyKind::Tournament, 1, 1, 0x644661b03a4bfefbULL, 0x1bc773c07d9238a2ULL},
         PinCase{kParBs, PolicyKind::Tournament, 4, 4, 0xbc8b663abeb5c156ULL, 0x369e7c24e183fe24ULL},
         PinCase{kParBs, PolicyKind::Perfect, 1, 1, 0xdbe21dbf7259e801ULL, 0xcb8bb27e3a589552ULL},
-        PinCase{kParBs, PolicyKind::Perfect, 4, 4, 0x48453f5321be096dULL, 0xe6038a0c6dd8dac1ULL}),
+        PinCase{kParBs, PolicyKind::Perfect, 4, 4, 0x48453f5321be096dULL, 0xe6038a0c6dd8dac1ULL},
+        PinCase{kFrFcfs, PolicyKind::Open, 4, 4, 0x988faa0198b46179ULL, 0x6e5e1d6e6d29a51fULL, 4},
+        PinCase{kParBs, PolicyKind::Open, 4, 4, 0x562aaa3e7db8d0b6ULL, 0xa1c0e5794e9ee822ULL, 4}),
     caseName);
 
 }  // namespace

@@ -501,14 +501,21 @@ std::size_t pendingFillsAt(std::string_view payload) {
 }
 
 /// Offsets in the MC section of presetFast's controller (four ranks of
-/// eight μbanks, ParBs, open page, no auditor) of three element lists, each
-/// a u64 count of records: the read queue (36-byte requests: u64 id, u64
-/// line, write flag, i32 core, i32 thread, i64 arrival, three flags), the
-/// wake-up events (i64 tick, 40-byte stamp) and the read completions in
-/// flight (108 bytes: u64 token, two 40-byte stamps, i64 due, u64 line,
-/// i32 core).
+/// eight μbanks, ParBs, open page, no auditor) of its element lists, each a
+/// u64 count of records: PAR-BS's marks (12 bytes: i64 id, i32 thread, by
+/// id), its per-thread marked counts (12 bytes: i64 thread, i32 count, by
+/// thread) and its view of the read window (20 bytes: u64 id, i32 thread,
+/// i64 arrival), the read queue and the write queue (36-byte requests: u64
+/// id, u64 line, write flag, i32 core, i32 thread, i64 arrival, three
+/// flags), the wake-up events (i64 tick, 40-byte stamp) and the read
+/// completions in flight (108 bytes: u64 token, two 40-byte stamps, i64
+/// due, u64 line, i32 core).
 struct McLists {
+  std::size_t marks = 0;
+  std::size_t markCounts = 0;
+  std::size_t view = 0;
   std::size_t readQueue = 0;
+  std::size_t writeQueue = 0;
   std::size_t kicks = 0;
   std::size_t completions = 0;
 };
@@ -522,13 +529,19 @@ McLists mcLists(std::string_view payload) {
     (void)r.view(3 * 8);
   }
   (void)r.view(38 + 56);  // channel scalars, energy meter
-  skipList(12);           // ParBs: marked requests
-  skipList(12);           // ParBs: marks per thread
-  skipList(20);           // ParBs: queue view
-  EXPECT_EQ(r.u8(), 0u) << "presetFast runs without an auditor";
   McLists out;
+  out.marks = payload.size() - r.remaining();
+  skipList(12);
+  out.markCounts = payload.size() - r.remaining();
+  skipList(12);
+  out.view = payload.size() - r.remaining();
+  skipList(20);
+  EXPECT_EQ(r.u8(), 0u) << "presetFast runs without an auditor";
   out.readQueue = payload.size() - r.remaining();
-  for (int q = 0; q < 3; ++q) skipList(36);
+  skipList(36);  // the read window
+  skipList(36);  // the overflow FIFO
+  out.writeQueue = payload.size() - r.remaining();
+  skipList(36);
   (void)r.u8();   // draining writes
   skipList(40);   // pending closes
   skipList(21);   // speculations
@@ -692,6 +705,71 @@ TEST(Checkpoint, RejectsACompletionWhoseFillIsNotPending) {
     ASSERT_GT(ckpt::Reader(std::string_view(p).substr(at)).u64(), 0u)
         << "no read completion in flight at the cut";
     p.replace(at + 8 + 96, 8, le(std::int64_t{1} << 50));  // the first one's line
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// A serviced request leaves the queue its kind names, so a read restored
+// into the write queue would be found in neither when its CAS issues.
+TEST(Checkpoint, RejectsAReadInTheWriteQueue) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    // id, line, read, core 0, thread 0, arrival, two flags, no callback.
+    const std::string read =
+        le(0) + le(0) + '\0' + le32(0) + le32(0) + le(0) + std::string(2, '\0') + '\0';
+    prependRecord(p, mcLists(p).writeQueue, read);
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+/// The record count of the MC list at `at`, asserted non-zero.
+std::uint64_t listCount(const std::string& payload, std::size_t at, const char* what) {
+  const std::uint64_t n = ckpt::Reader(std::string_view(payload).substr(at)).u64();
+  EXPECT_GT(n, 0u) << "no " << what << " at the cut";
+  return n;
+}
+
+// PAR-BS reads a request's mark and rank by its read-window position, so its
+// view must be the restored read window: the same requests, in order.
+TEST(Checkpoint, RejectsAParBsViewThatIsNotTheReadWindow) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    const std::size_t at = mcLists(p).view;
+    if (listCount(p, at, "PAR-BS view entry") == 0) return;
+    const std::int64_t arrival = ckpt::Reader(std::string_view(p).substr(at + 8 + 12)).i64();
+    p.replace(at + 8 + 12, 8, le(arrival + 1));  // the first entry's arrival
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// A mark for a request that is not queued never drains, so no batch would
+// form again.
+TEST(Checkpoint, RejectsAParBsMarkForARequestNotQueued) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    const std::size_t at = mcLists(p).marks;
+    const std::uint64_t n = listCount(p, at, "PAR-BS mark");
+    if (n == 0) return;
+    const std::size_t last = at + 8 + 12 * (n - 1);
+    const std::int64_t id = ckpt::Reader(std::string_view(p).substr(last)).i64();
+    p.replace(last, 8, le(id + 1000000));  // still the largest id
+  });
+  EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
+            std::string::npos)
+      << msg;
+}
+
+// A thread's rank is its count of marks; a count that disagrees with them
+// would rank the thread wrongly until the batch drains.
+TEST(Checkpoint, RejectsAParBsCountThatDisagreesWithItsMarks) {
+  const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
+    const std::size_t at = mcLists(p).markCounts;
+    if (listCount(p, at, "PAR-BS marked count") == 0) return;
+    const std::int32_t n = ckpt::Reader(std::string_view(p).substr(at + 8 + 8)).i32();
+    p.replace(at + 8 + 8, 4, le32(n - 1));  // the first thread's count
   });
   EXPECT_NE(msg.find("error MB-CKP-012: malformed section payload 'MC0'"),
             std::string::npos)

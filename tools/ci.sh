@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan (with MB_DCHECKs and libstdc++
 # assertions on; the ctest run includes the hostile-snapshot gate, where an
-# oversized allocation aborts as allocation-size-too-big), a TSan pass over
+# oversized allocation aborts as allocation-size-too-big) and three DCHECKed
+# mbsim runs over write drains, one per scheduler, a TSan pass over
 # the parallel sweep tests, the channel-sharded engine tests, and two
 # sharded mbsim runs, the config lint (mblint), end-to-end audit /
 # checkpoint / warm-up file / sweep-resume / mbserve stages, the mbbench
@@ -47,6 +48,19 @@ echo "== ctest under ASan+UBSan =="
 ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "$build" --output-on-failure -j"$(nproc)"
+
+echo "== DCHECKed arbitration over write drains, one run per scheduler =="
+# Tier-1 reaches write drains and window refills only in short cases. These
+# runs (tsi-ubank(4,4) 470.lbm, an 8-entry read window, about 24 k reads and
+# 12 k writes each) check every full arbitration pass's one walk against the
+# predicate scan of a materialized candidate list, every wake-only pass
+# against a full pass's minimum, and every precharge guard against its queue
+# scan, under each scheduler's key.
+for sched in fcfs frfcfs parbs; do
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$build/tools/mbsim" --preset='tsi-ubank(4,4)' --workload=470.lbm \
+    --warmup=100000 --instrs=200000 --queue=8 --scheduler="$sched" >/dev/null
+done
 
 echo "== configure (${build_tsan}) with MB_SANITIZE=thread =="
 cmake -B "$build_tsan" -S "$repo" \
