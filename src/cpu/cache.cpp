@@ -1,5 +1,7 @@
 #include "cpu/cache.hpp"
 
+#include <string_view>
+
 namespace mb::cpu {
 
 Cache::Cache(std::int64_t sizeBytes, int associativity, int lineBytes)
@@ -103,21 +105,26 @@ void Cache::save(ckpt::Writer& w) const {
 }
 
 void Cache::load(ckpt::Reader& r) {
-  const std::uint64_t n = r.count(18);
-  if (n != lines_.size()) {
+  // 18 bytes a line (tag, state, LRU stamp, prefetched flag), decoded from
+  // one view of the whole array, bounds-checked once.
+  if (r.u64() != lines_.size()) {
     r.fail();
     return;
   }
+  const std::string_view bytes = r.view(lines_.size() * 18);
+  if (!r.ok()) return;
+  const char* p = bytes.data();
   for (auto& ln : lines_) {
-    ln.tag = r.u64();
-    const std::uint8_t st = r.u8();
+    const auto st = static_cast<std::uint8_t>(p[8]);
     if (st > static_cast<std::uint8_t>(LineState::Modified)) {
       r.fail();
       return;
     }
+    ln.tag = ckpt::loadLe<std::uint64_t>(p);
     ln.state = static_cast<LineState>(st);
-    ln.lruStamp = r.u64();
-    ln.prefetched = r.b();
+    ln.lruStamp = ckpt::loadLe<std::uint64_t>(p + 9);
+    ln.prefetched = p[17] != 0;
+    p += 18;
   }
   lruCounter_ = r.u64();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string_view>
 
 #include "common/check.hpp"
 
@@ -53,13 +54,11 @@ void MemoryHierarchy::issuePrefetch(CoreId core, std::uint64_t lineAddr, Tick at
   const int cluster = clusterOf(core);
   if (l2s_[static_cast<size_t>(cluster)]->peek(lineAddr) != nullptr) return;
   const auto key = pendingKey(cluster, lineAddr);
-  if (pending_.count(key) != 0) return;
+  if (mshr_.contains(key)) return;
   // Lines cached anywhere else would need coherence actions a speculative
   // prefetch should not trigger.
   if (directory_.contains(lineAddr)) return;
-  PendingFill fill;
-  fill.prefetch = true;
-  pending_.emplace(key, std::move(fill));
+  mshr_.insert(key).prefetch = true;
   ++stats_.prefetchIssued;
   requestDramRead(lineAddr, core, at);
 }
@@ -151,7 +150,7 @@ mc::CompletionFn MemoryHierarchy::makeReadCompletion(std::uint64_t lineAddr,
 
 bool MemoryHierarchy::awaitsFill(std::uint64_t lineAddr, CoreId core) const {
   return core >= 0 && core < cfg_.numCores &&
-         pending_.find(pendingKey(clusterOf(core), lineAddr)) != pending_.end();
+         mshr_.contains(pendingKey(clusterOf(core), lineAddr));
 }
 
 void MemoryHierarchy::requestDramRead(std::uint64_t lineAddr, CoreId core, Tick at) {
@@ -268,17 +267,17 @@ void MemoryHierarchy::fillLine(std::uint64_t lineAddr, int cluster, CoreId core,
 
 void MemoryHierarchy::onDramData(std::uint64_t lineAddr, int cluster, Tick dataTick) {
   const auto key = pendingKey(cluster, lineAddr);
-  auto it = pending_.find(key);
-  MB_CHECK(it != pending_.end());
-  PendingFill fill = std::move(it->second);
-  pending_.erase(it);
+  const PendingFill* pending = mshr_.find(key);
+  MB_CHECK(pending != nullptr);
+  const PendingFill fill = *pending;
+  mshr_.erase(key);
 
   // Directory: this cluster now holds the line.
   auto& entry = directory_[lineAddr];
   entry.sharers |= (1u << cluster);
   if (fill.anyWrite) entry.owner = cluster;
 
-  if (fill.prefetch && fill.waiters.empty()) {
+  if (fill.prefetch) {
     // Speculative fill: L2 only, marked so a later demand hit is counted.
     Cache& l2 = *l2s_[static_cast<size_t>(cluster)];
     if (l2.peek(lineAddr) == nullptr) {
@@ -288,12 +287,14 @@ void MemoryHierarchy::onDramData(std::uint64_t lineAddr, int cluster, Tick dataT
     return;
   }
 
+  // Each waiter leaves the pool before its callback runs: the callback may
+  // miss again and grow the pool.
   const Tick ready = dataTick + cycles(cfg_.fillLatCycles);
-  bool filled = false;
-  for (auto& w : fill.waiters) {
-    if (!filled) {
+  for (std::uint32_t n = fill.head; n != PendingFill::kNone;) {
+    const bool first = n == fill.head;
+    Waiter w = mshr_.take(n);
+    if (first) {
       fillLine(lineAddr, cluster, w.core, fill.anyWrite, dataTick);
-      filled = true;
     } else if (w.write) {
       // Later writer among the waiters: make sure the line is dirty.
       Cache::Line* line = l2s_[static_cast<size_t>(cluster)]->lookup(lineAddr);
@@ -351,17 +352,17 @@ MemoryHierarchy::AccessResult MemoryHierarchy::access(CoreId core, std::uint64_t
 
   // ---- Cluster MSHR: join an in-flight fill -------------------------------
   const auto key = pendingKey(cluster, lineAddr);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    it->second.anyWrite |= write;
-    if (it->second.prefetch) {
-      it->second.prefetch = false;  // a demand now rides the prefetch fill
+  if (PendingFill* fill = mshr_.find(key); fill != nullptr) {
+    fill->anyWrite |= write;
+    if (fill->prefetch) {
+      fill->prefetch = false;  // a demand now rides the prefetch fill
       ++stats_.prefetchUseful;
     }
     if (write && !onDone) {
-      it->second.waiters.push_back(Waiter{core, true, nullptr, -1});
+      mshr_.push(*fill, Waiter{core, true, nullptr, -1});
       return {true, l1Lat};  // fully posted store (no buffer accounting)
     }
-    it->second.waiters.push_back(Waiter{core, write, std::move(onDone), tag});
+    mshr_.push(*fill, Waiter{core, write, std::move(onDone), tag});
     return {false, 0};
   }
 
@@ -491,16 +492,14 @@ MemoryHierarchy::AccessResult MemoryHierarchy::access(CoreId core, std::uint64_t
   }
 
   // ---- DRAM ---------------------------------------------------------------
-  PendingFill fill;
+  PendingFill& fill = mshr_.insert(key);
   fill.anyWrite = write;
   if (write && !onDone) {
-    fill.waiters.push_back(Waiter{core, true, nullptr, -1});
-    pending_.emplace(key, std::move(fill));
+    mshr_.push(fill, Waiter{core, true, nullptr, -1});
     requestDramRead(lineAddr, core, at);  // fetch-for-ownership
     return {true, l1Lat};                 // fully posted store
   }
-  fill.waiters.push_back(Waiter{core, write, std::move(onDone), tag});
-  pending_.emplace(key, std::move(fill));
+  mshr_.push(fill, Waiter{core, write, std::move(onDone), tag});
   requestDramRead(lineAddr, core, at);
   return {false, 0};
 }
@@ -515,16 +514,16 @@ void MemoryHierarchy::save(ckpt::Writer& w) const {
     w.u32(e.sharers);
     w.i32(e.owner);
   });
-  ckpt::saveMapSorted(w, pending_, [&](const PendingFill& f) {
+  ckpt::saveMapSorted(w, mshr_.fills(), [&](const PendingFill& f) {
     w.b(f.anyWrite);
     w.b(f.prefetch);
-    w.u64(f.waiters.size());
-    for (const auto& wt : f.waiters) {
+    w.u64(f.count);
+    mshr_.forEachWaiter(f, [&](const Waiter& wt) {
       w.i32(wt.core);
       w.b(wt.write);
       w.i32(wt.tag);
       w.b(static_cast<bool>(wt.onDone));
-    }
+    });
   });
 
   w.u64(prefetchTables_.size());
@@ -578,49 +577,71 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
   // Keys must be line-aligned (so none is the table's empty marker) and
   // strictly ascending (save writes them sorted, so a repeat is tampering),
   // and no more than the table's bound: past it, an insert fails its
-  // MB_CHECK, and a full table would make a probe loop forever.
+  // MB_CHECK, and a full table would make a probe loop forever. The records
+  // are decoded from one view, bounds-checked once.
   directory_.clear();
   const std::uint64_t nDir = r.count(16);
   if (nDir > directory_.bound()) {
     r.fail();
     return;
   }
+  const std::string_view dir = r.view(nDir * 16);
+  if (!r.ok()) return;
   // Key order scatters over the table, so each entry's slot is prefetched
   // kDirLoadWindow entries before its insert.
   std::array<CoherenceDirectory::Slot, kDirLoadWindow> window{};
   std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < nDir && r.ok(); ++i) {
-    const auto key = static_cast<std::uint64_t>(r.i64());
-    DirEntry e;
-    e.sharers = r.u32();
-    e.owner = r.i32();
+  for (std::uint64_t i = 0; i < nDir; ++i) {
+    const char* p = dir.data() + i * 16;
+    const auto key = ckpt::loadLe<std::uint64_t>(p);
     if (l1s_.front()->lineBase(key) != key || (i > 0 && key <= prev)) {
       r.fail();
       return;
     }
     prev = key;
     auto& slot = window[i % kDirLoadWindow];
-    if (i >= kDirLoadWindow) directory_[slot.line] = slot.entry;
-    slot = {key, e};
+    if (i >= kDirLoadWindow) directory_[slot.key] = slot.value;
+    slot = {key, {ckpt::loadLe<std::uint32_t>(p + 8),
+                  static_cast<std::int32_t>(ckpt::loadLe<std::uint32_t>(p + 12))}};
     directory_.prefetch(key);
   }
-  if (!r.ok()) return;
   for (std::uint64_t i = nDir > kDirLoadWindow ? nDir - kDirLoadWindow : 0; i < nDir; ++i)
-    directory_[window[i % kDirLoadWindow].line] = window[i % kDirLoadWindow].entry;
-  pending_.clear();
+    directory_[window[i % kDirLoadWindow].key] = window[i % kDirLoadWindow].value;
+
+  // Only fills a live run can hold load: keys strictly ascending (save's
+  // order, so none repeats), each a cluster of this run over a line-aligned
+  // address; each waiter a core of that cluster; a prefetch exactly when no
+  // access waits, and anyWrite exactly when a waiter writes.
+  mshr_.clear();
   const std::uint64_t nPend = r.count(18);
   for (std::uint64_t i = 0; i < nPend && r.ok(); ++i) {
-    const auto key = static_cast<std::uint64_t>(r.i64());
-    PendingFill f;
-    f.anyWrite = r.b();
-    f.prefetch = r.b();
+    const std::uint64_t key = r.u64();
+    const bool anyWrite = r.b();
+    const bool prefetch = r.b();
     const std::uint64_t nWait = r.count(10);
+    const std::uint64_t cluster = key >> kPendingClusterShift;
+    const std::uint64_t line = key ^ (cluster << kPendingClusterShift);
+    if ((i > 0 && key <= prev) ||
+        cluster >= static_cast<std::uint64_t>(cfg_.numClusters()) ||
+        l1s_.front()->lineBase(line) != line || prefetch != (nWait == 0)) {
+      r.fail();
+      return;
+    }
+    prev = key;
+    PendingFill& f = mshr_.insert(key);
+    f.anyWrite = anyWrite;
+    f.prefetch = prefetch;
+    bool waiterWrites = false;
     for (std::uint64_t j = 0; j < nWait && r.ok(); ++j) {
       Waiter wt;
       wt.core = r.i32();
       wt.write = r.b();
       wt.tag = r.i32();
       const bool hasCb = r.b();
+      if (wt.core < 0 || static_cast<std::uint64_t>(clusterOf(wt.core)) != cluster) {
+        r.fail();
+        return;
+      }
       if (hasCb) {
         if (!waiterResolver) {
           r.fail();
@@ -628,9 +649,13 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
         }
         wt.onDone = waiterResolver(wt.core, wt.tag);
       }
-      f.waiters.push_back(std::move(wt));
+      waiterWrites |= wt.write;
+      mshr_.push(f, std::move(wt));
     }
-    pending_.emplace(key, std::move(f));
+    if (waiterWrites != anyWrite) {
+      r.fail();
+      return;
+    }
   }
 
   if (r.u64() != prefetchTables_.size()) {
@@ -667,7 +692,7 @@ void MemoryHierarchy::load(ckpt::Reader& r) {
     t.cluster = r.i32();
     // A hop carries read data to a cluster of this run whose fill waits.
     if (t.cluster < 0 || t.cluster >= cfg_.numClusters() ||
-        pending_.find(pendingKey(t.cluster, t.lineAddr)) == pending_.end()) {
+        !mshr_.contains(pendingKey(t.cluster, t.lineAddr))) {
       r.fail();
       return;
     }

@@ -672,6 +672,111 @@ TEST(Checkpoint, RejectsAWaiterForACoreNotInTheRun) {
       << msg;
 }
 
+/// One pending-fill waiter of a HIER payload: core, write, tag, callback.
+std::string waiterRecord(CoreId core, bool write, std::int32_t tag, bool callback) {
+  return le32(core) + static_cast<char>(write) + le32(tag) + static_cast<char>(callback);
+}
+
+/// One pending-fill record: key, anyWrite, prefetch, the waiter count and
+/// the waiters.
+std::string fillRecord(std::uint64_t key, bool anyWrite, bool prefetch,
+                       const std::vector<std::string>& waiters) {
+  std::string out = le(static_cast<std::int64_t>(key)) + static_cast<char>(anyWrite) +
+                    static_cast<char>(prefetch) + le(static_cast<std::int64_t>(waiters.size()));
+  for (const auto& w : waiters) out += w;
+  return out;
+}
+
+/// Insert `record` after the last pending fill of a HIER payload.
+void appendPendingFill(std::string& payload, const std::string& record) {
+  const std::size_t at = pendingFillsAt(payload);
+  ckpt::Reader r(std::string_view(payload).substr(at));
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    (void)r.view(8 + 2);
+    (void)r.view(10 * r.u64());
+  }
+  ASSERT_TRUE(r.ok());
+  payload.insert(payload.size() - r.remaining(), record);
+  ckpt::Writer count;
+  count.u64(n + 1);
+  payload.replace(at, 8, count.str());
+}
+
+/// The last line of cluster 0 in a pending-fill key (the cluster sits in
+/// bits 58 and up): a key above every key a run saves for its lines, so an
+/// appended record keeps the list ascending.
+constexpr std::uint64_t kTopLine = (std::uint64_t{1} << 58) - 64;
+
+constexpr const char* kHierRejected = "error MB-CKP-012: malformed section payload 'HIER'";
+
+// The restore loads only pending fills a live run can hold. save() writes
+// them in ascending key order, so a repeated key is tampering: a map keeps
+// one of the two records and drops the other's waiters, and the core whose
+// load they were stalls the restored run.
+TEST(Checkpoint, RejectsARepeatedPendingFillKey) {
+  const std::string msg = sectionTamperFailure("HIER", [](std::string& p) {
+    appendPendingFill(p, fillRecord(kTopLine, false, false, {waiterRecord(0, false, 0, true)}));
+    appendPendingFill(p, fillRecord(kTopLine, false, false, {waiterRecord(0, false, 1, true)}));
+  });
+  EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+}
+
+// A key's top bits name the cluster whose L2 the fill goes to: cluster 5 of
+// a one-cluster run, and a key whose line part is not a line address.
+TEST(Checkpoint, RejectsAPendingFillForAClusterNotInTheRun) {
+  const std::string msg = sectionTamperFailure("HIER", [](std::string& p) {
+    appendPendingFill(p, fillRecord(std::uint64_t{5} << 58, false, true, {}));
+  });
+  EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+}
+
+TEST(Checkpoint, RejectsAnUnalignedPendingFillLine) {
+  const std::string msg = sectionTamperFailure("HIER", [](std::string& p) {
+    appendPendingFill(p, fillRecord(kTopLine + 32, false, true, {}));
+  });
+  EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+}
+
+// A waiter is an access of a core in the fill's cluster: here core 3, of
+// cluster 0, waits on a fill for cluster 1 (8 cores in two clusters).
+TEST(Checkpoint, RejectsAWaiterOutsideItsFillsCluster) {
+  SystemConfig cfg = presetFast(shippedPresets().front());
+  cfg.hier.numCores = 8;
+  cfg.hier.coresPerCluster = 4;
+  cfg.channels = 2;
+  cfg.core.maxInstrs = 3000;
+  const auto tpch = workloadByName("TPC-H");
+  ASSERT_TRUE(tpch.has_value());
+  const std::uint64_t key = (std::uint64_t{1} << 58) | kTopLine;
+  const std::string msg = sectionTamperFailure(cfg, *tpch, "HIER", [key](std::string& p) {
+    appendPendingFill(p, fillRecord(key, false, false, {waiterRecord(3, false, 0, true)}));
+  });
+  EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+}
+
+// A fill is a prefetch exactly when no access waits on it, and anyWrite
+// exactly when one of its waiters writes.
+TEST(Checkpoint, RejectsAPrefetchFlagThatDisagreesWithTheWaiters) {
+  for (const std::string& fill :
+       {fillRecord(kTopLine, false, true, {waiterRecord(0, false, 0, true)}),
+        fillRecord(kTopLine, false, false, {})}) {
+    const std::string msg = sectionTamperFailure(
+        "HIER", [&fill](std::string& p) { appendPendingFill(p, fill); });
+    EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+  }
+}
+
+TEST(Checkpoint, RejectsAnAnyWriteFlagThatDisagreesWithTheWaiters) {
+  for (const std::string& fill :
+       {fillRecord(kTopLine, true, false, {waiterRecord(0, false, 0, true)}),
+        fillRecord(kTopLine, false, false, {waiterRecord(0, true, -1, false)})}) {
+    const std::string msg = sectionTamperFailure(
+        "HIER", [&fill](std::string& p) { appendPendingFill(p, fill); });
+    EXPECT_NE(msg.find(kHierRejected), std::string::npos) << msg;
+  }
+}
+
 TEST(Checkpoint, RejectsAQueuedReadForACoreNotInTheRun) {
   const std::string msg = sectionTamperFailure("MC0", [](std::string& p) {
     // id, line, read, core -256, thread, arrival, two flags, a callback.

@@ -179,6 +179,30 @@ for shards in 1 3; do
   echo "warm-up load ok: TPC-H at --shards=$shards"
 done
 
+# 429.mcf's checkpoints hold a handful of DRAM fills, all in one cluster. A
+# 64-core TPC-H run cut at 15 us holds 128 fills across all 16 clusters in
+# the hierarchy's MSHR file, each with its waiter, and the 16 L2s and their
+# directory. At each shard count the cold run, the run that writes the
+# checkpoint and its restore must print the serial cold run's report, and
+# both shard counts must write the same snapshot.
+tpch=("$build/tools/mbsim" --workload=TPC-H --instrs=20000 --warmup=5000)
+"${tpch[@]}" --shards=1 > "$ckpt_dir/ref.txt"
+for shards in 1 3; do
+  "${tpch[@]}" --shards="$shards" > "$ckpt_dir/cold.txt"
+  "${tpch[@]}" --shards="$shards" --checkpoint-at=15000000 \
+    --checkpoint="$ckpt_dir/tpch-$shards.mbk" > "$ckpt_dir/save.txt"
+  "${tpch[@]}" --shards="$shards" --restore-from="$ckpt_dir/tpch-$shards.mbk" \
+    > "$ckpt_dir/restore.txt"
+  for run in cold save restore; do
+    cmp "$ckpt_dir/ref.txt" "$ckpt_dir/$run.txt" || {
+      echo "FAIL: TPC-H $run run at --shards=$shards diverged from the cold run" >&2
+      exit 1; }
+  done
+  echo "checkpoint/restore ok: TPC-H in flight at --shards=$shards"
+done
+cmp "$ckpt_dir/tpch-1.mbk" "$ckpt_dir/tpch-3.mbk" || {
+  echo "FAIL: TPC-H checkpoints at --shards=1 and 3 differ" >&2; exit 1; }
+
 rm -rf "$ckpt_dir"
 
 echo "== resumable sweep through the result cache =="
